@@ -59,6 +59,7 @@ void BM_Ablation_NumBatches(benchmark::State& state) {
   const Index index =
       Index::Build(SeriesCollection(data), bench::DefaultIndexOptions(256));
   const size_t batches = static_cast<size_t>(state.range(0));
+  ThreadPool pool(4);
   for (auto _ : state) {
     for (size_t q = 0; q < queries.size(); ++q) {
       QueryOptions qo;
@@ -68,7 +69,7 @@ void BM_Ablation_NumBatches(benchmark::State& state) {
           PrepareQuery(queries.data(q), index.config(), qo);
       QueryExecution exec(&index, prepared, qo);
       exec.SeedInitialBsf();
-      exec.Run();
+      exec.Run(&pool);
       benchmark::DoNotOptimize(exec.results().Threshold());
     }
   }
@@ -83,6 +84,7 @@ void BM_Ablation_HelpThreshold(benchmark::State& state) {
   const SeriesCollection queries = bench::MixedQueries(data, 16, 67);
   const Index index =
       Index::Build(SeriesCollection(data), bench::DefaultIndexOptions(256));
+  ThreadPool pool(4);
   for (auto _ : state) {
     for (size_t q = 0; q < queries.size(); ++q) {
       QueryOptions qo;
@@ -92,7 +94,7 @@ void BM_Ablation_HelpThreshold(benchmark::State& state) {
           PrepareQuery(queries.data(q), index.config(), qo);
       QueryExecution exec(&index, prepared, qo);
       exec.SeedInitialBsf();
-      exec.Run();
+      exec.Run(&pool);
       benchmark::DoNotOptimize(exec.results().Threshold());
     }
   }
@@ -139,7 +141,7 @@ void BM_Ablation_LeafCapacity(benchmark::State& state) {
           PrepareQuery(queries.data(q), index.config(), qo);
       QueryExecution exec(&index, prepared, qo);
       exec.SeedInitialBsf();
-      exec.Run();
+      exec.Run(&pool);
       benchmark::DoNotOptimize(exec.results().Threshold());
     }
   }

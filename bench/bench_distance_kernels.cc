@@ -41,8 +41,6 @@ const std::vector<float>& Pool() {
 
 const simd::KernelTable* TableForArg(int64_t arg) {
   switch (arg) {
-    case 3:
-      return simd::Avx512Table();
     case 2:
       return simd::Avx2Table();
     case 1:
@@ -56,7 +54,6 @@ void ApplyIsaArgs(benchmark::internal::Benchmark* b) {
   b->Arg(0);
   if (simd::SseTable() != nullptr) b->Arg(1);
   if (simd::Avx2Table() != nullptr) b->Arg(2);
-  if (simd::Avx512Table() != nullptr) b->Arg(3);
 }
 
 void BM_SquaredEuclidean256(benchmark::State& state) {
@@ -226,7 +223,6 @@ void ApplyIsaAndQArgs(benchmark::internal::Benchmark* b) {
   std::vector<int64_t> isas{0};
   if (simd::SseTable() != nullptr) isas.push_back(1);
   if (simd::Avx2Table() != nullptr) isas.push_back(2);
-  if (simd::Avx512Table() != nullptr) isas.push_back(3);
   for (int64_t isa : isas) {
     for (int64_t q : kBatchQ) b->Args({isa, q});
   }

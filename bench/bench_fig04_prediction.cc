@@ -64,6 +64,7 @@ void BM_Fig04_QuartileTime(benchmark::State& bench_state) {
   const size_t begin = quartile * per;
   const size_t end = (quartile == 3) ? order.size() : begin + per;
   double mean_bsf = 0.0;
+  ThreadPool pool(2);
   for (auto _ : bench_state) {
     for (size_t i = begin; i < end; ++i) {
       QueryOptions qo;
@@ -72,7 +73,7 @@ void BM_Fig04_QuartileTime(benchmark::State& bench_state) {
           PrepareQuery(st.queries.data(order[i]), st.index->config(), qo);
       QueryExecution exec(st.index.get(), prepared, qo);
       mean_bsf += exec.SeedInitialBsf();
-      exec.Run();
+      exec.Run(&pool);
       benchmark::DoNotOptimize(exec.results().Threshold());
     }
   }

@@ -53,6 +53,7 @@ Fig06State& State() {
 void BM_Fig06_DivisionFactor(benchmark::State& bench_state) {
   Fig06State& st = State();
   const double factor = static_cast<double>(bench_state.range(0));
+  ThreadPool pool(4);
   for (auto _ : bench_state) {
     for (size_t q = 0; q < st.queries.size(); ++q) {
       QueryOptions qo;
@@ -66,7 +67,7 @@ void BM_Fig06_DivisionFactor(benchmark::State& bench_state) {
         scaled.set_division_factor(factor);
         exec.set_queue_threshold(scaled.PredictThreshold(initial));
       }
-      exec.Run();
+      exec.Run(&pool);
       benchmark::DoNotOptimize(exec.results().Threshold());
     }
   }

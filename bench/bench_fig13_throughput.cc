@@ -2,11 +2,7 @@
 // grows (Random, FULL replication, WORK-STEAL). Expected shape: throughput
 // increases close to linearly with nodes for all batch sizes.
 //
-// Executor panels (ISSUE 5):
-//   BM_Fig13b_Executor/{pooled,legacy} — the persistent per-node executor
-//     (query phases as pool tasks, zero thread creation) against the
-//     per-query-spawn baseline, same cluster shape; counters record the
-//     throughput and the per-batch thread-spawn count of each mode.
+// Executor panels:
 //   BM_Fig13c_StreamOverlap/inflight:{1,2,4} — AnswerStream online
 //     admission: each query summarized at its arrival time, dispatched
 //     immediately, nodes running up to `inflight` queries concurrently on
@@ -54,37 +50,6 @@ void RunThroughput(benchmark::State& state, int nodes, int queries) {
   state.counters["nodes"] = nodes;
   state.counters["throughput_qps"] =
       seconds > 0.0 ? static_cast<double>(queries) / seconds : 0.0;
-}
-
-void RunExecutorPanel(benchmark::State& state, bool pooled) {
-  // Light queries on purpose: the panel measures the per-query *executor*
-  // overhead (spawn/join vs pooled epochs), so the fixed costs must not
-  // drown in index-scan time.
-  const int queries = 400;
-  const SeriesCollection& data =
-      bench::CachedDataset("Random", bench::Scaled(3000), 256, 21);
-  const SeriesCollection batch = bench::MixedQueries(data, queries, 25);
-  OdysseyOptions options = bench::ClusterOptions(
-      256, /*nodes=*/4, /*groups=*/1, SchedulingPolicy::kDynamic, true,
-      /*threads_per_node=*/4);
-  options.use_executor = pooled;
-  OdysseyCluster cluster(data, options);
-  // Warm-up: the pooled mode creates its persistent executors on the first
-  // batch; the panel measures steady-state answering.
-  cluster.AnswerBatch(batch);
-  double seconds = 0.0;
-  uint64_t spawned = 0;
-  for (auto _ : state) {
-    const uint64_t before = executor_stats::ThreadsSpawned();
-    const BatchReport report = cluster.AnswerBatch(batch);
-    seconds = report.query_seconds;
-    spawned = executor_stats::ThreadsSpawned() - before;
-  }
-  state.counters["throughput_qps"] =
-      seconds > 0.0 ? static_cast<double>(queries) / seconds : 0.0;
-  // Pooled steady state: 0. Legacy: num_threads per query (plus steals).
-  state.counters["threads_spawned_per_batch"] =
-      static_cast<double>(spawned);
 }
 
 void RunStreamOverlap(benchmark::State& state, int inflight) {
@@ -205,15 +170,6 @@ void RegisterAll() {
           ->Iterations(1)
           ->UseRealTime();
     }
-  }
-  for (bool pooled : {true, false}) {
-    benchmark::RegisterBenchmark(
-        (std::string("BM_Fig13b_Executor/") + (pooled ? "pooled" : "legacy"))
-            .c_str(),
-        [pooled](benchmark::State& s) { RunExecutorPanel(s, pooled); })
-        ->Unit(benchmark::kMillisecond)
-        ->Iterations(1)
-        ->UseRealTime();
   }
   for (int inflight : {1, 2, 4}) {
     benchmark::RegisterBenchmark(

@@ -4,11 +4,11 @@
 //  (c)/(d) total time (index build + queries): for few queries the build
 //          cost of FULL dominates (EQUALLY-SPLIT wins); for many queries
 //          it is amortized (FULL wins) — the paper's central trade-off.
-//  (e)     build time + transient bundle bytes, shared-chunk vs legacy
-//          per-node-copy build: FULL/PARTIAL-k replicas indexing one
-//          immutable bundle per group cut both by ~replication_degree().
-//  (f)     streaming build from disk with/without the double-buffered
-//          overlap pipeline: pull of chunk i+1 hidden behind the
+//  (e)     build time + transient bundle bytes of the shared-chunk build:
+//          FULL/PARTIAL-k replicas index one immutable bundle per group,
+//          so both stay flat as replication_degree() grows.
+//  (f)     streaming build from disk through the double-buffered overlap
+//          pipeline: pull of chunk i+1 hidden behind the
 //          summarize+partition of chunk i (overlap_s counter). The win
 //          tracks how IO-bound the pulls are — on a page-cache-warm
 //          archive (CI), the pull is mostly z-normalization CPU and the
@@ -75,11 +75,10 @@ void RunReplication(benchmark::State& state, int nodes, int groups,
 // bundle bytes and summary count the build materialized, from the
 // build_stats counters (the same ones the shared_chunk_test suite asserts
 // once-per-group on).
-void RunBuild(benchmark::State& state, int nodes, int groups, bool shared) {
+void RunBuild(benchmark::State& state, int nodes, int groups) {
   const SeriesCollection& data = Data();
-  OdysseyOptions options = bench::ClusterOptions(
+  const OdysseyOptions options = bench::ClusterOptions(
       256, nodes, groups, SchedulingPolicy::kPredictDynamic, true);
-  options.share_chunks = shared;
   for (auto _ : state) {
     build_stats::Reset();
     OdysseyCluster cluster(data, options);
@@ -94,11 +93,10 @@ void RunBuild(benchmark::State& state, int nodes, int groups, bool shared) {
   state.counters["nodes"] = nodes;
 }
 
-// (f): streaming IngestAndBuild from an on-disk archive, with and without
-// the double-buffered ingest overlap. The archive is the bench dataset
-// dumped once to a temp file, so the pulls are real disk reads.
-void RunStreamingBuild(benchmark::State& state, int nodes, int groups,
-                       bool overlap) {
+// (f): streaming IngestAndBuild from an on-disk archive through the
+// double-buffered ingest overlap. The archive is the bench dataset dumped
+// once to a temp file, so the pulls are real disk reads.
+void RunStreamingBuild(benchmark::State& state, int nodes, int groups) {
   // Per-process name (two users / concurrent runners must not collide on a
   // shared /tmp), written once and removed at exit.
   static const std::string path = [] {
@@ -126,9 +124,8 @@ void RunStreamingBuild(benchmark::State& state, int nodes, int groups,
     state.SkipWithError("cannot write streaming archive");
     return;
   }
-  OdysseyOptions options = bench::ClusterOptions(
+  const OdysseyOptions options = bench::ClusterOptions(
       256, nodes, groups, SchedulingPolicy::kPredictDynamic, true);
-  options.overlap_ingest = overlap;
   IngestOptions ingest;
   ingest.length = 256;
   ingest.chunk_size = 4096;
@@ -187,37 +184,31 @@ void RegisterAll() {
       }
     }
   }
-  // (e) build-only series: shared bundle vs legacy per-node copies.
+  // (e) build-only series of the shared-bundle build.
   for (const auto& strategy : kStrategies) {
     for (int nodes : {2, 4, 8}) {
       const int groups = strategy.groups < 0 ? nodes : strategy.groups;
       if (!bench::ValidLayout(nodes, groups) || nodes < strategy.min_nodes) {
         continue;
       }
-      for (const bool shared : {true, false}) {
-        benchmark::RegisterBenchmark(
-            (std::string("BM_Fig15e_Build/") + strategy.name + "/nodes:" +
-             std::to_string(nodes) + (shared ? "/shared" : "/legacy"))
-                .c_str(),
-            [=](benchmark::State& s) { RunBuild(s, nodes, groups, shared); })
-            ->Unit(benchmark::kMillisecond)
-            ->Iterations(1)
-            ->UseRealTime();
-      }
+      benchmark::RegisterBenchmark(
+          (std::string("BM_Fig15e_Build/") + strategy.name + "/nodes:" +
+           std::to_string(nodes) + "/shared")
+              .c_str(),
+          [=](benchmark::State& s) { RunBuild(s, nodes, groups); })
+          ->Unit(benchmark::kMillisecond)
+          ->Iterations(1)
+          ->UseRealTime();
     }
   }
-  // (f) streaming build: double-buffered ingest overlap on/off (FULL over 4
-  // nodes — the shape whose build the sharing helps most).
-  for (const bool overlap : {true, false}) {
-    benchmark::RegisterBenchmark(
-        (std::string("BM_Fig15f_StreamingBuild/FULL/nodes:4/overlap:") +
-         (overlap ? "on" : "off"))
-            .c_str(),
-        [=](benchmark::State& s) { RunStreamingBuild(s, 4, 1, overlap); })
-        ->Unit(benchmark::kMillisecond)
-        ->Iterations(1)
-        ->UseRealTime();
-  }
+  // (f) streaming build with the double-buffered ingest overlap (FULL over
+  // 4 nodes — the shape whose build the sharing helps most).
+  benchmark::RegisterBenchmark(
+      "BM_Fig15f_StreamingBuild/FULL/nodes:4/overlap:on",
+      [](benchmark::State& s) { RunStreamingBuild(s, 4, 1); })
+      ->Unit(benchmark::kMillisecond)
+      ->Iterations(1)
+      ->UseRealTime();
 }
 
 }  // namespace

@@ -53,10 +53,10 @@ int main() {
         PrepareQuery(queries.data(q), built.config(), qo);
     QueryExecution from_build(&built, prepared, qo);
     from_build.SeedInitialBsf();
-    from_build.Run();
+    from_build.Run(&pool);
     QueryExecution from_load(&*loaded, prepared, qo);
     from_load.SeedInitialBsf();
-    from_load.Run();
+    from_load.Run(&pool);
     const Neighbor a = from_build.results().SortedResults()[0];
     const Neighbor b = from_load.results().SortedResults()[0];
     std::printf("  query %zu: built -> (%u, %.4f), loaded -> (%u, %.4f)\n", q,

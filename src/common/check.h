@@ -4,18 +4,18 @@
 #include <cstdio>
 #include <cstdlib>
 
-/// Odyssey requires C++20: src/index/query_engine.cc synchronizes its
-/// three-phase workers with std::barrier. Failing here gives a one-line
-/// diagnosis instead of a header-deep error inside <barrier>. MSVC keeps
-/// __cplusplus at 199711L unless /Zc:__cplusplus is set, so check its
-/// _MSVC_LANG too.
+/// Odyssey requires C++20: for one, SeriesCollection's aligned allocator
+/// defines only operator== and relies on the C++20 rewrite for the !=
+/// that std::vector uses. Failing here gives a one-line diagnosis instead
+/// of an error deep inside <vector>. MSVC keeps __cplusplus at 199711L
+/// unless /Zc:__cplusplus is set, so check its _MSVC_LANG too.
 #if defined(_MSVC_LANG)
 static_assert(_MSVC_LANG >= 202002L,
-              "Odyssey requires C++20 (std::barrier); configure with "
+              "Odyssey requires C++20; configure with "
               "CMAKE_CXX_STANDARD=20 or pass /std:c++20");
 #else
 static_assert(__cplusplus >= 202002L,
-              "Odyssey requires C++20 (std::barrier); configure with "
+              "Odyssey requires C++20; configure with "
               "CMAKE_CXX_STANDARD=20 or pass -std=c++20");
 #endif
 

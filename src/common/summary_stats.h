@@ -39,20 +39,19 @@ namespace build_stats {
 /// index-construction mirror of summary_stats' query-time promise. The
 /// SharedChunk subsystem (src/core/shared_chunk.h) promises each replication
 /// group materializes exactly one immutable {series, PAA, SAX, buffers}
-/// bundle per chunk, shared by every replica's tree build; the legacy
-/// per-node copy path builds one private bundle per node instead. Tests and
+/// bundle per chunk, shared by every replica's tree build. Tests and
 /// bench_fig15_replication read these counters to prove the sharing ratio.
 
-/// Number of SharedChunk bundles materialized (shared path: one per group;
-/// legacy path: one per node).
+/// Number of SharedChunk bundles materialized (one per replication group,
+/// plus one per standalone Index::Build).
 uint64_t ChunksBuilt();
 /// Total bytes of all materialized bundles (series + PAA + SAX + buffers) —
 /// the transient build memory the shared path divides by the replication
 /// degree.
 uint64_t ChunkBytes();
-/// Series summarized into bundles (PAA + SAX rows written). Equals the
-/// dataset size on the shared path; replication_degree() times that on the
-/// legacy copy path.
+/// Series summarized into bundles (PAA + SAX rows written). A cluster
+/// build summarizes each dataset series once, whatever the replication
+/// degree.
 uint64_t SummariesBuilt();
 /// Seconds the streaming build spent pulling chunk i+1 concurrently with
 /// summarizing/partitioning chunk i (the double-buffered overlap pipeline).
@@ -76,13 +75,13 @@ namespace executor_stats {
 /// CountedThread (src/common/sync.h), whose constructor is the repo's
 /// single sanctioned spawn site and increments ThreadsSpawned() — pool
 /// workers, the persistent comms/main threads, the stream prep thread,
-/// build/adopt workers, the ingest prefetcher, and the legacy per-query
-/// spawn path kept for benchmarks all count by construction, so tests can
-/// assert the count stays constant across batches regardless of query
-/// count. QueriesInFlightHwm() is the high-water mark of queries one node
-/// ran concurrently on its pool (AnswerStream's partitioned-pool
-/// admission); PrepOverlapSeconds() is query-preparation time that ran
-/// concurrently with execution (the online-admission overlap win).
+/// build/adopt workers and the ingest prefetcher all count by
+/// construction, so tests can assert the count stays constant across
+/// batches regardless of query count. QueriesInFlightHwm() is the
+/// high-water mark of queries one node ran concurrently on its pool
+/// (AnswerStream's partitioned-pool admission); PrepOverlapSeconds() is
+/// query-preparation time that ran concurrently with execution (the
+/// online-admission overlap win).
 ///
 /// Concurrency: every counter in this header is a relaxed atomic on its
 /// own cache line — no mutex, nothing for the thread-safety analysis to

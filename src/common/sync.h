@@ -11,8 +11,7 @@
 /// analysis (gcc) the annotation macros expand to nothing and the wrappers
 /// compile to exactly the std primitives they hold — every member function
 /// is defined inline in this header, so the annotated layer adds zero
-/// overhead to the locking hot paths (asserted by the BM_Fig13b_Executor
-/// gate in CI).
+/// overhead to the locking hot paths.
 ///
 /// Annotation cheat-sheet (see ARCHITECTURE.md "Locking discipline" for
 /// the per-mutex capability table):

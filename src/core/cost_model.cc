@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/common/check.h"
+#include "src/common/thread_pool.h"
 
 namespace odyssey {
 
@@ -21,15 +22,18 @@ std::vector<CalibrationSample> CollectCalibrationSamples(
     const QueryOptions& options) {
   QueryOptions calibration_options = options;
   calibration_options.queue_threshold = 0;  // unbounded: observe natural sizes
+  // One pool for the whole sample set, as a node's executor would run the
+  // queries: no thread is created per query.
+  ThreadPool pool(static_cast<size_t>(std::max(1, options.num_threads)));
   const PreparedBatch prepared =
-      PrepareBatch(queries, index.config(), calibration_options);
+      PrepareBatch(queries, index.config(), calibration_options, &pool);
   std::vector<CalibrationSample> samples;
   samples.reserve(queries.size());
   for (size_t q = 0; q < queries.size(); ++q) {
     QueryExecution exec(&index, prepared.query(q), calibration_options);
     CalibrationSample sample;
     sample.initial_bsf = exec.SeedInitialBsf();
-    exec.Run();
+    exec.Run(&pool);
     const QueryStats stats = exec.stats();
     sample.exec_seconds = stats.elapsed_seconds;
     sample.median_pq_size = stats.median_queue_size;

@@ -42,7 +42,8 @@ struct CalibrationSample {
 };
 
 /// Runs `queries` one by one against `index` (no BSF sharing, unbounded
-/// queues) and records per-query calibration samples. Feeds both the
+/// queues) on one pool of `options.num_threads` workers created for the
+/// call, and records per-query calibration samples. Feeds both the
 /// CostModel (Figure 4) and the ThresholdModel (Figure 6a).
 std::vector<CalibrationSample> CollectCalibrationSamples(
     const Index& index, const SeriesCollection& queries,

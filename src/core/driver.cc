@@ -219,13 +219,6 @@ bool DefaultStealDonation() {
   return *env != '0';
 }
 
-int DefaultBatchMaxInflight() {
-  const char* env = std::getenv("ODYSSEY_BATCH_INFLIGHT");
-  if (env == nullptr || *env == '\0') return 0;  // auto
-  const int value = std::atoi(env);
-  return value > 0 ? value : 0;
-}
-
 QueryAnswer MergeAnswers(const std::vector<Neighbor>& candidates, int k) {
   // Deduplicate by global id, keeping each series' best distance, then take
   // the k smallest.
@@ -280,67 +273,15 @@ OdysseyCluster::OdysseyCluster(const SeriesCollection& dataset,
   }
   partition_seconds_ = watch.ElapsedSeconds();
 
-  // Stage 2: index construction, per replication group.
-  nodes_.reserve(layout_.num_nodes());
-  for (int n = 0; n < layout_.num_nodes(); ++n) {
-    nodes_.push_back(std::make_unique<NodeRuntime>(n, layout_));
-  }
-  if (options_.share_chunks) {
-    // Shared path: each group materializes and summarizes its chunk exactly
-    // once (Section 3.3: a group's members hold identical data); every
-    // member then builds its own — bit-identical — tree from views of that
-    // one bundle. Under FULL replication this is 1 copy + 1 summarization
-    // instead of Nsn of each.
-    std::vector<std::shared_ptr<const SharedChunk>> bundles(
-        layout_.num_groups());
-    {
-      std::vector<CountedThread> groups;
-      groups.reserve(layout_.num_groups());
-      for (int g = 0; g < layout_.num_groups(); ++g) {
-        groups.emplace_back([&, g] {
-          // NUMA first-touch: bind the build thread to the group's socket
-          // before materializing, so the bundle's pages land on the memory
-          // its replicas will scan. The pool is created after the bind —
-          // child threads inherit the affinity mask.
-          if (numa::BindCurrentThread(numa::NodeForGroup(g))) {
-            executor_stats::CountChunkPlaced();
-          }
-          ThreadPool pool(static_cast<size_t>(
-              std::max(1, options_.build_threads_per_node)));
-          bundles[g] = SharedChunk::Build(dataset.Subset(chunks[g]),
-                                          chunks[g],
-                                          options_.index_options.config,
-                                          &pool);
-        });
-      }
-      for (auto& t : groups) t.Join();
-    }
-    std::vector<CountedThread> builders;
-    builders.reserve(layout_.num_nodes());
-    for (int n = 0; n < layout_.num_nodes(); ++n) {
-      builders.emplace_back([&, n] {
-        nodes_[n]->LoadSharedChunk(bundles[layout_.GroupOf(n)]);
-        nodes_[n]->BuildIndex(options_.index_options,
-                              options_.build_threads_per_node);
-      });
-    }
-    for (auto& t : builders) t.Join();
-  } else {
-    // Legacy copy path: every node subsets its group's chunk straight out
-    // of the caller's collection and summarizes it privately. Kept for the
-    // shared-vs-copy benchmarks and bit-identity tests.
-    std::vector<CountedThread> builders;
-    builders.reserve(layout_.num_nodes());
-    for (int n = 0; n < layout_.num_nodes(); ++n) {
-      builders.emplace_back([&, n] {
-        const std::vector<uint32_t>& chunk_ids = chunks[layout_.GroupOf(n)];
-        nodes_[n]->LoadChunk(dataset.Subset(chunk_ids), chunk_ids);
-        nodes_[n]->BuildIndex(options_.index_options,
-                              options_.build_threads_per_node);
-      });
-    }
-    for (auto& t : builders) t.Join();
-  }
+  // Stage 2: each group materializes and summarizes its chunk exactly once
+  // (Section 3.3: a group's members hold identical data); every member then
+  // builds its own — bit-identical — tree from views of that one bundle.
+  // Under FULL replication this is 1 copy + 1 summarization instead of Nsn
+  // of each.
+  BuildNodes([&](int g, ThreadPool* pool) {
+    return SharedChunk::Build(dataset.Subset(chunks[g]), chunks[g],
+                              options_.index_options.config, pool);
+  });
 }
 
 OdysseyCluster::OdysseyCluster(GroupChunks groups,
@@ -360,7 +301,15 @@ OdysseyCluster::OdysseyCluster(GroupChunks groups,
       overlap_seconds_(overlap_seconds) {
   driver_pool_ = std::make_unique<ThreadPool>(
       static_cast<size_t>(std::max(1, options_.build_threads_per_node)));
-  BuildNodes(std::move(groups));
+  // Each group adopts its accumulated series + PAA/SAX tables (computed
+  // once per ingest chunk, never recomputed here) as one immutable bundle —
+  // the only per-group work left is grouping the summarization buffers.
+  BuildNodes([&](int g, ThreadPool* pool) {
+    return SharedChunk::Adopt(
+        std::move(groups.data[g]), std::move(groups.ids[g]),
+        std::move(groups.paa[g]), std::move(groups.sax[g]),
+        options_.index_options.config, pool);
+  });
 }
 
 StatusOr<std::unique_ptr<OdysseyCluster>> OdysseyCluster::IngestAndBuild(
@@ -381,88 +330,67 @@ StatusOr<std::unique_ptr<OdysseyCluster>> OdysseyCluster::IngestAndBuild(
 
   // Stage 0+1 interleaved: pull one bounded chunk at a time and partition
   // it on arrival, appending each group's share directly into the group's
-  // storage. Peak transient heap is one ingest chunk (two with the overlap
-  // pipeline: the chunk being processed + the one in flight); the full
-  // archive only ever exists distributed across the groups (as on a real
-  // cluster). On the shared path each arriving chunk is summarized exactly
-  // once — before partitioning, so DENSITY-AWARE reuses the same table —
-  // and the rows are scattered into per-group tables alongside the series;
-  // the group bundles are then adopted at build time with zero
-  // re-summarization, and with overlap_ingest the next chunk's disk read
-  // runs concurrently with all of this.
+  // storage. Peak transient heap is two ingest chunks (the one being
+  // processed + the one in flight); the full archive only ever exists
+  // distributed across the groups (as on a real cluster). Each arriving
+  // chunk is summarized exactly once — before partitioning, so
+  // DENSITY-AWARE reuses the same table — and the rows are scattered into
+  // per-group tables alongside the series; the group bundles are then
+  // adopted at build time with zero re-summarization, and the next chunk's
+  // disk read runs concurrently with all of this.
   const IsaxConfig& config = options.index_options.config;
   const size_t w = static_cast<size_t>(config.segments());
   GroupChunks groups;
   groups.data.resize(layout->num_groups(), SeriesCollection(source.length()));
   groups.ids.resize(layout->num_groups());
-  groups.summarized = options.share_chunks;
-  if (groups.summarized) {
-    groups.paa.resize(layout->num_groups());
-    groups.sax.resize(layout->num_groups());
-  }
-  double ingest_seconds = 0.0;
+  groups.paa.resize(layout->num_groups());
+  groups.sax.resize(layout->num_groups());
   double partition_seconds = 0.0;
-  ThreadPool pool(options.build_threads_per_node);
-  const bool overlap = options.share_chunks && options.overlap_ingest;
-  std::unique_ptr<ChunkPrefetcher> prefetcher;
-  if (overlap) prefetcher = std::make_unique<ChunkPrefetcher>(&source);
+  ThreadPool pool(
+      static_cast<size_t>(std::max(1, options.build_threads_per_node)));
+  ChunkPrefetcher prefetcher(&source);
   Stopwatch watch;
   uint64_t chunk_index = 0;
   uint32_t base = 0;  // global id of the current chunk's first series
   std::vector<double> chunk_paa;
   std::vector<uint8_t> chunk_sax;
   for (;; ++chunk_index) {
-    watch.Restart();
-    StatusOr<SeriesCollection> chunk =
-        overlap ? prefetcher->Next() : source.NextChunk();
+    StatusOr<SeriesCollection> chunk = prefetcher.Next();
     if (!chunk.ok()) return chunk.status();
-    if (!overlap) ingest_seconds += watch.ElapsedSeconds();
     if (chunk->empty()) break;
     const size_t n = chunk->size();
     watch.Restart();
-    const std::vector<uint8_t>* precomputed_sax = nullptr;
-    if (options.share_chunks) {
-      chunk_paa.resize(n * w);
-      chunk_sax.resize(n * w);
-      pool.ParallelFor(n, [&](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          double* paa = chunk_paa.data() + i * w;
-          ComputePaa(chunk->data(i), config.paa, paa);
-          ComputeSaxFromPaa(paa, config, chunk_sax.data() + i * w);
-        }
-      });
-      precomputed_sax = &chunk_sax;
-    }
+    chunk_paa.resize(n * w);
+    chunk_sax.resize(n * w);
+    pool.ParallelFor(n, [&](size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) {
+        double* paa = chunk_paa.data() + i * w;
+        ComputePaa(chunk->data(i), config.paa, paa);
+        ComputeSaxFromPaa(paa, config, chunk_sax.data() + i * w);
+      }
+    });
     // Per-chunk seed: kRandomShuffle must not deal every chunk the same
     // permutation.
     const std::vector<std::vector<uint32_t>> local = PartitionSeries(
         *chunk, layout->num_groups(), options.partitioning, config,
         options.seed + chunk_index, &pool, options.density_options,
-        precomputed_sax);
+        &chunk_sax);
     for (int g = 0; g < layout->num_groups(); ++g) {
       for (uint32_t id : local[g]) {
         groups.data[g].Append(chunk->data(id));
         groups.ids[g].push_back(base + id);
-        if (options.share_chunks) {
-          groups.paa[g].insert(groups.paa[g].end(),
-                               chunk_paa.data() + id * w,
-                               chunk_paa.data() + (id + 1) * w);
-          groups.sax[g].insert(groups.sax[g].end(),
-                               chunk_sax.data() + id * w,
-                               chunk_sax.data() + (id + 1) * w);
-        }
+        groups.paa[g].insert(groups.paa[g].end(), chunk_paa.data() + id * w,
+                             chunk_paa.data() + (id + 1) * w);
+        groups.sax[g].insert(groups.sax[g].end(), chunk_sax.data() + id * w,
+                             chunk_sax.data() + (id + 1) * w);
       }
     }
     base += static_cast<uint32_t>(n);
     partition_seconds += watch.ElapsedSeconds();
   }
-  double overlap_seconds = 0.0;
-  if (overlap) {
-    ingest_seconds = prefetcher->pull_seconds();
-    overlap_seconds = prefetcher->overlap_seconds();
-    build_stats::AddOverlapSeconds(overlap_seconds);
-    prefetcher.reset();
-  }
+  const double ingest_seconds = prefetcher.pull_seconds();
+  const double overlap_seconds = prefetcher.overlap_seconds();
+  build_stats::AddOverlapSeconds(overlap_seconds);
   if (chunk_index == 0) {
     return Status::InvalidArgument("archive is empty: " + source.path());
   }
@@ -471,67 +399,39 @@ StatusOr<std::unique_ptr<OdysseyCluster>> OdysseyCluster::IngestAndBuild(
                          ingest_seconds, overlap_seconds));
 }
 
-void OdysseyCluster::BuildNodes(GroupChunks groups) {
+void OdysseyCluster::BuildNodes(
+    const std::function<std::shared_ptr<const SharedChunk>(int, ThreadPool*)>&
+        make_bundle) {
+  std::vector<std::shared_ptr<const SharedChunk>> bundles(
+      layout_.num_groups());
+  {
+    std::vector<CountedThread> groups;
+    groups.reserve(layout_.num_groups());
+    for (int g = 0; g < layout_.num_groups(); ++g) {
+      groups.emplace_back([&, g] {
+        // NUMA first-touch: bind the build thread to the group's socket
+        // before materializing, so the bundle's pages land on the memory
+        // its replicas will scan. The pool is created after the bind —
+        // child threads inherit the affinity mask.
+        if (numa::BindCurrentThread(numa::NodeForGroup(g))) {
+          executor_stats::CountChunkPlaced();
+        }
+        ThreadPool pool(static_cast<size_t>(
+            std::max(1, options_.build_threads_per_node)));
+        bundles[g] = make_bundle(g, &pool);
+      });
+    }
+    for (auto& t : groups) t.Join();
+  }
   nodes_.reserve(layout_.num_nodes());
   for (int n = 0; n < layout_.num_nodes(); ++n) {
     nodes_.push_back(std::make_unique<NodeRuntime>(n, layout_));
   }
-  if (groups.summarized) {
-    // Shared path: each group adopts its accumulated series + PAA/SAX
-    // tables (computed once per ingest chunk, never recomputed here) as one
-    // immutable bundle — the only per-group work left is grouping the
-    // summarization buffers — and every member indexes views of it.
-    std::vector<std::shared_ptr<const SharedChunk>> bundles(
-        layout_.num_groups());
-    {
-      std::vector<CountedThread> adopters;
-      adopters.reserve(layout_.num_groups());
-      for (int g = 0; g < layout_.num_groups(); ++g) {
-        adopters.emplace_back([&, g] {
-          // NUMA first-touch placement — see the in-memory constructor.
-          if (numa::BindCurrentThread(numa::NodeForGroup(g))) {
-            executor_stats::CountChunkPlaced();
-          }
-          ThreadPool pool(static_cast<size_t>(
-              std::max(1, options_.build_threads_per_node)));
-          bundles[g] = SharedChunk::Adopt(
-              std::move(groups.data[g]), std::move(groups.ids[g]),
-              std::move(groups.paa[g]), std::move(groups.sax[g]),
-              options_.index_options.config, &pool);
-        });
-      }
-      for (auto& t : adopters) t.Join();
-    }
-    std::vector<CountedThread> builders;
-    builders.reserve(layout_.num_nodes());
-    for (int n = 0; n < layout_.num_nodes(); ++n) {
-      builders.emplace_back([&, n] {
-        nodes_[n]->LoadSharedChunk(bundles[layout_.GroupOf(n)]);
-        nodes_[n]->BuildIndex(options_.index_options,
-                              options_.build_threads_per_node);
-      });
-    }
-    for (auto& t : builders) t.Join();
-    return;
-  }
-  // Legacy copy path: every node loads its group's chunk and builds its
-  // index concurrently, as on a real cluster. Replicas copy the group's
-  // chunk (each node's private RAM); a group with a single member moves it
-  // instead, so EQUALLY-SPLIT layouts never duplicate data.
   std::vector<CountedThread> builders;
   builders.reserve(layout_.num_nodes());
   for (int n = 0; n < layout_.num_nodes(); ++n) {
     builders.emplace_back([&, n] {
-      const int g = layout_.GroupOf(n);
-      // Only this thread touches group g's storage when it is the sole
-      // member, so the move cannot race with a replica's copy.
-      const bool sole_member = layout_.GroupMembers(g).size() == 1;
-      SeriesCollection chunk = sole_member
-                                   ? std::move(groups.data[g])
-                                   : SeriesCollection(groups.data[g]);
-      std::vector<uint32_t> ids = sole_member ? std::move(groups.ids[g])
-                                              : groups.ids[g];
-      nodes_[n]->LoadChunk(std::move(chunk), std::move(ids));
+      nodes_[n]->LoadSharedChunk(bundles[layout_.GroupOf(n)]);
       nodes_[n]->BuildIndex(options_.index_options,
                             options_.build_threads_per_node);
     });
@@ -635,23 +535,13 @@ BatchReport OdysseyCluster::AnswerBatch(const SeriesCollection& queries) {
   node_options.query_options = options_.query_options;
   node_options.threshold_model = options_.threshold_model;
   node_options.share_bsf = options_.share_bsf;
-  node_options.use_executor = options_.use_executor;
   node_options.batched_scoring = options_.batched_scoring;
   node_options.steal_donation = options_.steal_donation;
-  // Admission depth: the executor path admits up to a pool's width of
+  // Admission depth: a node admits up to a pool's width of
   // statically-delivered queries — with batched scoring, one leaf scan
   // then serves the whole admitted group — and stolen/donated work charges
-  // the same in-flight budget. The legacy spawn path keeps the paper's
-  // strict one-at-a-time batch model (every in-flight query there spawns
-  // its own thread complement).
-  if (options_.batch_max_inflight > 0) {
-    node_options.max_inflight = options_.batch_max_inflight;
-  } else if (options_.use_executor || node_options.batched_scoring) {
-    node_options.max_inflight =
-        std::max(1, options_.query_options.num_threads);
-  } else {
-    node_options.max_inflight = 1;
-  }
+  // the same in-flight budget.
+  node_options.max_inflight = std::max(1, options_.query_options.num_threads);
   // Arm unsolicited heartbeats only when the liveness deadline is: silent
   // compute must read as busy, and without a deadline pings are noise.
   node_options.liveness_heartbeat_seconds =
@@ -892,7 +782,6 @@ BatchReport OdysseyCluster::AnswerStream(
   node_options.query_options = options_.query_options;
   node_options.threshold_model = options_.threshold_model;
   node_options.share_bsf = options_.share_bsf;
-  node_options.use_executor = options_.use_executor;
   // A node with idle workers runs several admitted queries concurrently,
   // partitioning its pool, instead of strictly one at a time.
   node_options.max_inflight = std::max(1, options_.stream_max_inflight);

@@ -10,6 +10,7 @@
 /// variant: bounded chunks are pulled (double-buffered, overlapping pulls
 /// with summarization), partitioned and summarized on arrival.
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -34,12 +35,6 @@ bool DefaultBatchedScoring();
 /// to the option always wins.
 bool DefaultStealDonation();
 
-/// Default for OdysseyOptions::batch_max_inflight, read once per call from
-/// the ODYSSEY_BATCH_INFLIGHT environment variable (a positive integer).
-/// Returns 0 — auto — when the variable is unset, empty or not a positive
-/// number. Explicit assignment to the option always wins.
-int DefaultBatchMaxInflight();
-
 /// Everything that configures one Odyssey deployment (Figure 3).
 struct OdysseyOptions {
   /// Cluster shape: PARTIAL-num_groups over num_nodes nodes. num_groups = 1
@@ -57,52 +52,27 @@ struct OdysseyOptions {
   /// Stage-2 index construction.
   IndexOptions index_options;
   int build_threads_per_node = 4;
-  /// Build each replication group's chunk bundle (series + PAA + SAX +
-  /// summarization buffers, src/core/shared_chunk.h) exactly once and let
-  /// every replica index views of it — replication_degree() times less
-  /// transient build memory and summarization than the legacy path, with
-  /// bit-identical trees. Off = legacy path: every node materializes and
-  /// summarizes a private copy of its group's chunk (kept for the
-  /// shared-vs-copy benchmarks and equivalence tests).
-  bool share_chunks = true;
-  /// Streaming builds only: pull chunk i+1 off disk concurrently with
-  /// summarizing/partitioning chunk i (double-buffered ingest; observable
-  /// via overlap_seconds()). Requires share_chunks.
-  bool overlap_ingest = true;
 
   /// Stage-3/4 query answering.
   SchedulingPolicy scheduling = SchedulingPolicy::kPredictDynamic;
   WorkStealConfig worksteal;
   QueryOptions query_options;
   bool share_bsf = true;
-  /// Persistent per-node executor: query phases run as tasks on each
-  /// node's long-lived worker pool — zero thread creation on the query hot
-  /// path. Off = legacy mode: every query spawns and joins
-  /// `query_options.num_threads` std::threads (kept for the
-  /// pooled-vs-legacy benchmarks and equivalence tests).
-  bool use_executor = true;
   /// AnswerStream only: max queries one node runs concurrently on its pool
   /// (its in-flight admission depth). With > 1 a node whose workers are
   /// idle starts the next admitted query instead of strictly serializing.
-  /// AnswerBatch has its own depth (batch_max_inflight below); on both
+  /// AnswerBatch admits up to max(1, query_options.num_threads); on both
   /// paths, admitted queries and stolen/donated work charge the same
   /// per-node in-flight budget.
   int stream_max_inflight = 2;
-  /// AnswerBatch: max queries one node runs concurrently on its pool. 0
-  /// means auto — up to query_options.num_threads on the executor (and
-  /// batched-scoring) paths, 1 on the legacy per-query-spawn path (the
-  /// paper's strict one-at-a-time batch model, where every in-flight query
-  /// spawns its own thread complement). Default: the ODYSSEY_BATCH_INFLIGHT
-  /// environment variable, else auto.
-  int batch_max_inflight = DefaultBatchMaxInflight();
   /// Batched multi-query scoring: each node runs its in-flight queries as
   /// one GroupedQueryExecution whose leaf scan loads every candidate series
   /// once per group and scores it against all member queries with a single
   /// batched-kernel call (see src/index/query_engine.h). AnswerBatch groups
   /// up to `query_options.num_threads` statically-assigned queries;
   /// AnswerStream groups up to stream_max_inflight concurrent admissions.
-  /// Exact executor-backed search only — other modes run per-query
-  /// regardless. Default: the ODYSSEY_BATCHED_SCORING environment variable.
+  /// Exact search only — approximate mode runs per-query regardless.
+  /// Default: the ODYSSEY_BATCHED_SCORING environment variable.
   bool batched_scoring = DefaultBatchedScoring();
   /// Grouped-scan steal donation: batched-scoring members stay registered
   /// as steal victims while their group runs, handing still-untouched
@@ -161,9 +131,9 @@ struct BatchReport {
   /// is a serial pre-step).
   double prep_overlap_seconds = 0.0;
   /// Highest number of queries any single node ran concurrently on its
-  /// pool (bounded by the path's admission depth: batch_max_inflight for
-  /// AnswerBatch, stream_max_inflight for streams; stolen-work runs charge
-  /// the same budget).
+  /// pool (bounded by the path's admission depth: max(1,
+  /// query_options.num_threads) for AnswerBatch, stream_max_inflight for
+  /// streams; stolen-work runs charge the same budget).
   int queries_in_flight_hwm = 0;
   std::vector<NodeBatchStats> node_stats;
   size_t messages_sent = 0;
@@ -242,8 +212,8 @@ class OdysseyCluster {
   /// constructor).
   double ingest_seconds() const { return ingest_seconds_; }
   /// Of ingest_seconds(), the part that ran concurrently with
-  /// summarization/partitioning (the double-buffered pipeline's win; 0
-  /// without overlap_ingest or for the in-memory constructor).
+  /// summarization/partitioning (the double-buffered pipeline's win; 0 for
+  /// the in-memory constructor).
   double overlap_seconds() const { return overlap_seconds_; }
   /// Paper's index-time measures: the maximum across nodes.
   double max_buffer_seconds() const;
@@ -262,30 +232,30 @@ class OdysseyCluster {
 
  private:
   /// Per-group raw data + global ids, accumulated by the streaming build
-  /// as chunks are partitioned on arrival. On the shared path the per-chunk
-  /// PAA/SAX rows (computed once per ingest chunk, before partitioning) are
-  /// scattered alongside, so the group bundles are adopted at build time
-  /// without ever re-summarizing.
+  /// as chunks are partitioned on arrival. The per-chunk PAA/SAX rows
+  /// (computed once per ingest chunk, before partitioning) are scattered
+  /// alongside, so the group bundles are adopted at build time without
+  /// ever re-summarizing.
   struct GroupChunks {
     std::vector<SeriesCollection> data;
     std::vector<std::vector<uint32_t>> ids;
-    std::vector<std::vector<double>> paa;   // shared path only
-    std::vector<std::vector<uint8_t>> sax;  // shared path only
-    bool summarized = false;                // paa/sax are filled
+    std::vector<std::vector<double>> paa;
+    std::vector<std::vector<uint8_t>> sax;
   };
 
-  /// Streaming-build constructor body: every group's chunk is already
-  /// materialized; just load the nodes and build their indexes.
+  /// Streaming-build constructor body: every group's chunk and summaries
+  /// are already materialized; just adopt them and build the indexes.
   OdysseyCluster(GroupChunks groups, const OdysseyOptions& options,
                  double partition_seconds, double ingest_seconds,
                  double overlap_seconds);
 
-  /// Stage 2 of the streaming path. Shared: each group adopts one immutable
-  /// bundle from its accumulated tables and every member indexes views of
-  /// it. Legacy: every node loads its group's chunk and builds its index
-  /// concurrently (single-member groups move their chunk; replicas copy
-  /// it).
-  void BuildNodes(GroupChunks groups);
+  /// Stage 2: `make_bundle(g, pool)` produces group g's immutable bundle
+  /// (one NUMA-placed thread per group, each with its own build pool), then
+  /// every node indexes views of its group's bundle, all nodes
+  /// concurrently.
+  void BuildNodes(
+      const std::function<std::shared_ptr<const SharedChunk>(int, ThreadPool*)>&
+          make_bundle);
 
   /// Builds the batch's PreparedQuery artifacts across a driver-side
   /// thread pool and reports the elapsed preparation time.

@@ -34,18 +34,6 @@ NodeRuntime::~NodeRuntime() {
   if (main_thread_.joinable()) main_thread_.Join();
 }
 
-void NodeRuntime::LoadChunk(SeriesCollection chunk,
-                            std::vector<uint32_t> global_ids) {
-  ODYSSEY_CHECK(chunk.size() == global_ids.size());
-  ODYSSEY_CHECK_MSG(!chunk.empty(), "node received an empty chunk");
-  global_ids_ =
-      std::make_shared<const std::vector<uint32_t>>(std::move(global_ids));
-  // The chunk is stashed inside the index at BuildIndex time; keep it here
-  // until then.
-  pending_chunk_ = std::make_unique<SeriesCollection>(std::move(chunk));
-  pending_shared_.reset();
-}
-
 void NodeRuntime::LoadSharedChunk(std::shared_ptr<const SharedChunk> chunk) {
   ODYSSEY_CHECK(chunk != nullptr);
   ODYSSEY_CHECK_MSG(!chunk->data().empty(), "node received an empty chunk");
@@ -55,23 +43,16 @@ void NodeRuntime::LoadSharedChunk(std::shared_ptr<const SharedChunk> chunk) {
   global_ids_ = std::shared_ptr<const std::vector<uint32_t>>(
       chunk, &chunk->global_ids());
   pending_shared_ = std::move(chunk);
-  pending_chunk_.reset();
 }
 
 BuildTimings NodeRuntime::BuildIndex(const IndexOptions& options,
                                      int build_threads) {
-  ODYSSEY_CHECK_MSG(pending_chunk_ != nullptr || pending_shared_ != nullptr,
-                    "LoadChunk/LoadSharedChunk before BuildIndex");
+  ODYSSEY_CHECK_MSG(pending_shared_ != nullptr,
+                    "LoadSharedChunk before BuildIndex");
   ThreadPool pool(static_cast<size_t>(std::max(1, build_threads)));
-  if (pending_shared_ != nullptr) {
-    index_ = std::make_unique<Index>(Index::BuildFromShared(
-        std::move(pending_shared_), options, &pool, &build_timings_));
-  } else {
-    index_ = std::make_unique<Index>(Index::Build(
-        std::move(*pending_chunk_), options, &pool, &build_timings_));
-  }
-  pending_chunk_.reset();
-  pending_shared_.reset();
+  // The by-value parameter takes the bundle, leaving pending_shared_ empty.
+  index_ = std::make_unique<Index>(Index::BuildFromShared(
+      std::move(pending_shared_), options, &pool, &build_timings_));
   return build_timings_;
 }
 
@@ -102,20 +83,18 @@ bool NodeRuntime::AllAssignmentsInLocked() const {
 }
 
 void NodeRuntime::EnsureExecutor() {
-  if (options_.use_executor) {
-    const size_t want =
-        static_cast<size_t>(std::max(1, options_.query_options.num_threads));
-    // The pool grows to the widest batch seen and never shrinks; growth
-    // spawns only the missing workers, so a wider batch pays exactly the
-    // delta and an equal-or-narrower one pays nothing.
-    if (workers_ == nullptr) {
-      workers_ = std::make_unique<ThreadPool>(want);
-    } else {
-      workers_->Grow(want);
-    }
-    PinExecutorWorkers();
-    WarmExecutorScratch();
+  const size_t want =
+      static_cast<size_t>(std::max(1, options_.query_options.num_threads));
+  // The pool grows to the widest batch seen and never shrinks; growth
+  // spawns only the missing workers, so a wider batch pays exactly the
+  // delta and an equal-or-narrower one pays nothing.
+  if (workers_ == nullptr) {
+    workers_ = std::make_unique<ThreadPool>(want);
+  } else {
+    workers_->Grow(want);
   }
+  PinExecutorWorkers();
+  WarmExecutorScratch();
   if (!comms_thread_.joinable()) {
     comms_thread_ = CountedThread([this] { EpochThread(/*comms=*/true); });
     main_thread_ = CountedThread([this] { EpochThread(/*comms=*/false); });
@@ -430,12 +409,11 @@ void NodeRuntime::ExecuteRecoveryQuery(int query_id) {
   // the per-query path would then disagree with the answer the dead
   // replica already delivered — a single-member group keeps the re-run
   // bit-identical (lane semantics are independent of group size).
-  if (options_.batched_scoring && options_.use_executor &&
-      workers_ != nullptr && !options_.query_options.approximate) {
+  if (options_.batched_scoring && !options_.query_options.approximate) {
     GroupedQueryExecution group({&exec});
     group.Run(workers_.get());
   } else {
-    exec.Run(options_.use_executor ? workers_.get() : nullptr);
+    exec.Run(workers_.get());
   }
   SendLocalAnswer(query_id, exec.results().SortedResults(),
                   /*recovery=*/true);
@@ -524,12 +502,11 @@ void NodeRuntime::MainLoop() {
   const int max_inflight = std::max(1, options_.max_inflight);
   // Batched scoring groups the queries already delivered to this node (up
   // to max_inflight) into one GroupedQueryExecution instead of running them
-  // as independent concurrent executions. Exact executor-backed search
-  // only; dynamic policies deliver one query per request, so their groups
-  // naturally degrade to size 1 (same answers, no amortization).
-  const bool grouped = options_.batched_scoring && options_.use_executor &&
-                       workers_ != nullptr &&
-                       !options_.query_options.approximate;
+  // as independent concurrent executions. Exact search only; dynamic
+  // policies deliver one query per request, so their groups naturally
+  // degrade to size 1 (same answers, no amortization).
+  const bool grouped =
+      options_.batched_scoring && !options_.query_options.approximate;
   if (grouped) {
     for (;;) {
       const int qid = NextQuery();
@@ -574,9 +551,7 @@ void NodeRuntime::MainLoop() {
       }
     }
   }
-  const bool concurrent =
-      !grouped && max_inflight > 1 && options_.use_executor &&
-      workers_ != nullptr;
+  const bool concurrent = !grouped && max_inflight > 1;
   std::unique_ptr<TaskGroup> inflight_group;
   if (concurrent) inflight_group = std::make_unique<TaskGroup>(workers_.get());
   while (!grouped) {
@@ -666,7 +641,7 @@ void NodeRuntime::ExecuteQuery(int query_id) {
     MutexLock lock(&exec_mu_);
     running_execs_.push_back({query_id, &exec});
   }
-  exec.Run(options_.use_executor ? workers_.get() : nullptr);
+  exec.Run(workers_.get());
   {
     MutexLock lock(&exec_mu_);
     for (auto it = running_execs_.begin(); it != running_execs_.end(); ++it) {
@@ -982,13 +957,11 @@ void NodeRuntime::RunStolenWork(const Message& reply) {
   // must too — a per-query re-run would report ULP-different distances for
   // the donated candidates and break bit-identity with the non-donated
   // reference. The single-member grouped subset run keeps the family.
-  if (options_.batched_scoring && options_.use_executor &&
-      workers_ != nullptr && !options_.query_options.approximate) {
+  if (options_.batched_scoring && !options_.query_options.approximate) {
     GroupedQueryExecution group({&exec});
     group.RunBatchSubset(reply.batch_ids, workers_.get());
   } else {
-    exec.RunBatchSubset(reply.batch_ids,
-                        options_.use_executor ? workers_.get() : nullptr);
+    exec.RunBatchSubset(reply.batch_ids, workers_.get());
   }
   {
     MutexLock lock(&stats_mu_);

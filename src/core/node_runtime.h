@@ -2,10 +2,9 @@
 #define ODYSSEY_CORE_NODE_RUNTIME_H_
 
 /// One simulated Odyssey system node (paper Sections 3.2 and 3.5): stage-2
-/// index construction over the node's chunk — either a private copy
-/// (LoadChunk) or a view of its replication group's shared bundle
-/// (LoadSharedChunk, Section 3.3's replicas-index-one-chunk property) —
-/// and the stage-4 *persistent executor*: a long-lived comms thread
+/// index construction over a view of its replication group's shared bundle
+/// (LoadSharedChunk, Section 3.3's replicas-index-one-chunk property) and
+/// the stage-4 *persistent executor*: a long-lived comms thread
 /// implementing the work-stealing manager of Algorithm 3 plus the BSF
 /// book-keeping array of Section 3.4, a long-lived main thread running
 /// query answering and the PerformWorkStealing loop of Algorithm 4, and a
@@ -55,22 +54,18 @@ struct NodeBatchOptions {
   /// System-wide BSF sharing (Section 3.4). Off only for the DMESSI
   /// baseline.
   bool share_bsf = true;
-  /// Run query phases on the node's persistent worker pool (zero thread
-  /// creation per query). Off = legacy per-query thread spawning, kept for
-  /// the pooled-vs-legacy benchmarks.
-  bool use_executor = true;
   /// Maximum queries this node runs concurrently on its pool (>= 1). One
   /// shared admission budget covers everything the node executes: streamed
-  /// admissions, batch queries (AnswerBatch raises this to the pool width
-  /// on the executor path; ODYSSEY_BATCH_INFLIGHT overrides), grouped
-  /// members, and stolen/donated batches run in PerformWorkStealing — all
-  /// claim in-flight slots against the same counter.
+  /// admissions, batch queries (AnswerBatch raises this to the pool
+  /// width), grouped members, and stolen/donated batches run in
+  /// PerformWorkStealing — all claim in-flight slots against the same
+  /// counter.
   int max_inflight = 1;
   /// Run in-flight queries as one GroupedQueryExecution whose leaf scan
   /// scores each candidate series against the whole group with a single
   /// batched-kernel call (up to max_inflight queries per group; exact
-  /// search with use_executor only — other modes fall back to the
-  /// per-query path). Driver-level switch: ODYSSEY_BATCHED_SCORING.
+  /// search only — approximate mode falls back to the per-query path).
+  /// Driver-level switch: ODYSSEY_BATCHED_SCORING.
   bool batched_scoring = false;
   /// Register grouped (batched-scoring) members as steal victims so a
   /// grouped node donates still-untouched (member, batch) slices of its
@@ -121,16 +116,11 @@ class NodeRuntime {
 
   int id() const { return id_; }
 
-  /// Stage 2a: receives this node's chunk as a private copy.
-  /// `global_ids[i]` is the original dataset id of local series i (answers
-  /// are reported globally). BuildIndex then summarizes the copy here —
-  /// the legacy per-node path the shared build is benchmarked against.
-  void LoadChunk(SeriesCollection chunk, std::vector<uint32_t> global_ids);
-
-  /// Stage 2a, shared path: receives the node's replication group's
-  /// immutable bundle (series + SAX + buffers + global ids, summarized
-  /// exactly once for the whole group). BuildIndex then only builds this
-  /// node's tree from the bundle's views.
+  /// Stage 2a: receives the node's replication group's immutable bundle
+  /// (series + SAX + buffers + global ids, summarized exactly once for the
+  /// whole group; global id i is the original dataset id of local series
+  /// i, so answers are reported globally). BuildIndex then only builds
+  /// this node's tree from the bundle's views.
   void LoadSharedChunk(std::shared_ptr<const SharedChunk> chunk);
 
   /// Stage 2b-c: builds the local index with `build_threads` workers.
@@ -240,11 +230,9 @@ class NodeRuntime {
   const ReplicationLayout layout_;
 
   // Immutable after BuildIndex. global_ids_ aliases the shared bundle's id
-  // vector on the shared path (no per-replica copy) and owns a private
-  // vector on the legacy path.
+  // vector (no per-replica copy).
   std::shared_ptr<const std::vector<uint32_t>> global_ids_;
-  std::unique_ptr<SeriesCollection> pending_chunk_;  // between Load and Build
-  std::shared_ptr<const SharedChunk> pending_shared_;
+  std::shared_ptr<const SharedChunk> pending_shared_;  // between Load and Build
   std::unique_ptr<Index> index_;
   BuildTimings build_timings_;
 

@@ -85,8 +85,7 @@ class SharedChunk {
   double summarize_seconds() const { return summarize_seconds_; }
 
   /// Heap bytes of the whole bundle (series + ids + PAA + SAX + buffers):
-  /// what one group materializes once on the shared path and every node
-  /// duplicates on the legacy copy path.
+  /// what one group materializes once for all of its replicas.
   size_t MemoryBytes() const;
 
  private:

@@ -884,374 +884,12 @@ bool CpuHasAvx2Fma() {
   return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
 }
 
-// -------------------------------------------------------------- AVX-512
-// F+DQ only (DQ for the 256-bit extract in the horizontal sum): the widest
-// deployed AVX-512 baseline, present on every Skylake-SP+ server part. Same
-// per-function target-attribute scheme as AVX2, only called after CPUID.
-
-#define ODYSSEY_TARGET_AVX512 \
-  __attribute__((target("avx512f,avx512dq,fma")))
-
-ODYSSEY_TARGET_AVX512 inline float HorizontalSum512(__m512 v) {
-  const __m256 half = _mm256_add_ps(_mm512_castps512_ps256(v),
-                                    _mm512_extractf32x8_ps(v, 1));
-  __m128 s = _mm_add_ps(_mm256_castps256_ps128(half),
-                        _mm256_extractf128_ps(half, 1));
-  s = _mm_add_ps(s, _mm_movehl_ps(s, s));
-  return _mm_cvtss_f32(_mm_add_ss(s, _mm_shuffle_ps(s, s, 0x55)));
-}
-
-// 64-byte variant of the Aligned32 fast-path predicate: SeriesCollection
-// rows are 64-byte aligned, so lane-multiple lengths take vmovaps with no
-// scalar tail. Same bit-identity promise as AVX2: the fast path keeps the
-// generic loop's exact accumulation order.
-inline bool Aligned64(const float* p) {
-  return (reinterpret_cast<uintptr_t>(p) & 63u) == 0;
-}
-
-ODYSSEY_TARGET_AVX512
-ODYSSEY_HOT float SquaredEuclideanAvx512K(const float* a, const float* b, size_t n) {
-  __m512 acc = _mm512_setzero_ps();
-  if (n % 16 == 0 && Aligned64(a) && Aligned64(b)) {
-    for (size_t i = 0; i < n; i += 16) {
-      const __m512 d =
-          _mm512_sub_ps(_mm512_load_ps(a + i), _mm512_load_ps(b + i));
-      acc = _mm512_fmadd_ps(d, d, acc);
-    }
-    return HorizontalSum512(acc);
-  }
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m512 d =
-        _mm512_sub_ps(_mm512_loadu_ps(a + i), _mm512_loadu_ps(b + i));
-    acc = _mm512_fmadd_ps(d, d, acc);
-  }
-  float sum = HorizontalSum512(acc);
-  for (; i < n; ++i) {
-    const float d = a[i] - b[i];
-    sum += d * d;
-  }
-  return sum;
-}
-
-ODYSSEY_TARGET_AVX512
-ODYSSEY_HOT float SquaredEuclideanEarlyAbandonAvx512K(const float* a, const float* b,
-                                          size_t n, float threshold) {
-  // The 16-point abandon block is exactly one 512-bit vector, so the
-  // cadence costs one horizontal sum per FMA — the tier where checking
-  // every block is cheapest.
-  __m512 acc = _mm512_setzero_ps();
-  float sum = 0.0f;
-  size_t i = 0;
-  if (n % 16 == 0 && Aligned64(a) && Aligned64(b)) {
-    while (i < n) {
-      const __m512 d =
-          _mm512_sub_ps(_mm512_load_ps(a + i), _mm512_load_ps(b + i));
-      acc = _mm512_fmadd_ps(d, d, acc);
-      i += 16;
-      sum = HorizontalSum512(acc);
-      if (sum >= threshold) return sum;
-    }
-    return sum;
-  }
-  while (i + 16 <= n) {
-    const __m512 d =
-        _mm512_sub_ps(_mm512_loadu_ps(a + i), _mm512_loadu_ps(b + i));
-    acc = _mm512_fmadd_ps(d, d, acc);
-    i += 16;
-    sum = HorizontalSum512(acc);
-    if (sum >= threshold) return sum;
-  }
-  for (; i < n; ++i) {
-    const float d = a[i] - b[i];
-    sum += d * d;
-  }
-  return sum;
-}
-
-ODYSSEY_TARGET_AVX512 inline __m512 LbKeoghGap512(const float* upper,
-                                                  const float* lower,
-                                                  const float* candidate) {
-  const __m512 c = _mm512_loadu_ps(candidate);
-  const __m512 du = _mm512_sub_ps(c, _mm512_loadu_ps(upper));
-  const __m512 dl = _mm512_sub_ps(_mm512_loadu_ps(lower), c);
-  return _mm512_max_ps(_mm512_max_ps(du, dl), _mm512_setzero_ps());
-}
-
-ODYSSEY_TARGET_AVX512 inline __m512 LbKeoghGap512Aligned(
-    const float* upper, const float* lower, const float* candidate) {
-  const __m512 c = _mm512_load_ps(candidate);
-  const __m512 du = _mm512_sub_ps(c, _mm512_load_ps(upper));
-  const __m512 dl = _mm512_sub_ps(_mm512_load_ps(lower), c);
-  return _mm512_max_ps(_mm512_max_ps(du, dl), _mm512_setzero_ps());
-}
-
-ODYSSEY_TARGET_AVX512
-ODYSSEY_HOT float LbKeoghAvx512K(const float* upper, const float* lower,
-                     const float* candidate, size_t n) {
-  __m512 acc = _mm512_setzero_ps();
-  if (n % 16 == 0 && Aligned64(upper) && Aligned64(lower) &&
-      Aligned64(candidate)) {
-    for (size_t i = 0; i < n; i += 16) {
-      const __m512 d =
-          LbKeoghGap512Aligned(upper + i, lower + i, candidate + i);
-      acc = _mm512_fmadd_ps(d, d, acc);
-    }
-    return HorizontalSum512(acc);
-  }
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m512 d = LbKeoghGap512(upper + i, lower + i, candidate + i);
-    acc = _mm512_fmadd_ps(d, d, acc);
-  }
-  float sum = HorizontalSum512(acc);
-  for (; i < n; ++i) {
-    const float d = LbKeoghPointGap(upper[i], lower[i], candidate[i]);
-    sum += d * d;
-  }
-  return sum;
-}
-
-ODYSSEY_TARGET_AVX512
-ODYSSEY_HOT float LbKeoghEarlyAbandonAvx512K(const float* upper, const float* lower,
-                                 const float* candidate, size_t n,
-                                 float threshold) {
-  __m512 acc = _mm512_setzero_ps();
-  float sum = 0.0f;
-  size_t i = 0;
-  if (n % 16 == 0 && Aligned64(upper) && Aligned64(lower) &&
-      Aligned64(candidate)) {
-    while (i < n) {
-      const __m512 d =
-          LbKeoghGap512Aligned(upper + i, lower + i, candidate + i);
-      acc = _mm512_fmadd_ps(d, d, acc);
-      i += 16;
-      sum = HorizontalSum512(acc);
-      if (sum >= threshold) return sum;
-    }
-    return sum;
-  }
-  while (i + 16 <= n) {
-    const __m512 d = LbKeoghGap512(upper + i, lower + i, candidate + i);
-    acc = _mm512_fmadd_ps(d, d, acc);
-    i += 16;
-    sum = HorizontalSum512(acc);
-    if (sum >= threshold) return sum;
-  }
-  for (; i < n; ++i) {
-    const float d = LbKeoghPointGap(upper[i], lower[i], candidate[i]);
-    sum += d * d;
-  }
-  return sum;
-}
-
-ODYSSEY_TARGET_AVX512
-ODYSSEY_HOT void PaaAvx512K(const float* series, size_t n, int segments, double* out) {
-  size_t begin = 0;
-  for (int i = 0; i < segments; ++i) {
-    const size_t end =
-        (static_cast<size_t>(i) + 1) * n / static_cast<size_t>(segments);
-    __m512d acc0 = _mm512_setzero_pd();
-    __m512d acc1 = _mm512_setzero_pd();
-    size_t t = begin;
-    for (; t + 16 <= end; t += 16) {
-      acc0 = _mm512_add_pd(acc0,
-                           _mm512_cvtps_pd(_mm256_loadu_ps(series + t)));
-      acc1 = _mm512_add_pd(acc1,
-                           _mm512_cvtps_pd(_mm256_loadu_ps(series + t + 8)));
-    }
-    double sum = _mm512_reduce_add_pd(_mm512_add_pd(acc0, acc1));
-    for (; t < end; ++t) sum += series[t];
-    out[i] = sum / static_cast<double>(end - begin);
-    begin = end;
-  }
-}
-
-ODYSSEY_TARGET_AVX512
-ODYSSEY_HOT float DtwRowAvx512K(float ai, const float* b, const float* prev, float* cur,
-                    size_t jlo, size_t jhi) {
-  float row_min = kInf;
-  size_t j = jlo;
-  if (j == 0) {
-    const float d = ai - b[0];
-    cur[0] = d * d + prev[0];
-    row_min = cur[0];
-    j = 1;
-  }
-  // Same staging scheme as the SSE row kernel (see its comment); 16 lanes,
-  // mul (not FMA) so the DP rows stay bit-identical across ISAs.
-  float cost[kDtwBlock];
-  float s[kDtwBlock];
-  const __m512 vai = _mm512_set1_ps(ai);
-  while (j <= jhi) {
-    const size_t len = (jhi - j + 1 < kDtwBlock) ? jhi - j + 1 : kDtwBlock;
-    size_t t = 0;
-    for (; t + 16 <= len; t += 16) {
-      const __m512 d = _mm512_sub_ps(vai, _mm512_loadu_ps(b + j + t));
-      const __m512 c = _mm512_mul_ps(d, d);
-      _mm512_storeu_ps(cost + t, c);
-      const __m512 p0 = _mm512_loadu_ps(prev + j + t);
-      const __m512 p1 = _mm512_loadu_ps(prev + j + t - 1);
-      _mm512_storeu_ps(s + t, _mm512_add_ps(c, _mm512_min_ps(p0, p1)));
-    }
-    DtwStageTail(ai, b, prev, j, t, len, cost, s);
-    row_min = DtwFoldBlock(cost, s, cur, j, len, row_min);
-    j += len;
-  }
-  return row_min;
-}
-
-// Batched kernels, AVX-512 tier: 16 query lanes per group — the whole
-// interleaved stride in one register — with native k-mask compares instead
-// of movemask. Structure and bit-identity argument as in the SSE tier.
-//
-// Groups of at most 8 queries delegate to the AVX2 bodies: a 512-bit
-// register would carry more padding lanes than queries, and 256-bit ops
-// dodge the wide-vector license downclocking, so the 8-lane kernel is
-// measurably faster there (every tier computes the same scalar-reference
-// bits, so delegation cannot change any output).
-
-ODYSSEY_TARGET_AVX512
-ODYSSEY_HOT void BatchedSquaredEuclideanEarlyAbandonAvx512K(
-    const float* candidate, const float* queries, size_t n, size_t stride,
-    size_t q_count, const float* thresholds, float* out) {
-  if (q_count <= 8) {
-    BatchedSquaredEuclideanEarlyAbandonAvx2K(candidate, queries, n, stride,
-                                             q_count, thresholds, out);
-    return;
-  }
-  for (size_t g = 0; g < q_count; g += 16) {
-    const size_t lanes = (q_count - g < 16) ? q_count - g : 16;
-    const unsigned full = (lanes == 16) ? 0xFFFFu : (1u << lanes) - 1u;
-    alignas(64) float thr_pad[16];
-    for (size_t l = 0; l < 16; ++l) thr_pad[l] = kInf;
-    for (size_t l = 0; l < lanes; ++l) thr_pad[l] = thresholds[g + l];
-    const __m512 thr = _mm512_load_ps(thr_pad);
-    __m512 acc = _mm512_setzero_ps();
-    unsigned frozen = 0;
-    size_t i = 0;
-    while (i + 16 <= n && frozen != full) {
-      for (size_t j = 0; j < 16; ++j) {
-        const __m512 c = _mm512_set1_ps(candidate[i + j]);
-        const __m512 qv = _mm512_loadu_ps(queries + (i + j) * stride + g);
-        const __m512 d = _mm512_sub_ps(c, qv);
-        acc = _mm512_add_ps(acc, _mm512_mul_ps(d, d));
-      }
-      i += 16;
-      const unsigned crossed = static_cast<unsigned>(
-          _mm512_cmp_ps_mask(acc, thr, _CMP_GE_OQ));
-      const unsigned newly = crossed & full & ~frozen;
-      if (newly != 0) {
-        alignas(64) float sums[16];
-        _mm512_store_ps(sums, acc);
-        for (size_t l = 0; l < lanes; ++l) {
-          if ((newly >> l) & 1u) out[g + l] = sums[l];
-        }
-        frozen |= newly;
-      }
-    }
-    if (frozen != full) {
-      for (; i < n; ++i) {
-        const __m512 c = _mm512_set1_ps(candidate[i]);
-        const __m512 qv = _mm512_loadu_ps(queries + i * stride + g);
-        const __m512 d = _mm512_sub_ps(c, qv);
-        acc = _mm512_add_ps(acc, _mm512_mul_ps(d, d));
-      }
-      alignas(64) float sums[16];
-      _mm512_store_ps(sums, acc);
-      for (size_t l = 0; l < lanes; ++l) {
-        if (((frozen >> l) & 1u) == 0) out[g + l] = sums[l];
-      }
-    }
-  }
-}
-
-ODYSSEY_TARGET_AVX512
-ODYSSEY_HOT void BatchedLbKeoghEarlyAbandonAvx512K(const float* candidate,
-                                       const float* upper, const float* lower,
-                                       size_t n, size_t stride, size_t q_count,
-                                       const float* thresholds, float* out) {
-  if (q_count <= 8) {
-    BatchedLbKeoghEarlyAbandonAvx2K(candidate, upper, lower, n, stride,
-                                    q_count, thresholds, out);
-    return;
-  }
-  for (size_t g = 0; g < q_count; g += 16) {
-    const size_t lanes = (q_count - g < 16) ? q_count - g : 16;
-    const unsigned full = (lanes == 16) ? 0xFFFFu : (1u << lanes) - 1u;
-    alignas(64) float thr_pad[16];
-    for (size_t l = 0; l < 16; ++l) thr_pad[l] = kInf;
-    for (size_t l = 0; l < lanes; ++l) thr_pad[l] = thresholds[g + l];
-    const __m512 thr = _mm512_load_ps(thr_pad);
-    __m512 acc = _mm512_setzero_ps();
-    unsigned frozen = 0;
-    size_t i = 0;
-    while (i + 16 <= n && frozen != full) {
-      for (size_t j = 0; j < 16; ++j) {
-        const size_t at = (i + j) * stride + g;
-        const __m512 c = _mm512_set1_ps(candidate[i + j]);
-        const __m512 du = _mm512_sub_ps(c, _mm512_loadu_ps(upper + at));
-        const __m512 dl = _mm512_sub_ps(_mm512_loadu_ps(lower + at), c);
-        const __m512 d =
-            _mm512_max_ps(_mm512_max_ps(du, dl), _mm512_setzero_ps());
-        acc = _mm512_add_ps(acc, _mm512_mul_ps(d, d));
-      }
-      i += 16;
-      const unsigned crossed = static_cast<unsigned>(
-          _mm512_cmp_ps_mask(acc, thr, _CMP_GE_OQ));
-      const unsigned newly = crossed & full & ~frozen;
-      if (newly != 0) {
-        alignas(64) float sums[16];
-        _mm512_store_ps(sums, acc);
-        for (size_t l = 0; l < lanes; ++l) {
-          if ((newly >> l) & 1u) out[g + l] = sums[l];
-        }
-        frozen |= newly;
-      }
-    }
-    if (frozen != full) {
-      for (; i < n; ++i) {
-        const size_t at = i * stride + g;
-        const __m512 c = _mm512_set1_ps(candidate[i]);
-        const __m512 du = _mm512_sub_ps(c, _mm512_loadu_ps(upper + at));
-        const __m512 dl = _mm512_sub_ps(_mm512_loadu_ps(lower + at), c);
-        const __m512 d =
-            _mm512_max_ps(_mm512_max_ps(du, dl), _mm512_setzero_ps());
-        acc = _mm512_add_ps(acc, _mm512_mul_ps(d, d));
-      }
-      alignas(64) float sums[16];
-      _mm512_store_ps(sums, acc);
-      for (size_t l = 0; l < lanes; ++l) {
-        if (((frozen >> l) & 1u) == 0) out[g + l] = sums[l];
-      }
-    }
-  }
-}
-
-constexpr KernelTable kAvx512Table = {
-    Isa::kAvx512,
-    SquaredEuclideanAvx512K,
-    SquaredEuclideanEarlyAbandonAvx512K,
-    LbKeoghAvx512K,
-    LbKeoghEarlyAbandonAvx512K,
-    BatchedSquaredEuclideanEarlyAbandonAvx512K,
-    BatchedLbKeoghEarlyAbandonAvx512K,
-    PaaAvx512K,
-    DtwRowAvx512K,
-};
-
-bool CpuHasAvx512() {
-  return __builtin_cpu_supports("avx512f") &&
-         __builtin_cpu_supports("avx512dq") && CpuHasAvx2Fma();
-}
-
 #endif  // defined(ODYSSEY_X86)
 
 // ------------------------------------------------------------- dispatch
 
 Isa BestSupportedIsa() {
 #if defined(ODYSSEY_X86)
-  if (CpuHasAvx512()) return Isa::kAvx512;
   return CpuHasAvx2Fma() ? Isa::kAvx2 : Isa::kSse;
 #else
   return Isa::kScalar;
@@ -1269,8 +907,6 @@ Isa ResolveIsa() {
       requested = Isa::kSse;
     } else if (std::strcmp(env, "avx2") == 0) {
       requested = Isa::kAvx2;
-    } else if (std::strcmp(env, "avx512") == 0) {
-      requested = Isa::kAvx512;
     }
     // The override can only lower the ISA: asking for one the CPU lacks
     // degrades to the best supported level instead of crashing.
@@ -1282,14 +918,11 @@ Isa ResolveIsa() {
 const KernelTable* TableFor(Isa isa) {
   switch (isa) {
 #if defined(ODYSSEY_X86)
-    case Isa::kAvx512:
-      return &kAvx512Table;
     case Isa::kAvx2:
       return &kAvx2Table;
     case Isa::kSse:
       return &kSseTable;
 #else
-    case Isa::kAvx512:
     case Isa::kAvx2:
     case Isa::kSse:
       return &kScalarTable;  // non-x86 builds carry only the scalar tier
@@ -1301,7 +934,7 @@ const KernelTable* TableFor(Isa isa) {
 }
 
 // Resolves the dispatched table once and, under ODYSSEY_SIMD_LOG, reports
-// the choice to stderr — a silently degraded CI machine (e.g. AVX-512
+// the choice to stderr — a silently degraded CI machine (e.g. AVX2
 // requested, SSE resolved) would otherwise poison cross-run baseline
 // comparisons without a trace in the bench logs.
 const KernelTable* ResolveActiveTable() {
@@ -1654,8 +1287,6 @@ ODYSSEY_HOT void MultiSquaredEuclideanEarlyAbandon(const float* query,
 
 const char* IsaName(Isa isa) {
   switch (isa) {
-    case Isa::kAvx512:
-      return "avx512";
     case Isa::kAvx2:
       return "avx2";
     case Isa::kSse:
@@ -1679,13 +1310,6 @@ const KernelTable* SseTable() {
 const KernelTable* Avx2Table() {
 #if defined(ODYSSEY_X86)
   if (CpuHasAvx2Fma()) return &kAvx2Table;
-#endif
-  return nullptr;
-}
-
-const KernelTable* Avx512Table() {
-#if defined(ODYSSEY_X86)
-  if (CpuHasAvx512()) return &kAvx512Table;
 #endif
   return nullptr;
 }

@@ -9,15 +9,15 @@ namespace odyssey {
 namespace simd {
 
 /// Runtime-dispatched SIMD kernels for the distance hot path. Every kernel
-/// exists at four ISA levels — portable scalar, SSE (x86-64 baseline),
-/// AVX2+FMA and AVX-512 — grouped into per-ISA tables so that call sites
-/// pay for dispatch once, not per distance computation. The active table is
-/// chosen at first use from CPUID, overridable with the ODYSSEY_SIMD
-/// environment variable ("scalar", "sse", "avx2", "avx512", "auto");
-/// requesting an ISA the CPU lacks silently degrades to the best supported
-/// one, so CI machines without AVX2/AVX-512 run the same binaries. Set
-/// ODYSSEY_SIMD_LOG=1 to print the resolved tier to stderr once, so bench
-/// JSON runs are attributable to an ISA.
+/// exists at three ISA levels — portable scalar, SSE (x86-64 baseline) and
+/// AVX2+FMA — grouped into per-ISA tables so that call sites pay for
+/// dispatch once, not per distance computation. The active table is chosen
+/// at first use from CPUID, overridable with the ODYSSEY_SIMD environment
+/// variable ("scalar", "sse", "avx2", "auto"); requesting an ISA the CPU
+/// lacks, or an unknown value, resolves to the best supported one, so CI
+/// machines without AVX2 run the same binaries. Set ODYSSEY_SIMD_LOG=1 to
+/// print the resolved tier to stderr once, so bench JSON runs are
+/// attributable to an ISA.
 ///
 /// All kernels share the library's conventions: squared distances, float
 /// series, and early-abandoning variants that return some value >=
@@ -28,15 +28,14 @@ enum class Isa {
   kScalar = 0,
   kSse = 1,
   kAvx2 = 2,
-  kAvx512 = 3,
 };
 
-/// Human-readable ISA name ("scalar", "sse", "avx2", "avx512").
+/// Human-readable ISA name ("scalar", "sse", "avx2").
 const char* IsaName(Isa isa);
 
 /// Lane stride of the interleaved multi-query blocks consumed by the
 /// batched kernels: q_count rounded up to 16 floats, so every ISA level
-/// (widest vector: 16 lanes) may load full lane groups without reading past
+/// (widest vector: 8 lanes) may load full lane groups without reading past
 /// the block. Padding lanes are never compared or stored; callers only need
 /// them readable (a zero-filled std::vector<float> of n * stride suffices —
 /// no alignment requirement, the batched kernels use unaligned loads).
@@ -125,9 +124,6 @@ const KernelTable* SseTable();
 
 /// AVX2+FMA kernels; nullptr when the CPU (or build) lacks them.
 const KernelTable* Avx2Table();
-
-/// AVX-512 (F+DQ) kernels; nullptr when the CPU (or build) lacks them.
-const KernelTable* Avx512Table();
 
 /// The dispatched table: best supported ISA, clamped by ODYSSEY_SIMD.
 /// Resolved once per process; the returned reference is immutable.

@@ -1,7 +1,6 @@
 #include "src/index/query_engine.h"
 
 #include <algorithm>
-#include <barrier>
 #include <cmath>
 #include <limits>
 #include <unordered_map>
@@ -315,29 +314,11 @@ void QueryExecution::RunWorkers(const std::vector<int>& batch_ids,
     group.RunTasks(num_threads, [this](int) { TraversalPhase(); });
     PreprocessQueues();
     group.RunTasks(num_threads, [this](int) { ProcessingPhase(); });
-  } else if (num_threads == 1) {
+  } else {
+    // No pool: the caller is the only worker and drains every phase alone.
     TraversalPhase();
     PreprocessQueues();
     ProcessingPhase();
-  } else {
-    // Legacy path: spawn-and-join per call, with in-thread barriers between
-    // the phases — the per-query-spawn baseline the executor benchmarks
-    // against. CountedThread counts the spawns so tests can assert the hot
-    // path stays at zero.
-    std::barrier barrier(num_threads);
-    auto worker = [&](int tid) {
-      TraversalPhase();
-      barrier.arrive_and_wait();
-      if (tid == 0) PreprocessQueues();
-      barrier.arrive_and_wait();
-      ProcessingPhase();
-    };
-    std::vector<CountedThread> threads;
-    threads.reserve(num_threads);
-    for (int t = 0; t < num_threads; ++t) {
-      threads.emplace_back([&worker, t] { worker(t); });
-    }
-    for (auto& t : threads) t.Join();
   }
 
   {
@@ -1006,33 +987,12 @@ void GroupedQueryExecution::RunImpl(const std::vector<int>* batch_subset,
     group.RunTasks(num_threads, [this](int) { GroupedProcessing(); });
     BuildMainWork();
     group.RunTasks(num_threads, [this](int) { GroupedProcessing(); });
-  } else if (num_threads == 1) {
+  } else {
     traverse_all(0);
     preprocess_and_seed();
     GroupedProcessing();
     BuildMainWork();
     GroupedProcessing();
-  } else {
-    // Legacy spawn-and-join path, kept so the grouped scan can be
-    // benchmarked without the executor (spawns counted via CountedThread).
-    std::barrier barrier(num_threads);
-    auto worker = [&](int tid) {
-      traverse_all(tid);
-      barrier.arrive_and_wait();
-      if (tid == 0) preprocess_and_seed();
-      barrier.arrive_and_wait();
-      GroupedProcessing();
-      barrier.arrive_and_wait();
-      if (tid == 0) BuildMainWork();
-      barrier.arrive_and_wait();
-      GroupedProcessing();
-    };
-    std::vector<CountedThread> threads;
-    threads.reserve(num_threads);
-    for (int t = 0; t < num_threads; ++t) {
-      threads.emplace_back([&worker, t] { worker(t); });
-    }
-    for (auto& t : threads) t.Join();
   }
   // Only now do the members go kDone (the pre-donation design parked them
   // in BuildLeafWork): a steal request landing between merge and drain was

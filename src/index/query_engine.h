@@ -246,12 +246,11 @@ class QueryExecution {
   /// Runs the full three-phase search over all RS-batches. With a `pool`,
   /// the phases run as tasks on it — zero thread creation, the persistent
   /// per-node executor path; each of the two parallel phases is one
-  /// TaskGroup epoch and the Wait between them is the phase barrier
-  /// (executed, helping, by the calling thread). Without one, the legacy
-  /// path spawns `options.num_threads` std::threads per call (kept for the
-  /// pooled-vs-legacy benchmarks; the spawns are counted in
-  /// executor_stats::ThreadsSpawned). Both paths claim work through the
-  /// same atomic cursors and produce identical answers.
+  /// TaskGroup epoch of `options.num_threads` tasks and the Wait between
+  /// them is the phase barrier (executed, helping, by the calling thread).
+  /// Without one, the calling thread runs every phase alone, whatever
+  /// `num_threads` says. Both claim work through the same atomic cursors
+  /// and produce identical answers.
   void Run(ThreadPool* pool = nullptr);
 
   /// Thief-side entry: traverses and processes only the given batch ids
@@ -385,13 +384,13 @@ class QueryExecution {
 /// Per-thread reusable buffers for the query phases — the fix for the
 /// hot-path purity contract (src/common/hotpath.h): the phase bodies used
 /// to allocate their snapshot and lane vectors on every entry, per worker,
-/// per epoch. Each pool worker (and the legacy spawned threads, and the
-/// orchestrating caller) owns one QueryScratch via ForThisThread(); the
-/// buffers are grow-only and reused across TaskGroup epochs, queries and
-/// batches, so the steady state performs zero allocations (asserted by the
-/// counting-allocator tests). The persistent executor pre-sizes every
-/// worker's scratch at batch start (NodeRuntime::EnsureExecutor), so even
-/// a worker's first query of a batch starts warm.
+/// per epoch. Each pool worker (and the orchestrating caller) owns one
+/// QueryScratch via ForThisThread(); the buffers are grow-only and reused
+/// across TaskGroup epochs, queries and batches, so the steady state
+/// performs zero allocations (asserted by the counting-allocator tests).
+/// The persistent executor pre-sizes every worker's scratch at batch start
+/// (NodeRuntime::EnsureExecutor), so even a worker's first query of a
+/// batch starts warm.
 ///
 /// The checker treats growth of containers reached through a receiver
 /// whose path names `scratch` as sanctioned (see tools/check_hot_paths.py);

@@ -39,7 +39,6 @@ std::vector<const KernelTable*> AllTables() {
   std::vector<const KernelTable*> tables{&simd::ScalarTable()};
   if (simd::SseTable() != nullptr) tables.push_back(simd::SseTable());
   if (simd::Avx2Table() != nullptr) tables.push_back(simd::Avx2Table());
-  if (simd::Avx512Table() != nullptr) tables.push_back(simd::Avx512Table());
   return tables;
 }
 

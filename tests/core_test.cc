@@ -5,6 +5,7 @@
 #include <numeric>
 #include <set>
 
+#include "src/common/summary_stats.h"
 #include "src/core/cost_model.h"
 #include "src/core/partitioning.h"
 #include "src/core/replication.h"
@@ -401,7 +402,12 @@ TEST(CostModelTest, CalibrationSamplesCorrelateWithDifficulty) {
   const SeriesCollection queries = GenerateQueries(data, wl);
   QueryOptions qo;
   qo.num_threads = 2;
+  const uint64_t spawned_before = executor_stats::ThreadsSpawned();
   const auto samples = CollectCalibrationSamples(index, queries, qo);
+  // One pool of num_threads workers serves the whole sample set; no
+  // threads are created per query.
+  EXPECT_LE(executor_stats::ThreadsSpawned() - spawned_before,
+            static_cast<uint64_t>(qo.num_threads));
   ASSERT_EQ(samples.size(), 20u);
   for (const auto& s : samples) {
     EXPECT_GE(s.initial_bsf, 0.0);

@@ -587,27 +587,34 @@ TEST(IngestAndBuildTest, StreamingBuildAnswersMatchInMemoryBuild) {
   ASSERT_TRUE(all.ok());
   OdysseyCluster reference(*all, cluster_options);
 
-  // Streaming: the driver pulls bounded chunks and partitions on arrival.
-  StatusOr<SeriesIngestor> source = SeriesIngestor::Open(path, options);
-  ASSERT_TRUE(source.ok());
-  StatusOr<std::unique_ptr<OdysseyCluster>> streamed =
-      OdysseyCluster::IngestAndBuild(*source, cluster_options);
-  ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
-  EXPECT_EQ((*streamed)->num_nodes(), 4);
-
   const SeriesCollection queries = GenerateUniformQueries(*all, 8, 0.5, 23);
   const BatchReport a = reference.AnswerBatch(queries);
-  const BatchReport b = (*streamed)->AnswerBatch(queries);
-  ASSERT_EQ(a.answers.size(), b.answers.size());
-  // Exact search over the same global collection: answers must agree even
-  // though the streamed partitioning differs from the global one.
-  for (size_t q = 0; q < a.answers.size(); ++q) {
-    ASSERT_EQ(a.answers[q].size(), b.answers[q].size()) << q;
-    for (size_t k = 0; k < a.answers[q].size(); ++k) {
-      EXPECT_EQ(a.answers[q][k].id, b.answers[q][k].id) << q;
-      EXPECT_EQ(a.answers[q][k].squared_distance,
-                b.answers[q][k].squared_distance)
-          << q;
+
+  // Streaming: the driver pulls bounded chunks and partitions on arrival.
+  // Non-positive build widths clamp to one thread, as in the in-memory
+  // constructor, instead of sizing a pool from a negative count.
+  for (const int build_threads : {2, 0, -1}) {
+    SCOPED_TRACE("build_threads_per_node=" + std::to_string(build_threads));
+    cluster_options.build_threads_per_node = build_threads;
+    StatusOr<SeriesIngestor> source = SeriesIngestor::Open(path, options);
+    ASSERT_TRUE(source.ok());
+    StatusOr<std::unique_ptr<OdysseyCluster>> streamed =
+        OdysseyCluster::IngestAndBuild(*source, cluster_options);
+    ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+    EXPECT_EQ((*streamed)->num_nodes(), 4);
+
+    const BatchReport b = (*streamed)->AnswerBatch(queries);
+    ASSERT_EQ(a.answers.size(), b.answers.size());
+    // Exact search over the same global collection: answers must agree even
+    // though the streamed partitioning differs from the global one.
+    for (size_t q = 0; q < a.answers.size(); ++q) {
+      ASSERT_EQ(a.answers[q].size(), b.answers[q].size()) << q;
+      for (size_t k = 0; k < a.answers[q].size(); ++k) {
+        EXPECT_EQ(a.answers[q][k].id, b.answers[q][k].id) << q;
+        EXPECT_EQ(a.answers[q][k].squared_distance,
+                  b.answers[q][k].squared_distance)
+            << q;
+      }
     }
   }
   std::remove(path.c_str());

@@ -273,19 +273,15 @@ std::vector<const simd::KernelTable*> VectorTables() {
   std::vector<const simd::KernelTable*> tables;
   if (simd::SseTable() != nullptr) tables.push_back(simd::SseTable());
   if (simd::Avx2Table() != nullptr) tables.push_back(simd::Avx2Table());
-  if (simd::Avx512Table() != nullptr) tables.push_back(simd::Avx512Table());
   return tables;
 }
 
 TEST(SimdKernelTest, ActiveTableIsBestAvailable) {
   const simd::KernelTable& active = simd::ActiveTable();
   EXPECT_EQ(&active, &simd::ActiveTable());  // stable across calls
-  if (std::getenv("ODYSSEY_SIMD") == nullptr) {
-    if (simd::Avx512Table() != nullptr) {
-      EXPECT_EQ(active.isa, simd::Isa::kAvx512);
-    } else if (simd::Avx2Table() != nullptr) {
-      EXPECT_EQ(active.isa, simd::Isa::kAvx2);
-    }
+  if (std::getenv("ODYSSEY_SIMD") == nullptr &&
+      simd::Avx2Table() != nullptr) {
+    EXPECT_EQ(active.isa, simd::Isa::kAvx2);
   }
 }
 
@@ -485,60 +481,6 @@ TEST(SimdKernelTest, AlignedFastPathBitIdenticalToUnaligned) {
     for (float threshold : {lb * 0.25f, lb * 4.0f + 1.0f}) {
       ASSERT_EQ(avx2->lb_keogh_early_abandon(a, b, c, n, threshold),
                 avx2->lb_keogh_early_abandon(ua, ub, uc, n, threshold))
-          << "n=" << n << " threshold=" << threshold;
-    }
-  }
-  std::free(a);
-  std::free(b);
-  std::free(c);
-  std::free(ua - 1);
-  std::free(ub - 1);
-  std::free(uc - 1);
-}
-
-TEST(SimdKernelTest, Avx512AlignedFastPathBitIdenticalToUnaligned) {
-  // The AVX-512 mirror of the test above: the fast path engages on 64-byte
-  // boundaries with 16-lane multiples, and must stay bit-identical to the
-  // unaligned path on the same values.
-  const simd::KernelTable* avx512 = simd::Avx512Table();
-  if (avx512 == nullptr) GTEST_SKIP() << "CPU/build lacks AVX-512";
-  Rng rng(71);
-  constexpr size_t kMax = 256;
-  auto aligned_buf = [](size_t n) {
-    void* p = nullptr;
-    ODYSSEY_CHECK(posix_memalign(&p, 64, (n + 16) * sizeof(float)) == 0);
-    return static_cast<float*>(p);
-  };
-  float* a = aligned_buf(kMax);
-  float* b = aligned_buf(kMax);
-  float* c = aligned_buf(kMax);
-  float* ua = aligned_buf(kMax) + 1;
-  float* ub = aligned_buf(kMax) + 1;
-  float* uc = aligned_buf(kMax) + 1;
-  for (size_t n = 16; n <= kMax; n += 16) {
-    for (size_t i = 0; i < n; ++i) {
-      a[i] = static_cast<float>(rng.NextGaussian());
-      b[i] = static_cast<float>(rng.NextGaussian());
-      c[i] = static_cast<float>(rng.NextGaussian());
-    }
-    std::copy(a, a + n, ua);
-    std::copy(b, b + n, ub);
-    std::copy(c, c + n, uc);
-    ASSERT_EQ(avx512->squared_euclidean(a, b, n),
-              avx512->squared_euclidean(ua, ub, n))
-        << "n=" << n;
-    const float exact = avx512->squared_euclidean(a, b, n);
-    for (float threshold : {exact * 0.25f, exact, exact * 4.0f + 1.0f}) {
-      ASSERT_EQ(avx512->squared_euclidean_early_abandon(a, b, n, threshold),
-                avx512->squared_euclidean_early_abandon(ua, ub, n, threshold))
-          << "n=" << n << " threshold=" << threshold;
-    }
-    ASSERT_EQ(avx512->lb_keogh(a, b, c, n), avx512->lb_keogh(ua, ub, uc, n))
-        << "n=" << n;
-    const float lb = avx512->lb_keogh(a, b, c, n);
-    for (float threshold : {lb * 0.25f, lb * 4.0f + 1.0f}) {
-      ASSERT_EQ(avx512->lb_keogh_early_abandon(a, b, c, n, threshold),
-                avx512->lb_keogh_early_abandon(ua, ub, uc, n, threshold))
           << "n=" << n << " threshold=" << threshold;
     }
   }

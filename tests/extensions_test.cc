@@ -136,7 +136,8 @@ TEST(BoundaryTest, KLargerThanCollectionReturnsEverything) {
       PrepareQuery(queries.data(0), index.config(), qo);
   QueryExecution exec(&index, prepared, qo);
   exec.SeedInitialBsf();
-  exec.Run();
+  ThreadPool pool(static_cast<size_t>(qo.num_threads));
+  exec.Run(&pool);
   const auto got = exec.results().SortedResults();
   EXPECT_EQ(got.size(), 40u);
   const auto exact = BruteForceKnn(data, queries.data(0), 40);
@@ -190,6 +191,7 @@ TEST(BoundaryTest, ChunkSmallerThanLeafCapacity) {
   options.leaf_capacity = 1024;  // the whole chunk fits in root leaves
   const Index index = Index::Build(SeriesCollection(data), options);
   const SeriesCollection queries = GenerateUniformQueries(data, 5, 2.0, 131);
+  ThreadPool pool(2);
   for (size_t q = 0; q < queries.size(); ++q) {
     QueryOptions qo;
     qo.num_threads = 2;
@@ -197,7 +199,7 @@ TEST(BoundaryTest, ChunkSmallerThanLeafCapacity) {
         PrepareQuery(queries.data(q), index.config(), qo);
     QueryExecution exec(&index, prepared, qo);
     exec.SeedInitialBsf();
-    exec.Run();
+    exec.Run(&pool);
     const float exact =
         BruteForceKnn(data, queries.data(q), 1)[0].squared_distance;
     EXPECT_TRUE(NearlyEqual(
@@ -212,6 +214,7 @@ TEST(BoundaryTest, LeafCapacityOneStillExact) {
                               // full refinement
   const Index index = Index::Build(SeriesCollection(data), options);
   const SeriesCollection queries = GenerateUniformQueries(data, 5, 1.5, 135);
+  ThreadPool pool(2);
   for (size_t q = 0; q < queries.size(); ++q) {
     QueryOptions qo;
     qo.num_threads = 2;
@@ -219,7 +222,7 @@ TEST(BoundaryTest, LeafCapacityOneStillExact) {
         PrepareQuery(queries.data(q), index.config(), qo);
     QueryExecution exec(&index, prepared, qo);
     exec.SeedInitialBsf();
-    exec.Run();
+    exec.Run(&pool);
     const float exact =
         BruteForceKnn(data, queries.data(q), 1)[0].squared_distance;
     EXPECT_TRUE(NearlyEqual(
@@ -339,6 +342,7 @@ TEST(SerializeTest, RoundTripIsBitIdentical) {
   }
   // The loaded index answers queries exactly.
   const SeriesCollection queries = GenerateUniformQueries(data, 5, 1.5, 143);
+  ThreadPool pool(2);
   for (size_t q = 0; q < queries.size(); ++q) {
     QueryOptions qo;
     qo.num_threads = 2;
@@ -346,7 +350,7 @@ TEST(SerializeTest, RoundTripIsBitIdentical) {
         PrepareQuery(queries.data(q), loaded->config(), qo);
     QueryExecution exec(&*loaded, prepared, qo);
     exec.SeedInitialBsf();
-    exec.Run();
+    exec.Run(&pool);
     const float exact =
         BruteForceKnn(data, queries.data(q), 1)[0].squared_distance;
     EXPECT_TRUE(NearlyEqual(
@@ -365,6 +369,7 @@ TEST(SerializeTest, LoadedIndexIsAValidStealReplica) {
   StatusOr<Index> loaded = LoadIndexFromFile(path);
   ASSERT_TRUE(loaded.ok());
   const SeriesCollection queries = GenerateUniformQueries(data, 3, 2.0, 147);
+  ThreadPool pool(2);
   for (size_t q = 0; q < queries.size(); ++q) {
     QueryOptions qo;
     qo.num_threads = 2;
@@ -378,8 +383,8 @@ TEST(SerializeTest, LoadedIndexIsAValidStealReplica) {
     thief.SeedInitialBsf();
     std::vector<int> va, th;
     for (int b = 0; b < 8; ++b) (b < 4 ? va : th).push_back(b);
-    victim.RunBatchSubset(va);
-    thief.RunBatchSubset(th);
+    victim.RunBatchSubset(va, &pool);
+    thief.RunBatchSubset(th, &pool);
     float best = std::numeric_limits<float>::infinity();
     for (const auto& n : victim.results().SortedResults()) {
       best = std::min(best, n.squared_distance);

@@ -374,6 +374,8 @@ TEST_P(ExactSearchTest, MatchesBruteForce) {
   wl.seed = 23;
   const SeriesCollection queries = GenerateQueries(data, wl);
 
+  // The thread-count axis is the width of the pool the phases run on.
+  ThreadPool pool(static_cast<size_t>(param.threads));
   for (size_t q = 0; q < queries.size(); ++q) {
     QueryOptions options;
     options.num_threads = param.threads;
@@ -385,7 +387,7 @@ TEST_P(ExactSearchTest, MatchesBruteForce) {
     QueryExecution exec(&index, prepared, options);
     const float initial = exec.SeedInitialBsf();
     EXPECT_GE(initial, 0.0f);
-    exec.Run();
+    exec.Run(&pool);
     const auto got = exec.results().SortedResults();
     const auto expected = BruteForceKnn(data, queries.data(q), param.k);
     ASSERT_EQ(got.size(), expected.size()) << "query " << q;
@@ -416,6 +418,7 @@ TEST(ExactSearchTest, DtwMatchesBruteForce) {
   const Index index = Index::Build(SeriesCollection(data), SmallOptions(64));
   const SeriesCollection queries = GenerateUniformQueries(data, 6, 1.0, 27);
   const size_t window = WarpingWindowFromFraction(64, 0.05);
+  ThreadPool pool(4);
   for (size_t q = 0; q < queries.size(); ++q) {
     QueryOptions options;
     options.num_threads = 4;
@@ -425,7 +428,7 @@ TEST(ExactSearchTest, DtwMatchesBruteForce) {
         PrepareQuery(queries.data(q), index.config(), options);
     QueryExecution exec(&index, prepared, options);
     exec.SeedInitialBsf();
-    exec.Run();
+    exec.Run(&pool);
     const auto got = exec.results().SortedResults();
     const auto expected = BruteForceKnnDtw(data, queries.data(q), 1, window);
     ASSERT_EQ(got.size(), 1u);
@@ -440,6 +443,7 @@ TEST(ExactSearchTest, DtwKnnMatchesBruteForce) {
   const Index index = Index::Build(SeriesCollection(data), SmallOptions(64));
   const SeriesCollection queries = GenerateUniformQueries(data, 4, 1.5, 31);
   const size_t window = WarpingWindowFromFraction(64, 0.1);
+  ThreadPool pool(2);
   for (size_t q = 0; q < queries.size(); ++q) {
     QueryOptions options;
     options.num_threads = 2;
@@ -450,7 +454,7 @@ TEST(ExactSearchTest, DtwKnnMatchesBruteForce) {
         PrepareQuery(queries.data(q), index.config(), options);
     QueryExecution exec(&index, prepared, options);
     exec.SeedInitialBsf();
-    exec.Run();
+    exec.Run(&pool);
     const auto got = exec.results().SortedResults();
     const auto expected = BruteForceKnnDtw(data, queries.data(q), 5, window);
     ASSERT_EQ(got.size(), expected.size());
@@ -465,6 +469,7 @@ TEST(ExactSearchTest, SharedBsfCellAcceleratesAndStaysExact) {
   const SeriesCollection data = GenerateRandomWalk(1500, 64, 33);
   const Index index = Index::Build(SeriesCollection(data), SmallOptions(64));
   const SeriesCollection queries = GenerateUniformQueries(data, 5, 1.0, 35);
+  ThreadPool pool(2);
   for (size_t q = 0; q < queries.size(); ++q) {
     const float exact = BruteForceKnn(data, queries.data(q), 1)[0]
                             .squared_distance;
@@ -479,7 +484,7 @@ TEST(ExactSearchTest, SharedBsfCellAcceleratesAndStaysExact) {
     QueryExecution exec(&index, prepared, options, &cell,
                         [&](float) { improvements.fetch_add(1); });
     exec.SeedInitialBsf();
-    exec.Run();
+    exec.Run(&pool);
     const auto got = exec.results().SortedResults();
     ASSERT_EQ(got.size(), 1u);
     EXPECT_TRUE(NearlyEqual(got[0].squared_distance, exact));
@@ -496,7 +501,8 @@ TEST(ExactSearchTest, StatsArePopulated) {
       PrepareQuery(queries.data(0), index.config(), options);
   QueryExecution exec(&index, prepared, options);
   exec.SeedInitialBsf();
-  exec.Run();
+  ThreadPool pool(2);
+  exec.Run(&pool);
   const QueryStats stats = exec.stats();
   EXPECT_GT(stats.initial_bsf, 0.0);
   EXPECT_GT(stats.real_distances, 0u);
@@ -526,6 +532,7 @@ TEST(ExactSearchTest, RunBatchSubsetCoversStolenWork) {
   const SeriesCollection data = GenerateSeismicLike(2000, 64, 45);
   const Index index = Index::Build(SeriesCollection(data), SmallOptions(64));
   const SeriesCollection queries = GenerateUniformQueries(data, 5, 2.0, 47);
+  ThreadPool pool(2);
   for (size_t q = 0; q < queries.size(); ++q) {
     QueryOptions options;
     options.num_threads = 2;
@@ -541,8 +548,8 @@ TEST(ExactSearchTest, RunBatchSubsetCoversStolenWork) {
     for (int b = 0; b < 8; ++b) {
       (b % 2 == 0 ? victim_ids : thief_ids).push_back(b);
     }
-    victim.RunBatchSubset(victim_ids);
-    thief.RunBatchSubset(thief_ids);
+    victim.RunBatchSubset(victim_ids, &pool);
+    thief.RunBatchSubset(thief_ids, &pool);
     std::vector<Neighbor> merged;
     for (const auto& n : victim.results().SortedResults()) merged.push_back(n);
     for (const auto& n : thief.results().SortedResults()) merged.push_back(n);

@@ -138,17 +138,18 @@ TEST_P(SharedSummaryEquivalenceTest, BatchSharedArtifactIsBitIdentical) {
 
   // The batch-shared artifacts, built once for all queries...
   const PreparedBatch batch = PrepareBatch(queries, index.config(), qo);
+  ThreadPool pool(static_cast<size_t>(qo.num_threads));
   for (size_t q = 0; q < queries.size(); ++q) {
     QueryExecution shared_exec(&index, batch.query(q), qo);
     shared_exec.SeedInitialBsf();
-    shared_exec.Run();
+    shared_exec.Run(&pool);
     // ... against a per-execution summarization, as the pre-refactor code
     // performed inside every Initialize().
     const PreparedQuery fresh =
         PrepareQuery(queries.data(q), index.config(), qo);
     QueryExecution fresh_exec(&index, fresh, qo);
     fresh_exec.SeedInitialBsf();
-    fresh_exec.Run();
+    fresh_exec.Run(&pool);
 
     const auto got = shared_exec.results().SortedResults();
     const auto want = fresh_exec.results().SortedResults();
@@ -182,6 +183,7 @@ TEST(SharedSummaryEquivalenceTest, StolenWorkReusesVictimArtifact) {
   QueryOptions qo;
   qo.num_threads = 2;
   qo.num_batches = 8;
+  ThreadPool pool(static_cast<size_t>(qo.num_threads));
 
   auto run_split = [&](const PreparedQuery& for_victim,
                        const PreparedQuery& for_thief) {
@@ -193,8 +195,8 @@ TEST(SharedSummaryEquivalenceTest, StolenWorkReusesVictimArtifact) {
     for (int b = 0; b < 8; ++b) {
       (b % 2 == 0 ? victim_ids : thief_ids).push_back(b);
     }
-    victim.RunBatchSubset(victim_ids);
-    thief.RunBatchSubset(thief_ids);
+    victim.RunBatchSubset(victim_ids, &pool);
+    thief.RunBatchSubset(thief_ids, &pool);
     std::vector<Neighbor> merged;
     for (const auto& n : victim.results().SortedResults()) merged.push_back(n);
     for (const auto& n : thief.results().SortedResults()) merged.push_back(n);
@@ -381,9 +383,10 @@ TEST(HotPathPurityTest, CountingAllocatorObservesHotRegionAllocations) {
 // The dynamic backstop behind tools/check_hot_paths.py: once the
 // thread-local scratch (DTW DP rows, claim snapshots, FixedIdSet heaps)
 // has warmed up on the first query, every later query's scoring phases
-// must perform zero heap allocations. num_threads = 1 runs all three
-// phases inline on the calling thread, so the warm-up deterministically
-// heats exactly the thread-locals the steady-state queries use.
+// must perform zero heap allocations. Without a pool, Run executes all
+// three phases inline on the calling thread, so the warm-up
+// deterministically heats exactly the thread-locals the steady-state
+// queries use.
 TEST(HotPathPurityTest, SteadyStateSingleThreadedRunIsAllocationFree) {
   const SeriesCollection data = GenerateSeismicLike(2000, 64, 401);
   const Index index = Index::Build(SeriesCollection(data), TestIndexOptions());

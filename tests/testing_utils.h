@@ -17,7 +17,8 @@ namespace testing_utils {
 /// Deep structural equality of two index subtrees: same words, same split
 /// segments, same leaf payloads (ids and SAX rows) in the same order. This
 /// is the replica bit-identity Odyssey's data-free work-stealing relies on,
-/// and what "shared-chunk builds equal legacy copy builds" means.
+/// and what "a tree built from a shared bundle equals a private build"
+/// means.
 inline bool NodesIdentical(const TreeNode* a, const TreeNode* b) {
   if (a->word().symbols != b->word().symbols ||
       a->word().bits != b->word().bits ||

@@ -24,8 +24,10 @@ Five rules, each encoding an invariant the rest of the codebase relies on:
 
   env-registry     Every `getenv("ODYSSEY_*")` call site must read a
                    variable documented in README.md's environment variable
-                   registry table. Undocumented knobs rot into load-bearing
-                   magic.
+                   registry table, and every row of that table must name a
+                   variable some scanned `getenv` call reads. Undocumented
+                   knobs rot into load-bearing magic; stale rows document
+                   knobs that no longer do anything.
 
   hot-declared     Every ODYSSEY_HOT annotation on an externally-visible
                    .cc definition must also appear on a declaration in a
@@ -320,21 +322,26 @@ REGISTRY_ROW = re.compile(r"^\|\s*`(ODYSSEY_\w+)`")
 
 
 def readme_env_registry(readme_path):
-    registered = set()
+    """Maps each variable in the registry table to its row's line number."""
+    rows = {}
     if readme_path.is_file():
-        for line in readme_path.read_text().splitlines():
+        lines = readme_path.read_text().splitlines()
+        for idx, line in enumerate(lines, start=1):
             m = REGISTRY_ROW.match(line)
             if m is not None:
-                registered.add(m.group(1))
-    return registered
+                rows[m.group(1)] = idx
+    return rows
 
 
-def env_registry_findings(files, registered):
+def env_registry_findings(files, readme_path):
+    registered = readme_env_registry(readme_path)
+    read = set()
     findings = []
     for path in files:
         text = strip_comments(path.read_text(), keep_strings=True)
         for idx, line in enumerate(text.split("\n"), start=1):
             for m in GETENV.finditer(line):
+                read.add(m.group(1))
                 if m.group(1) not in registered:
                     findings.append(
                         Finding(
@@ -346,6 +353,17 @@ def env_registry_findings(files, registered):
                             "registry table",
                         )
                     )
+    for name, idx in registered.items():
+        if name not in read:
+            findings.append(
+                Finding(
+                    "env-registry",
+                    readme_path,
+                    idx,
+                    f"registry row documents {name}, which no scanned "
+                    "getenv call reads",
+                )
+            )
     return findings
 
 
@@ -377,9 +395,7 @@ def lint_repo():
         "outside src/common/sync.{h,cc}; use the annotated Mutex/MutexLock/"
         "CondVar wrappers so -Wthread-safety sees the acquisition",
     )
-    findings += env_registry_findings(
-        product_and_tests, readme_env_registry(REPO / "README.md")
-    )
+    findings += env_registry_findings(product_and_tests, REPO / "README.md")
     findings += hot_declared_findings(
         repo_files(["src"], suffixes=(".cc",)), hot_decl_names(headers)
     )
@@ -424,11 +440,16 @@ def self_test():
     expect("raw-mutex", mutexes, "mutex_bad.cc", want=True)
     expect("raw-mutex", mutexes, "mutex_good.cc", want=False)
 
-    env = env_registry_findings(
-        fixture_files, readme_env_registry(FIXTURES / "README_registry.md")
-    )
+    env = env_registry_findings(fixture_files, FIXTURES / "README_registry.md")
     expect("env-registry", env, "env_bad.cc", want=True)
     expect("env-registry", env, "env_good.cc", want=False)
+    # The fixture registry carries one row nothing reads: exactly that row,
+    # and none of the rows env_good.cc reads, must be flagged.
+    stale = [f.message for f in env if f.path.name == "README_registry.md"]
+    if not any("ODYSSEY_STALE_KNOB" in m for m in stale):
+        failures.append("env-registry: missed the stale registry row")
+    if any("ODYSSEY_DOCUMENTED" in m for m in stale):
+        failures.append(f"env-registry: false positive on a read row: {stale}")
 
     declared = hot_decl_names([FIXTURES / "hot_api.h"])
     if "DeclaredHot" not in declared or "MethodHot" not in declared:
