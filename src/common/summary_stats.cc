@@ -157,13 +157,10 @@ namespace {
 
 // Incremented once per batched-kernel call (one call covers a whole leaf ×
 // query-group product), not per distance — cheap even on the scan path.
-// Donations are rarer still (once per granted slice, on the comms thread).
 alignas(64) std::atomic<uint64_t> g_batched_score_calls{0};
 alignas(64) std::atomic<uint64_t> g_series_loads_saved{0};
 alignas(64) std::atomic<uint64_t> g_multi_score_calls{0};
 alignas(64) std::atomic<uint64_t> g_multi_score_lanes{0};
-alignas(64) std::atomic<uint64_t> g_batches_donated{0};
-alignas(64) std::atomic<uint64_t> g_donated_series_scanned{0};
 
 }  // namespace
 
@@ -179,20 +176,12 @@ uint64_t MultiScoreCalls() {
 uint64_t MultiScoreLanes() {
   return g_multi_score_lanes.load(std::memory_order_relaxed);
 }
-uint64_t BatchesDonated() {
-  return g_batches_donated.load(std::memory_order_relaxed);
-}
-uint64_t DonatedSeriesScanned() {
-  return g_donated_series_scanned.load(std::memory_order_relaxed);
-}
 
 void Reset() {
   g_batched_score_calls.store(0, std::memory_order_relaxed);
   g_series_loads_saved.store(0, std::memory_order_relaxed);
   g_multi_score_calls.store(0, std::memory_order_relaxed);
   g_multi_score_lanes.store(0, std::memory_order_relaxed);
-  g_batches_donated.store(0, std::memory_order_relaxed);
-  g_donated_series_scanned.store(0, std::memory_order_relaxed);
 }
 
 void CountBatchedScore(uint64_t q_count) {
@@ -205,11 +194,6 @@ void CountBatchedScore(uint64_t q_count) {
 void CountMultiScore(uint64_t lanes) {
   g_multi_score_calls.fetch_add(1, std::memory_order_relaxed);
   g_multi_score_lanes.fetch_add(lanes, std::memory_order_relaxed);
-}
-
-void CountBatchDonated(uint64_t series) {
-  g_batches_donated.fetch_add(1, std::memory_order_relaxed);
-  g_donated_series_scanned.fetch_add(series, std::memory_order_relaxed);
 }
 
 }  // namespace scan_stats

@@ -123,15 +123,16 @@ namespace scan_stats {
 
 /// Process-wide counters of *batched* leaf-scan work — the observability
 /// half of the batched multi-query kernels' amortization promise. When a
-/// grouped execution scores one candidate series against Q >= 2 in-flight
+/// GroupedQueryExecution scores one candidate series against Q >= 2 member
 /// queries with a single batched-kernel call, BatchedScoreCalls() counts
 /// that call and SeriesLoadsSaved() counts the Q - 1 candidate reloads the
-/// per-query path would have paid. Series where only one group member
-/// survives the per-series filters take the per-query kernel instead and
-/// count nothing — the counters record genuine amortization events, not
-/// traffic through the grouped code path. Tests assert the counters move
-/// exactly when ODYSSEY_BATCHED_SCORING is active, and the Fig13
-/// batched-scoring panel reports them next to its throughput numbers.
+/// per-query path would have paid. Euclidean series with fewer than four
+/// survivors take the multi-candidate kernel instead (counted below), and
+/// DTW series with one survivor the scalar per-query kernel; neither counts
+/// here — the counters record genuine amortization events, not traffic
+/// through the grouped code path. Tests assert the counters move under a
+/// grouped execution and stay idle on a cluster, which runs the per-query
+/// engine only.
 ///
 /// Same concurrency story as every group in this header: relaxed atomics on
 /// their own cache lines, exact only after the counted activity quiesced.
@@ -140,9 +141,9 @@ uint64_t BatchedScoreCalls();
 uint64_t SeriesLoadsSaved();
 
 /// Multi-candidate scorer counters — the low-occupancy complement of the
-/// batched kernels. Series where fewer than simd::kMultiCandidateLanes
-/// group members survive the per-series filters are deferred into
-/// per-member lane queues and scored by MultiSquaredEuclideanEarlyAbandon
+/// batched kernels. Euclidean series that fewer than four group members
+/// survive (the grouped scan's routing cut) are deferred into per-member
+/// lane queues and scored by MultiSquaredEuclideanEarlyAbandon
 /// (several candidates, one query, strict scalar point order per lane);
 /// MultiScoreCalls() counts the flush passes and MultiScoreLanes() the
 /// candidate lanes they scored. High lanes-per-call (near
@@ -150,17 +151,6 @@ uint64_t SeriesLoadsSaved();
 /// flushes — the ILP the pass exists to harvest.
 uint64_t MultiScoreCalls();
 uint64_t MultiScoreLanes();
-
-/// Donation counters — the observability half of grouped-scan steal
-/// donation. When a grouped member hands a still-untouched (member, batch)
-/// slice of the merged leaf-work list to a work-stealing thief,
-/// BatchesDonated() counts the slice and DonatedSeriesScanned() counts the
-/// leaf series the local scan thereby skipped (the work the thief re-runs
-/// on its own replica). Zero in both places means grouped runs never
-/// served a thief — exactly what the pre-donation design guaranteed and
-/// the Fig13d donation panels measure against.
-uint64_t BatchesDonated();
-uint64_t DonatedSeriesScanned();
 
 /// Zeroes every scan_stats counter (test setup).
 void Reset();
@@ -171,9 +161,6 @@ void CountBatchedScore(uint64_t q_count);
 /// Increment hook, called once per multi-candidate flush pass scoring
 /// `lanes` deferred candidates.
 void CountMultiScore(uint64_t lanes);
-/// Increment hook, called once per donated (member, batch) slice with the
-/// series count it hands the thief.
-void CountBatchDonated(uint64_t series);
 
 }  // namespace scan_stats
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <map>
 #include <set>
 #include <string>
@@ -207,17 +206,6 @@ class CoordinatorRecovery {
 };
 
 }  // namespace
-
-bool DefaultBatchedScoring() {
-  const char* env = std::getenv("ODYSSEY_BATCHED_SCORING");
-  return env != nullptr && *env != '\0' && *env != '0';
-}
-
-bool DefaultStealDonation() {
-  const char* env = std::getenv("ODYSSEY_STEAL_DONATION");
-  if (env == nullptr || *env == '\0') return true;  // donation defaults on
-  return *env != '0';
-}
 
 QueryAnswer MergeAnswers(const std::vector<Neighbor>& candidates, int k) {
   // Deduplicate by global id, keeping each series' best distance, then take
@@ -535,12 +523,8 @@ BatchReport OdysseyCluster::AnswerBatch(const SeriesCollection& queries) {
   node_options.query_options = options_.query_options;
   node_options.threshold_model = options_.threshold_model;
   node_options.share_bsf = options_.share_bsf;
-  node_options.batched_scoring = options_.batched_scoring;
-  node_options.steal_donation = options_.steal_donation;
-  // Admission depth: a node admits up to a pool's width of
-  // statically-delivered queries — with batched scoring, one leaf scan
-  // then serves the whole admitted group — and stolen/donated work charges
-  // the same in-flight budget.
+  // Admission depth: a node runs up to a pool's width of its queries
+  // concurrently, and stolen work charges the same in-flight budget.
   node_options.max_inflight = std::max(1, options_.query_options.num_threads);
   // Arm unsolicited heartbeats only when the liveness deadline is: silent
   // compute must read as busy, and without a deadline pings are noise.
@@ -785,10 +769,6 @@ BatchReport OdysseyCluster::AnswerStream(
   // A node with idle workers runs several admitted queries concurrently,
   // partitioning its pool, instead of strictly one at a time.
   node_options.max_inflight = std::max(1, options_.stream_max_inflight);
-  // With batched scoring, concurrently-admitted arrivals are scored as one
-  // group instead of partitioning the pool between them.
-  node_options.batched_scoring = options_.batched_scoring;
-  node_options.steal_donation = options_.steal_donation;
   // Arm unsolicited heartbeats only when the liveness deadline is: silent
   // compute must read as busy, and without a deadline pings are noise.
   node_options.liveness_heartbeat_seconds =

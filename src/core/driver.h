@@ -24,17 +24,6 @@
 
 namespace odyssey {
 
-/// Default for OdysseyOptions::batched_scoring, read once per call from the
-/// ODYSSEY_BATCHED_SCORING environment variable (set non-empty and not "0"
-/// to enable). Explicit assignment to the option always wins.
-bool DefaultBatchedScoring();
-
-/// Default for OdysseyOptions::steal_donation, read once per call from the
-/// ODYSSEY_STEAL_DONATION environment variable. Donation is on by default;
-/// set "0" (or any value starting with '0') to disable. Explicit assignment
-/// to the option always wins.
-bool DefaultStealDonation();
-
 /// Everything that configures one Odyssey deployment (Figure 3).
 struct OdysseyOptions {
   /// Cluster shape: PARTIAL-num_groups over num_nodes nodes. num_groups = 1
@@ -62,27 +51,9 @@ struct OdysseyOptions {
   /// (its in-flight admission depth). With > 1 a node whose workers are
   /// idle starts the next admitted query instead of strictly serializing.
   /// AnswerBatch admits up to max(1, query_options.num_threads); on both
-  /// paths, admitted queries and stolen/donated work charge the same
-  /// per-node in-flight budget.
+  /// paths, admitted queries and stolen work charge the same per-node
+  /// in-flight budget.
   int stream_max_inflight = 2;
-  /// Batched multi-query scoring: each node runs its in-flight queries as
-  /// one GroupedQueryExecution whose leaf scan loads every candidate series
-  /// once per group and scores it against all member queries with a single
-  /// batched-kernel call (see src/index/query_engine.h). AnswerBatch groups
-  /// up to `query_options.num_threads` statically-assigned queries;
-  /// AnswerStream groups up to stream_max_inflight concurrent admissions.
-  /// Exact search only — approximate mode runs per-query regardless.
-  /// Default: the ODYSSEY_BATCHED_SCORING environment variable.
-  bool batched_scoring = DefaultBatchedScoring();
-  /// Grouped-scan steal donation: batched-scoring members stay registered
-  /// as steal victims while their group runs, handing still-untouched
-  /// (member, RS-batch) slices of the merged leaf-work list to thieves over
-  /// the ordinary steal wire (scan_stats::BatchesDonated observes the
-  /// traffic; ARCHITECTURE.md "Work stealing" describes the protocol).
-  /// Meaningful only with work-stealing and batched scoring both on.
-  /// Default: on unless the ODYSSEY_STEAL_DONATION environment variable
-  /// disables it.
-  bool steal_donation = DefaultStealDonation();
   /// Optional models (owned by the caller, must outlive the cluster).
   const CostModel* cost_model = nullptr;
   const ThresholdModel* threshold_model = nullptr;

@@ -11,7 +11,6 @@
 #include "src/common/stopwatch.h"
 #include "src/common/summary_stats.h"
 #include "src/distance/dtw.h"
-#include "src/distance/simd.h"
 
 namespace odyssey {
 namespace {
@@ -114,21 +113,15 @@ void NodeRuntime::WarmExecutorScratch() {
   // Queue count is data-dependent (leaves inserted per batch); reserve a
   // generous floor and let the grow-only scratch absorb outliers.
   const size_t queues = std::max<size_t>(size_t{64}, batches * 4);
-  const size_t lanes =
-      options_.batched_scoring
-          ? simd::BatchStride(
-                static_cast<size_t>(std::max(1, options_.max_inflight)))
-          : 0;
   const size_t length = index_ != nullptr ? index_->data().length() : 0;
   if (width <= warmed_scratch_.width && batches <= warmed_scratch_.batches &&
-      queues <= warmed_scratch_.queues && lanes <= warmed_scratch_.lanes &&
-      length <= warmed_scratch_.length) {
+      queues <= warmed_scratch_.queues && length <= warmed_scratch_.length) {
     return;
   }
   auto arrived = std::make_shared<std::atomic<size_t>>(0);
   for (size_t i = 0; i < width; ++i) {
     workers_->Submit([=] {
-      QueryScratch::ForThisThread().Reserve(batches, queues, lanes);
+      QueryScratch::ForThisThread().Reserve(batches, queues);
       ReserveDtwScratch(length);
       arrived->fetch_add(1, std::memory_order_acq_rel);
       while (arrived->load(std::memory_order_acquire) < width) {
@@ -137,7 +130,7 @@ void NodeRuntime::WarmExecutorScratch() {
     });
   }
   workers_->WaitIdle();
-  warmed_scratch_ = {width, batches, queues, lanes, length};
+  warmed_scratch_ = {width, batches, queues, length};
 }
 
 void NodeRuntime::PinExecutorWorkers() {
@@ -403,18 +396,7 @@ void NodeRuntime::ExecuteRecoveryQuery(int query_id) {
     exec.set_queue_threshold(
         options_.threshold_model->PredictThreshold(initial_bsf));
   }
-  // Score in the node's own mode: a batched-scoring node's answers come
-  // from the batched kernels, whose per-lane accumulation order differs
-  // from the per-query vector kernels by ULPs. A recovery re-run through
-  // the per-query path would then disagree with the answer the dead
-  // replica already delivered — a single-member group keeps the re-run
-  // bit-identical (lane semantics are independent of group size).
-  if (options_.batched_scoring && !options_.query_options.approximate) {
-    GroupedQueryExecution group({&exec});
-    group.Run(workers_.get());
-  } else {
-    exec.Run(workers_.get());
-  }
+  exec.Run(workers_.get());
   SendLocalAnswer(query_id, exec.results().SortedResults(),
                   /*recovery=*/true);
   {
@@ -500,61 +482,10 @@ void NodeRuntime::MainLoop() {
   // batch model, or up to max_inflight concurrently on the pool when the
   // streaming path admits queries faster than they finish...
   const int max_inflight = std::max(1, options_.max_inflight);
-  // Batched scoring groups the queries already delivered to this node (up
-  // to max_inflight) into one GroupedQueryExecution instead of running them
-  // as independent concurrent executions. Exact search only; dynamic
-  // policies deliver one query per request, so their groups naturally
-  // degrade to size 1 (same answers, no amortization).
-  const bool grouped =
-      options_.batched_scoring && !options_.query_options.approximate;
-  if (grouped) {
-    for (;;) {
-      const int qid = NextQuery();
-      if (qid < 0) break;
-      std::vector<int> qids{qid};
-      {
-        MutexLock lock(&state_mu_);
-        // Static policies deliver a node's whole share up front, FIFO-ahead
-        // of the no-more-queries marker, so waiting for the marker here
-        // makes the group contents deterministic instead of racing the
-        // comms thread's mailbox drain (a single-core host can otherwise
-        // consume every assignment as a singleton group). Dynamic policies
-        // hand out one query per request and send the marker only at the
-        // end, so for them the group is whatever is in flight *now* —
-        // never a wait for stragglers.
-        if (!PolicyIsDynamic(options_.policy)) {
-          // The fence, not the bare marker: a delayed assignment the
-          // marker overtook still belongs in this node's (only) group.
-          while (!AllAssignmentsInLocked()) state_cv_.Wait(&state_mu_);
-        }
-        while (static_cast<int>(qids.size()) < max_inflight &&
-               !assigned_.empty()) {
-          qids.push_back(assigned_.front());
-          assigned_.pop_front();
-        }
-      }
-      {
-        MutexLock lock(&inflight_mu_);
-        inflight_ = static_cast<int>(qids.size());
-        {
-          MutexLock stats(&stats_mu_);
-          batch_stats_.inflight_hwm =
-              std::max(batch_stats_.inflight_hwm, inflight_);
-        }
-        executor_stats::RecordQueriesInFlight(
-            static_cast<uint64_t>(inflight_));
-      }
-      ExecuteQueryGroup(qids);
-      {
-        MutexLock lock(&inflight_mu_);
-        inflight_ = 0;
-      }
-    }
-  }
-  const bool concurrent = !grouped && max_inflight > 1;
+  const bool concurrent = max_inflight > 1;
   std::unique_ptr<TaskGroup> inflight_group;
   if (concurrent) inflight_group = std::make_unique<TaskGroup>(workers_.get());
-  while (!grouped) {
+  for (;;) {
     const int qid = NextQuery();
     if (qid < 0) break;
     if (!concurrent) {
@@ -655,76 +586,6 @@ void NodeRuntime::ExecuteQuery(int query_id) {
   {
     MutexLock lock(&stats_mu_);
     ++batch_stats_.queries_executed;
-    batch_stats_.busy_seconds += watch.ElapsedSeconds();
-  }
-}
-
-void NodeRuntime::ExecuteQueryGroup(const std::vector<int>& query_ids) {
-  Stopwatch watch;
-  std::vector<std::unique_ptr<QueryExecution>> execs;
-  execs.reserve(query_ids.size());
-  for (int query_id : query_ids) {
-    std::atomic<float>* cell =
-        options_.share_bsf ? &bsf_board_[query_id] : nullptr;
-    std::function<void(float)> on_improve;
-    if (options_.share_bsf) {
-      on_improve = [this, query_id](float threshold) {
-        Message update;
-        update.type = MessageType::kBsfUpdate;
-        update.from = id_;
-        update.query_id = query_id;
-        update.bsf = threshold;
-        cluster_->Broadcast(update, /*except=*/id_);
-      };
-    }
-    auto exec = std::make_unique<QueryExecution>(
-        index_.get(), queries_->query(query_id), options_.query_options, cell,
-        std::move(on_improve));
-    const float initial_bsf = exec->SeedInitialBsf();
-    if (options_.threshold_model != nullptr &&
-        options_.threshold_model->calibrated()) {
-      exec->set_queue_threshold(
-          options_.threshold_model->PredictThreshold(initial_bsf));
-    }
-    execs.push_back(std::move(exec));
-  }
-  std::vector<QueryExecution*> members;
-  members.reserve(execs.size());
-  for (const auto& exec : execs) members.push_back(exec.get());
-  GroupedQueryExecution group(std::move(members));
-  // Steal-donation: register every member as a victim for the duration of
-  // the run. A kStealRequest landing on a member forwards to the group's
-  // DonateBatches, and the grant rides the ordinary steal machinery
-  // (ledger, duplicate fence, dead-thief replay) untouched. Registration
-  // strictly after group construction and deregistration strictly before
-  // its destruction: exec_mu_ fences HandleStealRequest's iteration, so no
-  // steal call can observe a member without its group backlink.
-  const bool donate = options_.worksteal.enabled && options_.steal_donation;
-  if (donate) {
-    MutexLock lock(&exec_mu_);
-    for (size_t i = 0; i < execs.size(); ++i) {
-      running_execs_.push_back({query_ids[i], execs[i].get()});
-    }
-  }
-  group.Run(workers_.get());
-  if (donate) {
-    MutexLock lock(&exec_mu_);
-    for (const auto& exec : execs) {
-      for (auto it = running_execs_.begin(); it != running_execs_.end();
-           ++it) {
-        if (it->second == exec.get()) {
-          running_execs_.erase(it);
-          break;
-        }
-      }
-    }
-  }
-  for (size_t i = 0; i < execs.size(); ++i) {
-    SendLocalAnswer(query_ids[i], execs[i]->results().SortedResults());
-  }
-  {
-    MutexLock lock(&stats_mu_);
-    batch_stats_.queries_executed += static_cast<int>(query_ids.size());
     batch_stats_.busy_seconds += watch.ElapsedSeconds();
   }
 }
@@ -896,7 +757,7 @@ void NodeRuntime::PerformWorkStealing() {
       MutexLock lock(&stats_mu_);
       ++batch_stats_.successful_steals;
     }
-    // Stolen (and donated) work draws from the same admission budget as
+    // Stolen work draws from the same admission budget as
     // the node's own queries: claim an in-flight slot for the re-run so
     // inflight_/the high-water mark account for every unit of work the
     // pool executes. The wait never stalls in practice — stealing starts
@@ -951,18 +812,7 @@ void NodeRuntime::RunStolenWork(const Message& reply) {
     exec.set_queue_threshold(
         options_.threshold_model->PredictThreshold(initial_bsf));
   }
-  // Score in the node's own mode, exactly like ExecuteRecoveryQuery: on a
-  // batched-scoring cluster the victim (a grouped run, possibly donating)
-  // scores every candidate with the batched kernels, so the stolen subset
-  // must too — a per-query re-run would report ULP-different distances for
-  // the donated candidates and break bit-identity with the non-donated
-  // reference. The single-member grouped subset run keeps the family.
-  if (options_.batched_scoring && !options_.query_options.approximate) {
-    GroupedQueryExecution group({&exec});
-    group.RunBatchSubset(reply.batch_ids, workers_.get());
-  } else {
-    exec.RunBatchSubset(reply.batch_ids, workers_.get());
-  }
+  exec.RunBatchSubset(reply.batch_ids, workers_.get());
   {
     MutexLock lock(&stats_mu_);
     batch_stats_.batches_stolen_run +=

@@ -57,22 +57,9 @@ struct NodeBatchOptions {
   /// Maximum queries this node runs concurrently on its pool (>= 1). One
   /// shared admission budget covers everything the node executes: streamed
   /// admissions, batch queries (AnswerBatch raises this to the pool
-  /// width), grouped members, and stolen/donated batches run in
-  /// PerformWorkStealing — all claim in-flight slots against the same
-  /// counter.
+  /// width), and stolen batches run in PerformWorkStealing — all claim
+  /// in-flight slots against the same counter.
   int max_inflight = 1;
-  /// Run in-flight queries as one GroupedQueryExecution whose leaf scan
-  /// scores each candidate series against the whole group with a single
-  /// batched-kernel call (up to max_inflight queries per group; exact
-  /// search only — approximate mode falls back to the per-query path).
-  /// Driver-level switch: ODYSSEY_BATCHED_SCORING.
-  bool batched_scoring = false;
-  /// Register grouped (batched-scoring) members as steal victims so a
-  /// grouped node donates still-untouched (member, batch) slices of its
-  /// merged scan to thieves (GroupedQueryExecution::DonateBatches). Off
-  /// restores the pre-donation behavior where grouped runs declined every
-  /// steal request. Driver-level switch: ODYSSEY_STEAL_DONATION.
-  bool steal_donation = true;
   /// Interval for unsolicited kHeartbeat pings to the coordinator, in
   /// seconds; 0 disables them. Set by the driver iff its liveness deadline
   /// is armed: long silent stretches (a main-phase DTW scan, a steal-phase
@@ -177,16 +164,6 @@ class NodeRuntime {
   void CommsLoop();
   void MainLoop();
   void ExecuteQuery(int query_id);
-  /// Batched-scoring path: runs `query_ids` to completion as one
-  /// GroupedQueryExecution on the pool, then reports each member's answer.
-  /// With worksteal + steal_donation on, every member is registered as a
-  /// steal victim for the duration of the run: a kStealRequest reaching a
-  /// member forwards to the group's DonateBatches, and the resulting grant
-  /// travels the ordinary steal wire (ledgered in steal_grants_, fenced in
-  /// steal_replies_sent_, replayed by HandleNodeDead — the outstanding-debt
-  /// invariant holds for donated batches unchanged).
-  void ExecuteQueryGroup(const std::vector<int>& query_ids)
-      ODYSSEY_EXCLUDES(stats_mu_, exec_mu_);
   void HandleStealRequest(int thief, int steal_seq)
       ODYSSEY_EXCLUDES(exec_mu_, stats_mu_);
   /// Comms-thread reaction to the coordinator's kNodeDead verdict: marks
@@ -249,7 +226,6 @@ class NodeRuntime {
     size_t width = 0;    ///< pool workers warmed
     size_t batches = 0;  ///< RS-batch lanes reserved
     size_t queues = 0;   ///< priority-queue ref lanes reserved
-    size_t lanes = 0;    ///< grouped-scoring query lanes reserved
     size_t length = 0;   ///< series length the DTW rows are sized for
   };
   ScratchBounds warmed_scratch_;

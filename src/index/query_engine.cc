@@ -27,6 +27,13 @@ constexpr float kInf = std::numeric_limits<float>::infinity();
 /// simd::kMultiCandidateLanes. Either route produces bit-identical sums, so
 /// the cut is a pure performance knob.
 constexpr size_t kBatchedRouteOccupancy = 4;
+
+/// KnnSet's k, validated before any member is sized from it: a negative k
+/// cast to size_t would have FixedIdSet double its bucket count forever.
+size_t CheckedK(int k) {
+  ODYSSEY_CHECK_MSG(k >= 1, "k-NN needs k >= 1");
+  return static_cast<size_t>(k);
+}
 }  // namespace
 
 bool AtomicFetchMinFloat(std::atomic<float>* cell, float value) {
@@ -40,9 +47,7 @@ bool AtomicFetchMinFloat(std::atomic<float>* cell, float value) {
   return false;
 }
 
-KnnSet::KnnSet(int k)
-    : k_(k), ids_(static_cast<size_t>(k)), threshold_(kInf) {
-  ODYSSEY_CHECK(k >= 1);
+KnnSet::KnnSet(int k) : k_(k), ids_(CheckedK(k)), threshold_(kInf) {
   // All of Offer's mutations stay allocation-free after this point: the
   // heap never exceeds k entries and FixedIdSet is flat by construction.
   heap_.reserve(static_cast<size_t>(k));
@@ -174,11 +179,13 @@ float QueryExecution::SeedInitialBsf() {
   return static_cast<float>(stat_initial_bsf_);
 }
 
-void QueryExecution::Run(ThreadPool* pool) {
+std::vector<int> QueryExecution::AllBatchIds() const {
   std::vector<int> all(batch_ranges_.size());
   for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int>(i);
-  RunWorkers(all, pool);
+  return all;
 }
+
+void QueryExecution::Run(ThreadPool* pool) { RunWorkers(AllBatchIds(), pool); }
 
 void QueryExecution::RunBatchSubset(const std::vector<int>& batch_ids,
                                     ThreadPool* pool) {
@@ -446,10 +453,6 @@ ODYSSEY_HOT float QueryExecution::RealDistance(const float* series,
 }
 
 ODYSSEY_HOT std::vector<int> QueryExecution::StealBatches(int nsend) {
-  // A grouped member's per-query queues were drained into the group's
-  // merged work list; its stealable currency is the group's (member,
-  // batch) slices, so the group answers on its behalf.
-  if (group_ != nullptr) return group_->DonateBatches(group_member_, nsend);
   MutexLock lock(&steal_mu_);
   std::vector<int> given;
   if (phase_.load(std::memory_order_acquire) !=
@@ -511,27 +514,11 @@ GroupedQueryExecution::GroupedQueryExecution(
                       "grouped members must share the distance mode");
     ODYSSEY_CHECK_MSG(!m->options_.approximate,
                       "grouped execution is exact-search only");
-    ODYSSEY_CHECK_MSG(
-        m->batch_ranges_.size() == first->batch_ranges_.size(),
-        "grouped members must share the RS-batch partition (donated batch "
-        "ids travel the steal wire)");
     if (m->options_.use_dtw) {
       ODYSSEY_CHECK(m->envelope_->length() == n_);
     }
   }
-  batch_count_ = first->batch_ranges_.size();
   scalar_ = &simd::ScalarTable();
-  for (size_t q = 0; q < members_.size(); ++q) {
-    members_[q]->group_ = this;
-    members_[q]->group_member_ = static_cast<int>(q);
-  }
-}
-
-GroupedQueryExecution::~GroupedQueryExecution() {
-  for (QueryExecution* m : members_) {
-    m->group_ = nullptr;
-    m->group_member_ = -1;
-  }
 }
 
 void GroupedQueryExecution::BuildQueryBlock() {
@@ -561,14 +548,14 @@ void GroupedQueryExecution::BuildQueryBlock() {
 
 void GroupedQueryExecution::AppendLeafEntry(
     std::unordered_map<const TreeNode*, size_t>* slot, const PqItem& item,
-    int member, int batch) {
+    int member) {
   auto [it, inserted] = slot->try_emplace(item.leaf, work_.size());
   if (inserted) {
     work_.push_back({item.leaf, item.lower_bound, {}});
   }
   LeafWork& unit = work_[it->second];
   unit.min_lb = std::min(unit.min_lb, item.lower_bound);
-  unit.members.push_back({member, item.lower_bound, batch});
+  unit.members.push_back({member, item.lower_bound});
 }
 
 void GroupedQueryExecution::PublishWork() {
@@ -579,19 +566,13 @@ void GroupedQueryExecution::PublishWork() {
               return a.min_lb < b.min_lb;
             });
   work_cursor_.store(0, std::memory_order_relaxed);
-  donation_ready_.store(true, std::memory_order_release);
 }
 
 void GroupedQueryExecution::BuildSeedWork() {
   // Merge each member's ~kSeedLeavesPerMember best leaves into the first
   // scan wave. The member's queues are each sorted, so a linear peek over
   // the queue heads per pop is an exact k-way merge; the budget is small
-  // enough that the quadratic peek never shows up. Members stay in
-  // kProcessing: unlike the pre-donation design, which parked them kDone
-  // here, their StealBatches keeps serving thieves through DonateBatches
-  // until the group's Run finishes.
-  MutexLock donate_lock(&donate_mu_);
-  donation_ready_.store(false, std::memory_order_relaxed);
+  // enough that the quadratic peek never shows up.
   std::unordered_map<const TreeNode*, size_t> slot;
   work_.clear();
   for (size_t q = 0; q < members_.size(); ++q) {
@@ -599,30 +580,18 @@ void GroupedQueryExecution::BuildSeedWork() {
     MutexLock lock(&m->steal_mu_);
     for (size_t take = 0; take < kSeedLeavesPerMember; ++take) {
       BoundedPq* best_queue = nullptr;
-      int best_batch = 0;
       float best_lb = kInf;
       for (const auto& ref : m->pq_refs_) {
         if (ref->queue->empty()) continue;
         const float lb = ref->queue->MinLowerBound();
         if (best_queue == nullptr || lb < best_lb) {
           best_queue = ref->queue;
-          best_batch = ref->batch_id;
           best_lb = lb;
         }
       }
       if (best_queue == nullptr || best_lb >= m->PruneThreshold()) break;
-      AppendLeafEntry(&slot, best_queue->Pop(), static_cast<int>(q),
-                      best_batch);
+      AppendLeafEntry(&slot, best_queue->Pop(), static_cast<int>(q));
     }
-  }
-  // Arm the donation slice states. Published with a release so the comms
-  // thread's DonateBatches reads a complete work list.
-  const size_t slices = members_.size() * batch_count_;
-  if (donate_state_ == nullptr) {
-    donate_state_ = std::make_unique<std::atomic<uint8_t>[]>(slices);
-  }
-  for (size_t i = 0; i < slices; ++i) {
-    donate_state_[i].store(kSliceOpen, std::memory_order_relaxed);
   }
   PublishWork();
 }
@@ -639,26 +608,16 @@ void GroupedQueryExecution::BuildMainWork() {
   // appears at most once per member (the traversal inserts each leaf
   // once), so each (leaf, member) pair lands exactly once across the two
   // waves.
-  MutexLock donate_lock(&donate_mu_);
-  donation_ready_.store(false, std::memory_order_relaxed);
   std::unordered_map<const TreeNode*, size_t> slot;
   work_.clear();
   for (size_t q = 0; q < members_.size(); ++q) {
     QueryExecution* m = members_[q];
     MutexLock lock(&m->steal_mu_);
     for (const auto& ref : m->pq_refs_) {
-      // A slice donated during the seed wave belongs to its thief, which
-      // re-runs the whole batch on its own replica — draining it here would
-      // only rebuild work the scan is obliged to skip.
-      if (donate_state_[SliceIndex(static_cast<int>(q), ref->batch_id)].load(
-              std::memory_order_acquire) == kSliceDonated) {
-        continue;
-      }
       const float threshold = m->PruneThreshold();
       while (!ref->queue->empty()) {
         if (ref->queue->MinLowerBound() >= threshold) break;
-        AppendLeafEntry(&slot, ref->queue->Pop(), static_cast<int>(q),
-                        ref->batch_id);
+        AppendLeafEntry(&slot, ref->queue->Pop(), static_cast<int>(q));
       }
     }
   }
@@ -701,17 +660,9 @@ ODYSSEY_HOT void GroupedQueryExecution::ScanLeafGrouped(const LeafWork& work,
                                                         QueryScratch* scratch) {
   // Leaf-level pruning per member, mirroring ProcessQueue's head check: a
   // member whose bound for this leaf no longer beats its threshold skips
-  // the whole leaf. Before the bound check, each contribution consults its
-  // (member, batch) donation state: a donated slice's remaining leaves
-  // belong to the thief, which re-runs the whole batch on its replica —
-  // skipping here trades the leaf's scan for the thief's (already-scanned
-  // leaves of the batch just become deduplicated double-coverage).
+  // the whole leaf.
   scratch->active.clear();
   for (const Contribution& c : work.members) {
-    if (donate_state_[SliceIndex(c.member, c.batch)].load(
-            std::memory_order_acquire) == kSliceDonated) {
-      continue;
-    }
     if (c.lb < members_[c.member]->PruneThreshold()) {
       scratch->active.push_back(c.member);
     }
@@ -807,11 +758,9 @@ ODYSSEY_HOT void GroupedQueryExecution::ScanLeafGrouped(const LeafWork& work,
       // cut so full flushes feed the kernel's widest pass); the flush
       // passes accumulate in strict scalar point order, so a candidate's
       // reported distance still never depends on how many members happened
-      // to pass the filter. Mixed batches share little — most of their
-      // series land here, which is where the Fig13d mixed-batch panel
-      // loses against the per-query path without this fork. The per-query
-      // *vector* kernels stay off-limits: they reduce lane partials and
-      // differ from the scalar family by ulps.
+      // to pass the filter. Mixed batches share little, so most of their
+      // series land here. The per-query *vector* kernels stay off-limits:
+      // they reduce lane partials and differ from the scalar family by ulps.
       for (int q : scratch->active) {
         if (scratch->pass[q] == 0) continue;
         members_[q]->stat_real_distances_.fetch_add(
@@ -886,71 +835,7 @@ ODYSSEY_HOT void GroupedQueryExecution::FlushLoneCandidates(
   }
 }
 
-void GroupedQueryExecution::Run(ThreadPool* pool) { RunImpl(nullptr, pool); }
-
-void GroupedQueryExecution::RunBatchSubset(const std::vector<int>& batch_ids,
-                                           ThreadPool* pool) {
-  RunImpl(&batch_ids, pool);
-}
-
-ODYSSEY_HOT std::vector<int> GroupedQueryExecution::DonateBatches(int member,
-                                                                  int nsend) {
-  std::vector<int> given;
-  // donate_mu_ serializes this walk of work_ against the build passes: the
-  // ready flag alone says a list exists, not that the next build pass will
-  // wait for us to finish reading it.
-  MutexLock donate_lock(&donate_mu_);
-  if (!donation_ready_.load(std::memory_order_acquire)) return given;
-  // Take-Away analogue of StealBatches: rank this member's still-open
-  // slices by the candidate series in work units the claim cursor has not
-  // reached — the local scanning a handoff actually saves. Computed once
-  // per request against the immutable work list (the cursor only moves
-  // forward, so a stale snapshot can only *overestimate* savings, never
-  // donate a drained slice as a fresh one). The remaining-series
-  // accumulator reuses the comms thread's steal-snapshot scratch buffer.
-  const size_t cursor =
-      std::min(work_cursor_.load(std::memory_order_acquire), work_.size());
-  QueryScratch& scratch = QueryScratch::ForThisThread();
-  std::vector<size_t>& remaining = scratch.first_unclaimed;
-  remaining.assign(batch_count_, 0);
-  for (size_t i = cursor; i < work_.size(); ++i) {
-    for (const Contribution& c : work_[i].members) {
-      if (c.member == member) {
-        remaining[static_cast<size_t>(c.batch)] +=
-            work_[i].leaf->ids().size();
-      }
-    }
-  }
-  for (int round = 0; round < nsend; ++round) {
-    int best = -1;
-    size_t best_remaining = 0;
-    for (size_t b = 0; b < batch_count_; ++b) {
-      const size_t s = SliceIndex(member, static_cast<int>(b));
-      if (remaining[b] == 0) continue;  // drained or absent: nothing to save
-      if (donate_state_[s].load(std::memory_order_acquire) != kSliceOpen) {
-        continue;
-      }
-      if (best < 0 || remaining[b] > best_remaining) {
-        best = static_cast<int>(b);
-        best_remaining = remaining[b];
-      }
-    }
-    if (best < 0) break;
-    uint8_t expected = kSliceOpen;
-    if (!donate_state_[SliceIndex(member, best)].compare_exchange_strong(
-            expected, kSliceDonated, std::memory_order_acq_rel,
-            std::memory_order_acquire)) {
-      continue;  // a concurrent donor beat us; spend the round elsewhere
-    }
-    scan_stats::CountBatchDonated(best_remaining);
-    remaining[static_cast<size_t>(best)] = 0;
-    given.push_back(best);
-  }
-  return given;
-}
-
-void GroupedQueryExecution::RunImpl(const std::vector<int>* batch_subset,
-                                    ThreadPool* pool) {
+void GroupedQueryExecution::Run(ThreadPool* pool) {
   int num_threads = 1;
   for (QueryExecution* m : members_) {
     ODYSSEY_CHECK_MSG(m->seeded_, "grouped Run before SeedInitialBsf");
@@ -958,15 +843,7 @@ void GroupedQueryExecution::RunImpl(const std::vector<int>* batch_subset,
   }
   Stopwatch watch;
   BuildQueryBlock();
-  if (batch_subset != nullptr) {
-    for (QueryExecution* m : members_) m->ArmBatches(*batch_subset);
-  } else {
-    std::vector<int> all_ids(batch_count_);
-    for (size_t i = 0; i < all_ids.size(); ++i) {
-      all_ids[i] = static_cast<int>(i);
-    }
-    for (QueryExecution* m : members_) m->ArmBatches(all_ids);
-  }
+  for (QueryExecution* m : members_) m->ArmBatches(m->AllBatchIds());
   auto traverse_all = [this](int) {
     for (QueryExecution* m : members_) m->TraversalPhase();
   };
@@ -994,9 +871,6 @@ void GroupedQueryExecution::RunImpl(const std::vector<int>* batch_subset,
     BuildMainWork();
     GroupedProcessing();
   }
-  // Only now do the members go kDone (the pre-donation design parked them
-  // in BuildLeafWork): a steal request landing between merge and drain was
-  // dead weight then, and is a donation now.
   for (QueryExecution* m : members_) {
     MutexLock lock(&m->steal_mu_);
     m->phase_.store(static_cast<int>(QueryExecution::Phase::kDone),
@@ -1013,17 +887,10 @@ QueryScratch& QueryScratch::ForThisThread() {
   return scratch;
 }
 
-void QueryScratch::Reserve(size_t batches, size_t queues, size_t group_lanes) {
+void QueryScratch::Reserve(size_t batches, size_t queues) {
   armed.reserve(batches);
   first_unclaimed.reserve(batches);
   refs.reserve(queues);
-  thresholds.reserve(group_lanes);
-  out.reserve(group_lanes);
-  pass.reserve(group_lanes);
-  active.reserve(group_lanes);
-  lone_series.reserve(group_lanes * simd::kMultiCandidateLanes);
-  lone_ids.reserve(group_lanes * simd::kMultiCandidateLanes);
-  lone_count.reserve(group_lanes);
 }
 
 PreparedQuery PrepareQuery(const float* series, const IsaxConfig& config,

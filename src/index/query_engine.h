@@ -190,8 +190,6 @@ struct QueryStats {
   double elapsed_seconds = 0.0;   ///< Run() wall time
 };
 
-class GroupedQueryExecution;
-
 /// Executes one similarity-search query against one Index with the paper's
 /// three-phase multi-threaded algorithm (Figure 5 / Algorithms 1-2):
 ///
@@ -261,11 +259,7 @@ class QueryExecution {
   /// Work-stealing-manager side: selects up to `nsend` RS-batches per the
   /// Take-Away property, marks their queues stolen, and returns their ids.
   /// Returns an empty vector outside the PQ-processing phase. Thread-safe
-  /// with respect to the running workers. When this execution runs as a
-  /// grouped member, the call forwards to the group's donation protocol
-  /// (GroupedQueryExecution::DonateBatches) — the wire format is the same
-  /// batch-id list either way, so the steal machinery cannot tell a
-  /// donated grant from a classic one.
+  /// with respect to the running workers.
   ODYSSEY_HOT std::vector<int> StealBatches(int nsend)
       ODYSSEY_EXCLUDES(steal_mu_)
       ODYSSEY_HOT_ALLOWS(
@@ -293,6 +287,8 @@ class QueryExecution {
   /// Worker-thread-local bounded-queue builder for one batch.
   struct QueueBuilder;
 
+  /// Every RS-batch id of this execution, in order (what Run arms).
+  std::vector<int> AllBatchIds() const;
   void RunWorkers(const std::vector<int>& batch_ids, ThreadPool* pool)
       ODYSSEY_EXCLUDES(steal_mu_);
   /// Arms batches_/cursors for `batch_ids` and enters Phase::kTraversal.
@@ -341,15 +337,6 @@ class QueryExecution {
   std::function<void(float)> on_bsf_improve_;
 
   bool seeded_ = false;  // SeedInitialBsf happened
-
-  // Grouped-membership backlink (set by GroupedQueryExecution's
-  // constructor, cleared by its destructor): while attached, StealBatches
-  // forwards to the group's donation protocol instead of the per-query
-  // stolen-flag machinery. Written only while no steal request can reach
-  // this execution (the node registers members under exec_mu_ strictly
-  // after group construction and deregisters before destruction).
-  GroupedQueryExecution* group_ = nullptr;
-  int group_member_ = -1;
 
   // RS-batch state. batch_ranges_ is identical across replicas and
   // immutable after the constructor. Everything the phase transitions
@@ -404,7 +391,7 @@ class QueryScratch {
   /// Grow-only pre-sizing, called by the executor warm-up with bounds
   /// derived from the batch options (`queues` is a floor — the real queue
   /// count is data-dependent and growth beyond it stays amortized).
-  void Reserve(size_t batches, size_t queues, size_t group_lanes);
+  void Reserve(size_t batches, size_t queues);
 
   /// Phase-1 armed-batch snapshot (TraversalPhase).
   std::vector<RsBatch*> armed;
@@ -412,7 +399,8 @@ class QueryScratch {
   std::vector<QueryExecution::PqRef*> refs;
   /// StealBatches' per-round first-unclaimed-queue-per-batch table.
   std::vector<size_t> first_unclaimed;
-  /// Grouped-scan per-member lane buffers (GroupedProcessing).
+  /// Grouped-scan per-member lane buffers (GroupedProcessing), sized by
+  /// the first group a thread scans and reused by every later one.
   std::vector<float> thresholds;
   std::vector<float> out;
   std::vector<uint8_t> pass;
@@ -437,84 +425,41 @@ class QueryScratch {
 ///
 /// Phases 1-2 (tree traversal, queue preprocessing) run per member exactly
 /// as in the per-query path; the grouped phase 3 then merges all members'
-/// priority queues into leaf-level work units — the in-flight queries
-/// sharing a leaf — claimed by workers through an atomic cursor. Per leaf,
-/// members whose lower bound no longer beats their threshold are dropped;
-/// per series, each surviving member applies its own summary filter and
+/// priority queues into leaf-level work units — the queries sharing a
+/// leaf — claimed by workers through an atomic cursor. Per leaf, members
+/// whose lower bound no longer beats their threshold are dropped; per
+/// series, each surviving member applies its own summary filter and
 /// early-abandon threshold, so the pruning power matches the per-query
 /// path and the final answers are the same exact k-NN sets. Every distance
-/// a grouped execution reports comes from the batched kernels — including
-/// when only one member survives a leaf's filters — because the batched
-/// lanes accumulate in strict point order while the per-query vector
-/// kernels reduce lane partials, and the two families differ by ulps.
-/// Staying in one family keeps grouped answers bit-identical run to run
-/// (the failure-recovery path re-executes a grouped node's queries as
-/// single-member groups for the same reason).
+/// a grouped execution reports comes from the batched kernel family —
+/// including when only one member survives a leaf's filters — because
+/// those kernels accumulate in strict point order while the per-query
+/// vector kernels reduce lane partials, and the two families differ by
+/// ulps. Staying in one family keeps grouped answers bit-identical run to
+/// run, whatever the group's size or overlap.
 ///
 /// Members are constructed, seeded and read out by the caller as usual;
-/// the group only replaces Run(). Grouped members are full work-stealing
-/// citizens: each leaf work unit remembers which RS-batch every member
-/// contribution came from, and DonateBatches() hands whole (member, batch)
-/// slices to thieves over the ordinary steal wire format — local pool
-/// workers drain the shared cursor directly, remote kStealRequests arrive
-/// through the members' StealBatches, which forwards here. The thief
-/// re-executes a donated batch *in full* as a single-member grouped subset
-/// run (its own traversal covers every leaf of the batch), so the local
-/// scan simply skips a donated slice's remaining contributions: leaves the
-/// victim had already scanned before the donation landed become harmless
-/// duplicates (MergeAnswers and KnnSet deduplicate by id), never lost
-/// coverage. Every distance on both sides comes from the batched kernel
-/// family, so donated answers stay bit-identical to non-donated runs.
+/// the group only replaces Run(). A node never runs this engine: it
+/// answers every query with a QueryExecution. The class stays as the
+/// measured subject of the grouped leaf-scan benchmarks and their tests.
 class GroupedQueryExecution {
  public:
   /// All members must target the same index, share the distance mode
-  /// (ED/DTW), the RS-batch partition, not be approximate, and be seeded
-  /// (SeedInitialBsf). The pointed-to executions must outlive the group.
+  /// (ED/DTW), not be approximate, and be seeded (SeedInitialBsf). The
+  /// pointed-to executions must outlive the group.
   explicit GroupedQueryExecution(std::vector<QueryExecution*> members);
-  ~GroupedQueryExecution();
-
-  GroupedQueryExecution(const GroupedQueryExecution&) = delete;
-  GroupedQueryExecution& operator=(const GroupedQueryExecution&) = delete;
 
   /// Runs all members to completion: per-member phases 1-2, then the
   /// merged batched-scoring phase 3. Same pool semantics as
   /// QueryExecution::Run.
   void Run(ThreadPool* pool = nullptr);
 
-  /// Thief-side entry: runs the grouped phases over only the given batch
-  /// ids for every member (the grouped analogue of
-  /// QueryExecution::RunBatchSubset; the stolen-batch recovery path wraps
-  /// a single-member group around it so donated work is re-scored with the
-  /// batched kernel family the victim would have used).
-  void RunBatchSubset(const std::vector<int>& batch_ids,
-                      ThreadPool* pool = nullptr);
-
-  /// Work-stealing-manager side, reached through a member's StealBatches:
-  /// selects up to `nsend` of `member`'s not-yet-donated (member, batch)
-  /// slices, claims each for the thief with a CAS, and returns their batch
-  /// ids. Take-Away analogue: prefers the slice with the most candidate
-  /// series in work units the claim cursor has not reached — the most
-  /// local scanning the handoff saves. Slices the scan has fully passed
-  /// are never donated (nothing left to save). Returns empty before a
-  /// build pass publishes a work list and after the scan drains. Runs on
-  /// the comms thread under donate_mu_ (serializing against the build
-  /// passes); safe against the running scan loop and concurrent donors.
-  ODYSSEY_HOT std::vector<int> DonateBatches(int member, int nsend)
-      ODYSSEY_EXCLUDES(donate_mu_)
-      ODYSSEY_HOT_ALLOWS(
-          "alloc: the returned batch-id vector is the steal reply itself — "
-          "O(nsend), not O(series); lock: donate_mu_ serializes the comms "
-          "thread against the single-threaded build passes");
-
  private:
-  /// One member's stake in a leaf work unit: the member index, its lower
-  /// bound for the leaf, and the RS-batch whose queue delivered the leaf
-  /// (donation hands whole batches across the steal wire, so provenance
-  /// must survive the merge).
+  /// One member's stake in a leaf work unit: the member index and its
+  /// lower bound for the leaf.
   struct Contribution {
     int member = 0;
     float lb = 0.0f;
-    int batch = 0;
   };
   /// One merged work unit: a leaf plus the members whose queues contain it.
   struct LeafWork {
@@ -523,43 +468,26 @@ class GroupedQueryExecution {
     std::vector<Contribution> members;
   };
 
-  /// Donation states for a (member, batch) slice. There is no "local"
-  /// claim: the scan never owns a slice, it only skips donated ones (the
-  /// thief re-runs a donated batch in full, so a victim/thief overlap is a
-  /// deduplicated double-scan, not a conflict).
-  enum : uint8_t { kSliceOpen = 0, kSliceDonated = 1 };
-
-  size_t SliceIndex(int member, int batch) const {
-    return static_cast<size_t>(member) * batch_count_ +
-           static_cast<size_t>(batch);
-  }
-
   /// Interleaves the member queries (ED) or envelopes (DTW) into the
   /// point-major layout the batched kernels consume.
   void BuildQueryBlock();
   /// Phase-2.5a: pops only each member's ~kSeedLeavesPerMember most
   /// promising leaves (a k-way merge over its sorted queues) into leaf work
-  /// units and arms the donation slice states. Scanning this small wave
-  /// first tightens every member's BSF to near-final before the bulk of the
-  /// queues is drained. Members stay in kProcessing so thieves keep being
-  /// served until the group finishes.
-  void BuildSeedWork() ODYSSEY_EXCLUDES(donate_mu_);
+  /// units. Scanning this small wave first tightens every member's BSF to
+  /// near-final before the bulk of the queues is drained.
+  void BuildSeedWork();
   /// Phase-2.5b, after the seed wave has been scanned: drains the rest of
   /// every member's queues into a fresh work list, applying the per-query
   /// path's sorted-queue cutoff — a queue whose head bound no longer beats
   /// its member's (now tight) threshold is dropped whole, unpopped. This is
   /// what keeps the merged scan from paying pop + hash + sort for the long
-  /// tail of leaves the per-query path never touches. Queues of already
-  /// donated (member, batch) slices are skipped: their leaves belong to the
-  /// thief. Does NOT re-arm donation states — donations made during the
-  /// seed wave stay claimed.
-  void BuildMainWork() ODYSSEY_EXCLUDES(donate_mu_);
+  /// tail of leaves the per-query path never touches.
+  void BuildMainWork();
   /// Shared slot-map append used by both build passes.
   void AppendLeafEntry(std::unordered_map<const TreeNode*, size_t>* slot,
-                       const PqItem& item, int member, int batch);
-  /// Sorts work_ most-promising-first and republishes it for the claim loop
-  /// and DonateBatches (cursor reset + donation_ready_ release).
-  void PublishWork() ODYSSEY_EXCLUDES(donate_mu_);
+                       const PqItem& item, int member);
+  /// Sorts work_ most-promising-first and resets the claim cursor.
+  void PublishWork();
 
   /// Seed-wave budget: leaves per member in the first scan wave. Large
   /// enough that every member's BSF is near-final afterwards (budget ×
@@ -584,12 +512,10 @@ class GroupedQueryExecution {
   /// lane's sum is threshold-independent, so deferral never changes a
   /// reported distance — only how early a doomed lane gets to stop.
   ODYSSEY_HOT void FlushLoneCandidates(int q, QueryScratch* scratch);
-  void RunImpl(const std::vector<int>* batch_subset, ThreadPool* pool);
 
   std::vector<QueryExecution*> members_;
   size_t n_ = 0;       ///< series length
   size_t stride_ = 0;  ///< simd::BatchStride(members_.size())
-  size_t batch_count_ = 0;  ///< RS-batch count (same for every member)
   /// Scalar kernel table for the lone-survivor DTW fast path: when exactly
   /// one member passes a candidate's summary filter under DTW, the scan
   /// skips the interleaved batched LB_Keogh kernel and bounds through the
@@ -606,25 +532,10 @@ class GroupedQueryExecution {
   std::vector<float> lower_;
 
   /// Built single-threaded by the build passes (seed wave, then main wave),
-  /// read-only for the scan workers in between — the RunImpl phase barriers
-  /// are what make those unlocked reads safe. The comms thread's
-  /// DonateBatches has no such barrier: it serializes against the build
-  /// passes through donate_mu_ below.
+  /// read-only for the scan workers in between — the Run phase barriers
+  /// are what make those unlocked reads safe.
   std::vector<LeafWork> work_;
   std::atomic<size_t> work_cursor_{0};
-
-  // Donation slice states, indexed by SliceIndex(member, batch) — the only
-  // cells both the scan loop and DonateBatches write (CAS-claimed, never
-  // re-armed between waves, so a donation made during the seed wave stays
-  // claimed through the main wave's rebuild).
-  std::unique_ptr<std::atomic<uint8_t>[]> donate_state_;
-  std::atomic<bool> donation_ready_{false};
-  /// Serializes DonateBatches (comms thread) against the build passes'
-  /// work_ mutation. The scan workers never take it: their reads are
-  /// barrier-separated from the builds. donation_ready_ alone cannot gate
-  /// this — a donor that loaded `true` could still be walking work_ when a
-  /// later build pass starts clearing it.
-  mutable Mutex donate_mu_;
 };
 
 /// Convenience builders tying PreparedQuery/PreparedBatch to QueryOptions:

@@ -1,5 +1,7 @@
 #include "src/index/serialize.h"
 
+#include <sys/stat.h>
+
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -30,14 +32,35 @@ bool WriteValue(std::FILE* f, T value) {
   return WriteBytes(f, &value, sizeof(T));
 }
 
-bool ReadBytes(std::FILE* f, void* data, size_t bytes) {
-  return std::fread(data, 1, bytes, f) == bytes;
-}
+/// Reads an open file while tracking the bytes it has left, so every count
+/// the file declares is checked against what the file can actually hold
+/// before anything is sized from it. A corrupt count then fails the load
+/// with a Status instead of a multi-gigabyte allocation.
+class BoundedReader {
+ public:
+  BoundedReader(std::FILE* f, uint64_t size) : f_(f), left_(size) {}
 
-template <typename T>
-bool ReadValue(std::FILE* f, T* value) {
-  return ReadBytes(f, value, sizeof(T));
-}
+  bool Read(void* data, size_t bytes) {
+    if (bytes > left_ || std::fread(data, 1, bytes, f_) != bytes) return false;
+    left_ -= bytes;
+    return true;
+  }
+
+  template <typename T>
+  bool Value(T* value) {
+    return Read(value, sizeof(T));
+  }
+
+  /// True when `count` items of `item_bytes` each fit in the bytes left.
+  /// Divides instead of multiplying, so no declared count can overflow it.
+  bool Fits(uint64_t count, uint64_t item_bytes) const {
+    return item_bytes == 0 || count <= left_ / item_bytes;
+  }
+
+ private:
+  std::FILE* f_;
+  uint64_t left_;
+};
 
 bool WriteNode(std::FILE* f, const TreeNode* node) {
   if (node->is_leaf()) {
@@ -56,27 +79,30 @@ bool WriteNode(std::FILE* f, const TreeNode* node) {
 }
 
 /// Reads one pre-order subtree under the word `word`.
-std::unique_ptr<TreeNode> ReadNode(std::FILE* f, IsaxWord word,
+std::unique_ptr<TreeNode> ReadNode(BoundedReader* in, IsaxWord word,
                                    const std::vector<uint8_t>& sax_table,
                                    const IsaxConfig& config, bool* ok) {
   uint8_t tag = 0;
-  if (!ReadValue(f, &tag)) {
+  if (!in->Value(&tag)) {
     *ok = false;
     return nullptr;
   }
   auto node = std::make_unique<TreeNode>(word);
   if (tag == kLeafTag) {
+    const size_t w = static_cast<size_t>(config.segments());
     uint32_t n = 0;
-    if (!ReadValue(f, &n)) {
+    // A leaf can hold no more ids than the file has left, nor more than the
+    // index has series (which bounds the leaf's SAX rows below).
+    if (!in->Value(&n) || !in->Fits(n, sizeof(uint32_t)) ||
+        n > sax_table.size() / w) {
       *ok = false;
       return nullptr;
     }
     std::vector<uint32_t> ids(n);
-    if (n > 0 && !ReadBytes(f, ids.data(), n * sizeof(uint32_t))) {
+    if (n > 0 && !in->Read(ids.data(), n * sizeof(uint32_t))) {
       *ok = false;
       return nullptr;
     }
-    const size_t w = static_cast<size_t>(config.segments());
     std::vector<uint8_t> leaf_sax;
     leaf_sax.reserve(n * w);
     for (uint32_t id : ids) {
@@ -95,7 +121,7 @@ std::unique_ptr<TreeNode> ReadNode(std::FILE* f, IsaxWord word,
     return nullptr;
   }
   uint8_t split = 0;
-  if (!ReadValue(f, &split) || split >= word.symbols.size() ||
+  if (!in->Value(&split) || split >= word.symbols.size() ||
       word.bits[split] >= config.max_bits) {
     *ok = false;
     return nullptr;
@@ -106,9 +132,9 @@ std::unique_ptr<TreeNode> ReadNode(std::FILE* f, IsaxWord word,
   IsaxWord right_word = left_word;
   right_word.symbols[split] =
       static_cast<uint8_t>(right_word.symbols[split] | 1u);
-  auto left = ReadNode(f, std::move(left_word), sax_table, config, ok);
+  auto left = ReadNode(in, std::move(left_word), sax_table, config, ok);
   if (!*ok) return nullptr;
-  auto right = ReadNode(f, std::move(right_word), sax_table, config, ok);
+  auto right = ReadNode(in, std::move(right_word), sax_table, config, ok);
   if (!*ok) return nullptr;
   node->AdoptChildren(split, std::move(left), std::move(right));
   return node;
@@ -161,13 +187,17 @@ StatusOr<Index> LoadIndexFromFile(const std::string& path) {
   if (f == nullptr) {
     return Status::IoError("cannot open for reading: " + path);
   }
+  struct stat st {};
+  if (fstat(fileno(f.get()), &st) != 0) {
+    return Status::IoError("cannot stat: " + path);
+  }
+  BoundedReader in(f.get(), static_cast<uint64_t>(st.st_size));
   char magic[4];
   uint32_t version = 0, length = 0, segments = 0, max_bits = 0,
            leaf_capacity = 0, count = 0;
-  if (!ReadBytes(f.get(), magic, 4) || !ReadValue(f.get(), &version) ||
-      !ReadValue(f.get(), &length) || !ReadValue(f.get(), &segments) ||
-      !ReadValue(f.get(), &max_bits) || !ReadValue(f.get(), &leaf_capacity) ||
-      !ReadValue(f.get(), &count)) {
+  if (!in.Read(magic, 4) || !in.Value(&version) || !in.Value(&length) ||
+      !in.Value(&segments) || !in.Value(&max_bits) ||
+      !in.Value(&leaf_capacity) || !in.Value(&count)) {
     return Status::IoError("short header read: " + path);
   }
   if (std::memcmp(magic, kMagic, 4) != 0) {
@@ -180,6 +210,11 @@ StatusOr<Index> LoadIndexFromFile(const std::string& path) {
       max_bits > static_cast<uint32_t>(kMaxSaxBits) || leaf_capacity == 0) {
     return Status::InvalidArgument("corrupt index header in " + path);
   }
+  // The series rows and the SAX table follow the header back to back.
+  if (!in.Fits(count, uint64_t{length} * sizeof(float) + segments)) {
+    return Status::InvalidArgument("series count exceeds the file size in " +
+                                   path);
+  }
 
   IndexOptions options;
   options.config = IsaxConfig(length, static_cast<int>(segments),
@@ -188,12 +223,11 @@ StatusOr<Index> LoadIndexFromFile(const std::string& path) {
 
   SeriesCollection data(length);
   float* dst = data.AppendUninitialized(count);
-  if (!ReadBytes(f.get(), dst,
-                 static_cast<size_t>(count) * length * sizeof(float))) {
+  if (!in.Read(dst, static_cast<size_t>(count) * length * sizeof(float))) {
     return Status::IoError("short data read: " + path);
   }
   std::vector<uint8_t> sax_table(static_cast<size_t>(count) * segments);
-  if (!ReadBytes(f.get(), sax_table.data(), sax_table.size())) {
+  if (!in.Read(sax_table.data(), sax_table.size())) {
     return Status::IoError("short SAX-table read: " + path);
   }
   // The tree is loaded below, not rebuilt, so the adopted bundle skips the
@@ -204,8 +238,13 @@ StatusOr<Index> LoadIndexFromFile(const std::string& path) {
               options);
 
   uint32_t root_count = 0;
-  if (!ReadValue(f.get(), &root_count)) {
+  if (!in.Value(&root_count)) {
     return Status::IoError("short tree read: " + path);
+  }
+  // Every root costs at least its key and one node tag.
+  if (!in.Fits(root_count, sizeof(uint32_t) + 1)) {
+    return Status::InvalidArgument("root count exceeds the file size in " +
+                                   path);
   }
   std::vector<uint32_t> keys;
   std::vector<std::unique_ptr<TreeNode>> roots;
@@ -213,14 +252,14 @@ StatusOr<Index> LoadIndexFromFile(const std::string& path) {
   roots.reserve(root_count);
   for (uint32_t r = 0; r < root_count; ++r) {
     uint32_t key = 0;
-    if (!ReadValue(f.get(), &key)) {
+    if (!in.Value(&key)) {
       return Status::IoError("short tree read: " + path);
     }
     if (!keys.empty() && key <= keys.back()) {
       return Status::InvalidArgument("root keys out of order in " + path);
     }
     bool ok = true;
-    auto root = ReadNode(f.get(), IsaxWord::Root(options.config, key),
+    auto root = ReadNode(&in, IsaxWord::Root(options.config, key),
                          index.sax_table(), options.config, &ok);
     if (!ok) {
       return Status::InvalidArgument("corrupt subtree in " + path);

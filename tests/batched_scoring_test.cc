@@ -1,23 +1,20 @@
-// Tests for the batched multi-query scoring path (ISSUE 7): the batched
-// kernel family's bit-identity contract (out[q] == the per-query *scalar*
+// Tests for the batched multi-query scoring path: the batched kernel
+// family's bit-identity contract (out[q] == the per-query *scalar*
 // early-abandon kernel, bit for bit, on every available ISA tier, across
 // lengths, group sizes, subnormals and misaligned inputs), the scan_stats
 // amortization counters, GroupedQueryExecution answer equivalence against
-// independent per-query executions (ED, DTW, k-NN), and the
-// ODYSSEY_BATCHED_SCORING driver path through AnswerBatch/AnswerStream.
+// independent per-query executions (ED, DTW, k-NN), and a cluster-level
+// check that nodes never run the grouped scan.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <cstring>
-#include <limits>
 #include <memory>
 #include <random>
 #include <vector>
 
 #include "src/common/summary_stats.h"
-#include "src/common/sync.h"
 #include "src/common/thread_pool.h"
 #include "src/core/driver.h"
 #include "src/dataset/generators.h"
@@ -314,279 +311,11 @@ INSTANTIATE_TEST_SUITE_P(
                       GroupedCase{"dtw_1nn", true, 1, 2},
                       GroupedCase{"dtw_3nn", true, 3, 2}));
 
-// -------------------------------------------- donation (engine level)
-
-struct DonationCase {
-  const char* name;
-  bool use_dtw;
-  int k;
-};
-
-class GroupedDonationTest : public ::testing::TestWithParam<DonationCase> {};
-
-// Forces a mid-scan donation deterministically, even on a one-CPU CI
-// runner where a racing helper thread may never be scheduled inside the
-// few-millisecond scan window: each member carries a BSF-improvement
-// callback, so the first time the exact scan improves any best-so-far the
-// scanning thread itself calls StealBatches on every member — which a
-// grouped member forwards to DonateBatches, the same path a comms thread
-// takes for a remote kStealRequest. The donated slices are then re-scored
-// thief-style (a single-member GroupedQueryExecution on the replica's
-// bit-identical index, exactly what NodeRuntime::RunStolenWork builds) and
-// the merged answer must match an undisturbed grouped run bit for bit.
-TEST_P(GroupedDonationTest, DonatedSlicesRescoredByAThiefStayBitIdentical) {
-  const DonationCase mode = GetParam();
-  const SeriesCollection data = GenerateSeismicLike(4000, 64, 401);
-  const SeriesCollection queries = GenerateUniformQueries(data, 4, 1.5, 403);
-  const IndexOptions iopts = TestIndexOptions();
-  ThreadPool pool(2);
-  const Index index = Index::Build(data, iopts, &pool);
-
-  QueryOptions qopts;
-  qopts.num_threads = 1;  // single scanner thread...
-  qopts.num_batches = 8;  // ...but still eight stealable RS-batch slices
-  qopts.k = mode.k;
-  qopts.use_dtw = mode.use_dtw;
-  qopts.dtw_window = mode.use_dtw ? WarpingWindowFromFraction(64, 0.05) : 0;
-  const PreparedBatch prepared = PrepareBatch(queries, iopts.config, qopts);
-
-  // Reference: an undisturbed grouped run — the non-donated answers.
-  std::vector<std::vector<Neighbor>> want;
-  {
-    std::vector<std::unique_ptr<QueryExecution>> execs;
-    std::vector<QueryExecution*> members;
-    for (size_t q = 0; q < queries.size(); ++q) {
-      execs.push_back(std::make_unique<QueryExecution>(
-          &index, prepared.query(q), qopts));
-      execs.back()->SeedInitialBsf();
-      members.push_back(execs.back().get());
-    }
-    GroupedQueryExecution group(std::move(members));
-    group.Run(nullptr);
-    for (auto& e : execs) want.push_back(e->results().SortedResults());
-  }
-
-  scan_stats::Reset();
-  std::vector<std::unique_ptr<QueryExecution>> execs;
-  std::vector<QueryExecution*> members;
-  auto cells = std::make_unique<std::atomic<float>[]>(queries.size());
-  std::vector<std::vector<int>> donated(queries.size());
-  bool armed = false;   // seeding also improves BSFs; ignore those
-  bool fired = false;   // donate exactly once, at the first mid-scan improve
-  const auto steal_mid_scan = [&](float) {
-    if (!armed || fired) return;
-    fired = true;
-    for (size_t m = 0; m < execs.size(); ++m) {
-      const std::vector<int> ids = execs[m]->StealBatches(2);
-      donated[m].insert(donated[m].end(), ids.begin(), ids.end());
-    }
-  };
-  for (size_t q = 0; q < queries.size(); ++q) {
-    cells[q].store(std::numeric_limits<float>::infinity(),
-                   std::memory_order_relaxed);
-    execs.push_back(std::make_unique<QueryExecution>(
-        &index, prepared.query(q), qopts, &cells[q], steal_mid_scan));
-    execs.back()->SeedInitialBsf();
-    members.push_back(execs.back().get());
-  }
-  GroupedQueryExecution group(std::move(members));
-  armed = true;
-  group.Run(nullptr);
-  ASSERT_TRUE(fired)
-      << mode.name << ": the exact scan never improved a BSF, so the "
-      << "donation hook had no trigger — pick a different dataset seed";
-  size_t got = 0;
-  for (const auto& d : donated) got += d.size();
-  ASSERT_GT(got, 0u) << mode.name << ": no slice had remaining work at the "
-                     << "first BSF improvement";
-
-  // The donation counters observed the handoff.
-  EXPECT_GT(scan_stats::BatchesDonated(), 0u) << mode.name;
-  EXPECT_GT(scan_stats::DonatedSeriesScanned(), 0u) << mode.name;
-
-  // Thief side: re-score every donated slice through a single-member
-  // group (the grouped kernel family — one live batched lane), then
-  // merge with the victim's partial answer.
-  for (size_t q = 0; q < queries.size(); ++q) {
-    std::vector<Neighbor> candidates = execs[q]->results().SortedResults();
-    if (!donated[q].empty()) {
-      QueryExecution thief(&index, prepared.query(q), qopts);
-      thief.SeedInitialBsf();
-      GroupedQueryExecution wrap({&thief});
-      wrap.RunBatchSubset(donated[q], nullptr);
-      const std::vector<Neighbor> extra = thief.results().SortedResults();
-      candidates.insert(candidates.end(), extra.begin(), extra.end());
-    }
-    const QueryAnswer merged = MergeAnswers(candidates, qopts.k);
-    ASSERT_EQ(merged.size(), want[q].size()) << mode.name << " query " << q;
-    for (size_t i = 0; i < merged.size(); ++i) {
-      EXPECT_EQ(merged[i].id, want[q][i].id)
-          << mode.name << " query " << q << " rank " << i;
-      EXPECT_EQ(BitsOf(merged[i].squared_distance),
-                BitsOf(want[q][i].squared_distance))
-          << mode.name << " query " << q << " rank " << i;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Modes, GroupedDonationTest,
-                         ::testing::Values(DonationCase{"ed_3nn", false, 3},
-                                           DonationCase{"dtw_1nn", true, 1}));
-
-// A member whose scan has already covered every work unit has nothing
-// left worth donating: DonateBatches returns empty instead of granting a
-// slice with zero remaining series.
-TEST(GroupedDonationTest, DrainedGroupDonatesNothing) {
-  const SeriesCollection data = GenerateSeismicLike(600, 64, 407);
-  const SeriesCollection queries = GenerateUniformQueries(data, 3, 1.5, 409);
-  const IndexOptions iopts = TestIndexOptions();
-  ThreadPool pool(2);
-  const Index index = Index::Build(data, iopts, &pool);
-  QueryOptions qopts;
-  qopts.num_threads = 1;
-  qopts.k = 1;
-  const PreparedBatch prepared = PrepareBatch(queries, iopts.config, qopts);
-  std::vector<std::unique_ptr<QueryExecution>> execs;
-  std::vector<QueryExecution*> members;
-  for (size_t q = 0; q < queries.size(); ++q) {
-    execs.push_back(std::make_unique<QueryExecution>(
-        &index, prepared.query(q), qopts));
-    execs.back()->SeedInitialBsf();
-    members.push_back(execs.back().get());
-  }
-  GroupedQueryExecution group(std::move(members));
-  scan_stats::Reset();
-  EXPECT_TRUE(execs[0]->StealBatches(4).empty());  // not built yet: nothing
-  group.Run(nullptr);
-  // The cursor is past the end: no slice has remaining work to hand over.
-  for (auto& e : execs) EXPECT_TRUE(e->StealBatches(4).empty());
-  EXPECT_EQ(scan_stats::BatchesDonated(), 0u);
-}
-
 // --------------------------------------------------- cluster-level wiring
 
-void ExpectReportsEquivalent(const BatchReport& got, const BatchReport& want,
-                             const char* what) {
-  ASSERT_EQ(got.answers.size(), want.answers.size()) << what;
-  for (size_t q = 0; q < got.answers.size(); ++q) {
-    ASSERT_EQ(got.answers[q].size(), want.answers[q].size())
-        << what << " query " << q;
-    for (size_t i = 0; i < got.answers[q].size(); ++i) {
-      EXPECT_EQ(got.answers[q][i].id, want.answers[q][i].id)
-          << what << " query " << q << " rank " << i;
-      EXPECT_TRUE(NearlyEqual(got.answers[q][i].squared_distance,
-                              want.answers[q][i].squared_distance))
-          << what << " query " << q << " rank " << i;
-    }
-  }
-}
-
-TEST(BatchedScoringClusterTest, AnswerBatchMatchesPerQueryPath) {
-  const SeriesCollection data = GenerateSeismicLike(1500, 64, 301);
-  const SeriesCollection queries = GenerateUniformQueries(data, 8, 1.5, 303);
-
-  OdysseyOptions options;
-  options.num_nodes = 2;
-  options.num_groups = 1;  // FULL replication
-  options.index_options = TestIndexOptions();
-  // Static scheduling delivers every assignment up front, so the batched
-  // node finds a full group in its queue instead of singletons.
-  options.scheduling = SchedulingPolicy::kStatic;
-  options.query_options.num_threads = 2;
-  options.query_options.k = 3;
-
-  options.batched_scoring = false;
-  OdysseyCluster per_query(data, options);
-  const BatchReport want = per_query.AnswerBatch(queries);
-
-  options.batched_scoring = true;
-  OdysseyCluster batched(data, options);
-  scan_stats::Reset();
-  const BatchReport got = batched.AnswerBatch(queries);
-  // 4 statically-assigned queries per node and max_inflight = num_threads:
-  // groups of >= 2 must have formed, so the grouped scan machinery ran —
-  // either the interleaved batched kernel (enough survivors per series) or
-  // the multi-candidate deferral queues (low occupancy).
-  EXPECT_GT(scan_stats::BatchedScoreCalls() + scan_stats::MultiScoreCalls(),
-            0u);
-  EXPECT_GT(scan_stats::SeriesLoadsSaved() + scan_stats::MultiScoreLanes(),
-            0u);
-
-  ExpectReportsEquivalent(got, want, "batch");
-}
-
-// The full donation protocol over the wire: a statically-skewed FULL
-// cluster (4-vs-3 query split) lets the lighter node finish first and send
-// kStealRequests at the heavier node's still-running group, which donates
-// untouched (member, batch) slices instead of replying empty. Answers must
-// stay bit-identical to a donation-off run (same grouped kernel family on
-// both sides of the handoff), and the scan_stats donation counters must
-// prove work actually moved. The race needs the thief to request mid-scan,
-// so the test loops rounds until a donation lands (accumulating counters);
-// answers are checked every round regardless.
-TEST(BatchedScoringClusterTest, DonationServesThievesBitIdentically) {
-  const SeriesCollection data = GenerateSeismicLike(3000, 64, 331);
-  const SeriesCollection queries = GenerateUniformQueries(data, 7, 1.5, 333);
-
-  OdysseyOptions options;
-  options.num_nodes = 2;
-  options.num_groups = 1;  // FULL: the thief's replica is bit-identical
-  options.index_options = TestIndexOptions();
-  options.scheduling = SchedulingPolicy::kStatic;
-  options.query_options.num_threads = 2;
-  options.query_options.k = 3;
-  options.batched_scoring = true;
-  options.worksteal.enabled = true;
-  options.worksteal.nsend = 2;
-
-  options.steal_donation = false;
-  OdysseyCluster undonated(data, options);
-  const BatchReport want = undonated.AnswerBatch(queries);
-
-  options.steal_donation = true;
-  OdysseyCluster donating(data, options);
-  scan_stats::Reset();
-  for (int round = 0; round < 12; ++round) {
-    const BatchReport got = donating.AnswerBatch(queries);
-    ASSERT_EQ(got.answers.size(), want.answers.size()) << "round " << round;
-    for (size_t q = 0; q < got.answers.size(); ++q) {
-      ASSERT_EQ(got.answers[q].size(), want.answers[q].size())
-          << "round " << round << " query " << q;
-      for (size_t i = 0; i < got.answers[q].size(); ++i) {
-        EXPECT_EQ(got.answers[q][i].id, want.answers[q][i].id)
-            << "round " << round << " query " << q << " rank " << i;
-        EXPECT_EQ(BitsOf(got.answers[q][i].squared_distance),
-                  BitsOf(want.answers[q][i].squared_distance))
-            << "round " << round << " query " << q << " rank " << i;
-      }
-    }
-    if (scan_stats::BatchesDonated() > 0) break;
-  }
-  EXPECT_GT(scan_stats::BatchesDonated(), 0u);
-  EXPECT_GT(scan_stats::DonatedSeriesScanned(), 0u);
-}
-
-// Donation off is a hard off switch: grouped members never register as
-// steal victims, so thieves get empty replies and the counters stay idle.
-TEST(BatchedScoringClusterTest, DonationOffLeavesCountersIdle) {
-  const SeriesCollection data = GenerateSeismicLike(1000, 64, 341);
-  const SeriesCollection queries = GenerateUniformQueries(data, 5, 1.5, 343);
-  OdysseyOptions options;
-  options.num_nodes = 2;
-  options.num_groups = 1;
-  options.index_options = TestIndexOptions();
-  options.scheduling = SchedulingPolicy::kStatic;
-  options.query_options.num_threads = 2;
-  options.batched_scoring = true;
-  options.worksteal.enabled = true;
-  options.steal_donation = false;
-  OdysseyCluster cluster(data, options);
-  scan_stats::Reset();
-  cluster.AnswerBatch(queries);
-  EXPECT_EQ(scan_stats::BatchesDonated(), 0u);
-  EXPECT_EQ(scan_stats::DonatedSeriesScanned(), 0u);
-}
-
+// A cluster answers every query with the per-query engine: neither the
+// interleaved batched kernel nor the multi-candidate deferral queues ever
+// run, so every grouped-scan counter stays idle.
 TEST(BatchedScoringClusterTest, AnswerBatchPerQueryPathLeavesCountersIdle) {
   const SeriesCollection data = GenerateSeismicLike(800, 64, 311);
   const SeriesCollection queries = GenerateUniformQueries(data, 4, 1.5, 313);
@@ -595,40 +324,12 @@ TEST(BatchedScoringClusterTest, AnswerBatchPerQueryPathLeavesCountersIdle) {
   options.num_groups = 2;
   options.index_options = TestIndexOptions();
   options.query_options.num_threads = 2;
-  options.batched_scoring = false;
   OdysseyCluster cluster(data, options);
   scan_stats::Reset();
   cluster.AnswerBatch(queries);
   EXPECT_EQ(scan_stats::BatchedScoreCalls(), 0u);
   EXPECT_EQ(scan_stats::SeriesLoadsSaved(), 0u);
-}
-
-TEST(BatchedScoringClusterTest, AnswerStreamMatchesPerQueryPath) {
-  const SeriesCollection data = GenerateSeismicLike(1200, 64, 321);
-  const SeriesCollection queries = GenerateUniformQueries(data, 6, 1.5, 323);
-  const std::vector<double> arrivals(queries.size(), 0.0);
-
-  OdysseyOptions options;
-  options.num_nodes = 2;
-  options.num_groups = 2;  // EQUALLY-SPLIT: stream admission per node
-  options.index_options = TestIndexOptions();
-  options.query_options.num_threads = 2;
-  options.query_options.k = 2;
-  options.stream_max_inflight = 3;
-
-  options.batched_scoring = false;
-  OdysseyCluster per_query(data, options);
-  const BatchReport want = per_query.AnswerStream(queries, arrivals);
-
-  options.batched_scoring = true;
-  OdysseyCluster batched(data, options);
-  const BatchReport got = batched.AnswerStream(queries, arrivals);
-  // No counter assertion here: BatchedScoreCalls only records series where
-  // >= 2 group members survive the per-series filters (singleton survivors
-  // take the per-query kernel), and stream grouping depends on arrival
-  // timing — a tiny run may legitimately never amortize. The contract under
-  // test is that answers match the per-query path regardless.
-  ExpectReportsEquivalent(got, want, "stream");
+  EXPECT_EQ(scan_stats::MultiScoreCalls(), 0u);
 }
 
 }  // namespace

@@ -344,45 +344,6 @@ TEST(ChaosBatchTest, PartialLayoutKnnStaysExact) {
   EXPECT_GT(SweepBatches(cluster, queries, reference, sweep), 0);
 }
 
-TEST(ChaosBatchTest, GroupedScoringStaysExact) {
-  const SeriesCollection data = GenerateSeismicLike(480, 64, 351);
-  const SeriesCollection queries = GenerateUniformQueries(data, 8, 1.0, 353);
-  OdysseyOptions options = BaseOptions(4, 2);
-  options.batched_scoring = true;
-  options.scheduling = SchedulingPolicy::kStatic;
-  OdysseyCluster cluster(data, options);
-  const BatchReport reference = cluster.AnswerBatch(queries);
-
-  SweepOptions sweep;
-  sweep.base_seed = 36000;
-  sweep.plans = 24;
-  sweep.killable = {0, 1, 2, 3};
-  EXPECT_GT(SweepBatches(cluster, queries, reference, sweep), 0);
-}
-
-TEST(ChaosBatchTest, GroupedDonationVictimDeathStaysExact) {
-  const SeriesCollection data = GenerateSeismicLike(480, 64, 421);
-  const SeriesCollection queries = GenerateUniformQueries(data, 8, 1.0, 423);
-  // Grouped scans with steal donation live (the PR-default config): a
-  // victim may be killed after it has handed RS-batch slices to a thief,
-  // so the sweep covers the donated-work-owed-to-a-dead-node corner — the
-  // coordinator must re-derive the victim's queries from dispatch records
-  // while the thief's donated partials deduplicate against the replay.
-  OdysseyOptions options = BaseOptions(4, 2);
-  options.batched_scoring = true;
-  options.scheduling = SchedulingPolicy::kStatic;
-  options.worksteal.enabled = true;
-  ASSERT_TRUE(options.steal_donation);  // default-on: the config under test
-  OdysseyCluster cluster(data, options);
-  const BatchReport reference = cluster.AnswerBatch(queries);
-
-  SweepOptions sweep;
-  sweep.base_seed = 42000;
-  sweep.plans = 24;
-  sweep.killable = {0, 1, 2, 3};
-  EXPECT_GT(SweepBatches(cluster, queries, reference, sweep), 0);
-}
-
 TEST(ChaosStreamTest, StreamStaysExactUnderFaults) {
   const SeriesCollection data = GenerateRandomWalk(480, 64, 361);
   const SeriesCollection queries = GenerateUniformQueries(data, 8, 1.0, 363);

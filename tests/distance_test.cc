@@ -367,9 +367,9 @@ TEST(SimdKernelTest, MultiCandidateBitIdenticalToScalarPerLane) {
 TEST(SimdKernelTest, MultiCandidateForcedTierBitIdentity) {
   // The kernel may pick different x86 backends by resolved tier and count
   // (4-lane SSE chain, 8-lane SSE twin chains, 8-lane AVX2), and the
-  // grouped scan's donation/recovery story leans on all of them agreeing
-  // bit-for-bit — a donated batch re-scored as a single-member group must
-  // reproduce the victim's answers. Lanes here are duplicates of one base
+  // grouped scan's run-to-run bit-identity leans on all of them agreeing
+  // bit-for-bit — a candidate's distance must not depend on which backend
+  // or deferral queue slot scored it. Lanes here are duplicates of one base
   // set, so a lane's sum must come out identical no matter which backend or
   // lane position scored it.
   const simd::KernelTable& scalar = simd::ScalarTable();

@@ -396,48 +396,44 @@ TEST(ExecutorEpochTest, RepeatedBatchesAndStreamsReuseTheExecutor) {
 // pins one sizing task per pool worker when the executor is created, so the
 // first AnswerBatch runs with every worker's QueryScratch / DtwScratch
 // already at its high-water mark and the second batch's scoring phases must
-// allocate nothing. Covers both the per-query path and the grouped
-// (batched-scoring) path; work stealing stays off so each node's hot work
-// is exactly its static share.
+// allocate nothing. Work stealing stays off so each node's hot work is
+// exactly its static share. (The grouped scan's purity is asserted inline
+// in query_test.)
 TEST(HotPathPurityTest, SteadyStateExecutorBatchIsAllocationFree) {
   const SeriesCollection data = GenerateSeismicLike(1500, 64, 411);
   const SeriesCollection warm_queries = GenerateUniformQueries(data, 8, 1.0, 413);
   const SeriesCollection queries = GenerateUniformQueries(data, 8, 1.0, 417);
 
-  for (const bool batched : {false, true}) {
-    OdysseyOptions options;
-    options.num_nodes = 2;
-    options.num_groups = 1;
-    options.index_options = TestIndexOptions();
-    options.scheduling = SchedulingPolicy::kStatic;
-    options.worksteal.enabled = false;
-    options.batched_scoring = batched;
-    options.query_options.num_threads = 2;
-    options.query_options.k = 3;
-    OdysseyCluster cluster(data, options);
+  OdysseyOptions options;
+  options.num_nodes = 2;
+  options.num_groups = 1;
+  options.index_options = TestIndexOptions();
+  options.scheduling = SchedulingPolicy::kStatic;
+  options.worksteal.enabled = false;
+  options.query_options.num_threads = 2;
+  options.query_options.k = 3;
+  OdysseyCluster cluster(data, options);
 
-    // Warm-up epoch: heats the (already pre-sized) worker scratch and any
-    // lazy one-shot initialization the allowlist documents (kernel-table
-    // resolution, breakpoint singleton).
-    const BatchReport warm = cluster.AnswerBatch(warm_queries);
-    ASSERT_EQ(warm.answers.size(), warm_queries.size());
+  // Warm-up epoch: heats the (already pre-sized) worker scratch and any
+  // lazy one-shot initialization the allowlist documents (kernel-table
+  // resolution, breakpoint singleton).
+  const BatchReport warm = cluster.AnswerBatch(warm_queries);
+  ASSERT_EQ(warm.answers.size(), warm_queries.size());
 
-    testing_utils::ResetHotAllocations();
-    const BatchReport report = cluster.AnswerBatch(queries);
-    ASSERT_EQ(report.answers.size(), queries.size());
-    EXPECT_EQ(testing_utils::HotAllocations(), 0u)
-        << (batched ? "batched" : "per-query");
+  testing_utils::ResetHotAllocations();
+  const BatchReport report = cluster.AnswerBatch(queries);
+  ASSERT_EQ(report.answers.size(), queries.size());
+  EXPECT_EQ(testing_utils::HotAllocations(), 0u);
 
-    // The purity assertion must not come at the cost of correctness:
-    // answers still match the exhaustive scan.
-    for (size_t q = 0; q < queries.size(); ++q) {
-      const auto exact = testing_utils::BruteForceKnn(data, queries.data(q), 3);
-      ASSERT_EQ(report.answers[q].size(), exact.size()) << "query " << q;
-      for (size_t i = 0; i < exact.size(); ++i) {
-        EXPECT_TRUE(testing_utils::NearlyEqual(
-            report.answers[q][i].squared_distance, exact[i].squared_distance))
-            << "query " << q << " rank " << i;
-      }
+  // The purity assertion must not come at the cost of correctness:
+  // answers still match the exhaustive scan.
+  for (size_t q = 0; q < queries.size(); ++q) {
+    const auto exact = testing_utils::BruteForceKnn(data, queries.data(q), 3);
+    ASSERT_EQ(report.answers[q].size(), exact.size()) << "query " << q;
+    for (size_t i = 0; i < exact.size(); ++i) {
+      EXPECT_TRUE(testing_utils::NearlyEqual(
+          report.answers[q][i].squared_distance, exact[i].squared_distance))
+          << "query " << q << " rank " << i;
     }
   }
 }

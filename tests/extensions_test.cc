@@ -7,7 +7,10 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/core/driver.h"
@@ -425,6 +428,78 @@ TEST(SerializeTest, TruncatedFileFailsCleanly) {
   ASSERT_EQ(truncate(path.c_str(), full * 6 / 10), 0);
   const StatusOr<Index> result = LoadIndexFromFile(path);
   EXPECT_FALSE(result.ok());
+  std::remove(path.c_str());
+}
+
+std::vector<uint8_t> ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<uint8_t>(std::istreambuf_iterator<char>(in), {});
+}
+
+void WriteFileBytes(const std::string& path,
+                    const std::vector<uint8_t>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+  out.flush();
+  ASSERT_TRUE(out.good()) << path;
+}
+
+/// Overwrites the little-endian u32 at `offset` (appends when at the end).
+void PutU32(std::vector<uint8_t>* bytes, size_t offset, uint32_t v) {
+  if (bytes->size() < offset + 4) bytes->resize(offset + 4);
+  for (int i = 0; i < 4; ++i) {
+    (*bytes)[offset + i] = static_cast<uint8_t>(v >> (8 * i));
+  }
+}
+
+// Mirrors FileIoHardeningTest.CorruptCountHeaderNeverSizesAnAllocation for
+// the index format: every count the loader reads is checked against the
+// bytes the file has left before anything is sized from it, so a corrupt
+// count is a Status — never a std::bad_alloc or a multi-gigabyte zero-fill.
+TEST(SerializeTest, CorruptCountsNeverSizeAnAllocation) {
+  const std::string path = ::testing::TempDir() + "/odyssey_counts.odix";
+  // A valid 28-byte header (magic, version, length 256, 16 segments, 8
+  // bits, leaf capacity 32) declaring 2^32-1 series: ~4 TB of rows.
+  std::vector<uint8_t> bytes = {'O', 'D', 'I', 'X'};
+  for (uint32_t v : {1u, 256u, 16u, 8u, 32u, 0xFFFFFFFFu}) {
+    PutU32(&bytes, bytes.size(), v);
+  }
+  WriteFileBytes(path, bytes);
+  StatusOr<Index> loaded = LoadIndexFromFile(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+
+  // A real index whose series count is inflated a thousandfold: plausible,
+  // but rejected by the size check, not by a short read after the rows
+  // were allocated.
+  constexpr uint32_t kCount = 400;
+  const IndexOptions iopts = TestIndexOptions();
+  const Index built = Index::Build(
+      GenerateRandomWalk(kCount, iopts.config.series_length(), 151), iopts);
+  ASSERT_TRUE(SaveIndexToFile(built, path).ok());
+  const std::vector<uint8_t> saved = ReadFileBytes(path);
+  bytes = saved;
+  PutU32(&bytes, 24, kCount * 1000);
+  WriteFileBytes(path, bytes);
+  loaded = LoadIndexFromFile(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+
+  // An inflated id count on the first leaf in pre-order: follow internal
+  // nodes (tag 1 + split byte) from the first root down its left spine.
+  size_t pos = 28 + kCount * iopts.config.series_length() * sizeof(float) +
+               kCount * static_cast<size_t>(iopts.config.segments()) +
+               2 * sizeof(uint32_t);  // root count, first root key
+  while (pos < saved.size() && saved[pos] == 1) pos += 2;
+  ASSERT_LT(pos + 4, saved.size());
+  ASSERT_EQ(saved[pos], 0) << "expected a leaf tag";
+  bytes = saved;
+  PutU32(&bytes, pos + 1, 0x10000000u);  // 2^28 ids: a 1 GB vector
+  WriteFileBytes(path, bytes);
+  loaded = LoadIndexFromFile(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
   std::remove(path.c_str());
 }
 

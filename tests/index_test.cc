@@ -334,6 +334,15 @@ TEST(KnnSetTest, DuplicateIdNeverConsumesTwoSlots) {
   EXPECT_EQ(results[0].squared_distance, 0.5f);
 }
 
+// A non-positive k must fail its check before any member is sized from
+// it: a negative k cast to size_t once sent the id set's bucket sizing into
+// an endless doubling loop instead of aborting.
+TEST(KnnSetDeathTest, ZeroKAborts) { EXPECT_DEATH(KnnSet set(0), "k >= 1"); }
+
+TEST(KnnSetDeathTest, NegativeKAbortsInsteadOfHanging) {
+  EXPECT_DEATH(KnnSet set(-1), "k >= 1");
+}
+
 TEST(KnnSetTest, ThresholdInfiniteUntilFull) {
   KnnSet set(4);
   set.Offer(1.0f, 0);

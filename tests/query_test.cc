@@ -13,9 +13,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <random>
 #include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "src/common/hotpath.h"
@@ -386,11 +388,17 @@ TEST(HotPathPurityTest, CountingAllocatorObservesHotRegionAllocations) {
 // must perform zero heap allocations. Without a pool, Run executes all
 // three phases inline on the calling thread, so the warm-up
 // deterministically heats exactly the thread-locals the steady-state
-// queries use.
+// queries use. The grouped arm holds GroupedQueryExecution's merged leaf
+// scan to the same contract, one warm-up group ahead of the measured ones.
 TEST(HotPathPurityTest, SteadyStateSingleThreadedRunIsAllocationFree) {
   const SeriesCollection data = GenerateSeismicLike(2000, 64, 401);
   const Index index = Index::Build(SeriesCollection(data), TestIndexOptions());
   const SeriesCollection queries = GenerateUniformQueries(data, 6, 1.0, 403);
+  // Grouped arm: a warm-up group of 4, then steady-state groups of 3 and 4.
+  const SeriesCollection group_queries =
+      GenerateUniformQueries(data, 11, 1.0, 407);
+  const std::vector<std::pair<size_t, size_t>> groups = {
+      {0, 4}, {4, 7}, {7, 11}};
 
   struct Mode {
     const char* name;
@@ -426,6 +434,29 @@ TEST(HotPathPurityTest, SteadyStateSingleThreadedRunIsAllocationFree) {
           << mode.name << " query " << q;
     }
     EXPECT_EQ(testing_utils::HotAllocations(), 0u) << mode.name;
+
+    const PreparedBatch group_batch =
+        PrepareBatch(group_queries, index.config(), qo);
+    for (size_t g = 0; g < groups.size(); ++g) {
+      std::vector<std::unique_ptr<QueryExecution>> execs;
+      std::vector<QueryExecution*> members;
+      for (size_t q = groups[g].first; q < groups[g].second; ++q) {
+        execs.push_back(
+            std::make_unique<QueryExecution>(&index, group_batch.query(q), qo));
+        execs.back()->SeedInitialBsf();
+        members.push_back(execs.back().get());
+      }
+      GroupedQueryExecution group(std::move(members));
+      // Group 0 is the warm-up: it grows this thread's lane buffers.
+      if (g == 1) testing_utils::ResetHotAllocations();
+      group.Run();
+      for (const auto& exec : execs) {
+        ASSERT_EQ(exec->results().SortedResults().size(),
+                  static_cast<size_t>(mode.k))
+            << mode.name << " group " << g;
+      }
+    }
+    EXPECT_EQ(testing_utils::HotAllocations(), 0u) << mode.name << " grouped";
   }
 }
 
