@@ -1,8 +1,9 @@
 // Microbenchmarks of the runtime-dispatched distance-kernel layer
 // (src/distance/simd.h): squared Euclidean, early-abandoning Euclidean,
-// LB_Keogh, and banded DTW at each available ISA level on 256-point series
-// (the paper's standard series length). The scalar/vector ratio here is the
-// acceptance number for SIMD-touching PRs.
+// LB_Keogh and PAA at each available ISA level on 256-point series (the
+// paper's standard series length), plus banded DTW through its public
+// entry point. The scalar/vector ratio here is the acceptance number for
+// SIMD-touching PRs.
 //
 //   $ ./bench_distance_kernels
 
@@ -137,27 +138,10 @@ void BM_Paa256(benchmark::State& state) {
 }
 BENCHMARK(BM_Paa256)->Apply(ApplyIsaArgs)->Unit(benchmark::kMicrosecond);
 
-void BM_DtwRow256(benchmark::State& state) {
-  // The DP row kernel in isolation: one full-band row per inner call.
-  const simd::KernelTable* table = TableForArg(state.range(0));
-  const std::vector<float>& pool = Pool();
-  std::vector<float> prev(kLength, 1.0f), cur(kLength, 0.0f);
-  float checksum = 0.0f;
-  for (auto _ : state) {
-    for (size_t i = 1; i < 512; ++i) {
-      checksum += table->dtw_row(pool[i], pool.data() + i * kLength,
-                                 prev.data(), cur.data(), 0, kLength - 1);
-    }
-  }
-  benchmark::DoNotOptimize(checksum);
-  state.SetItemsProcessed(state.iterations() * 511);
-  state.SetLabel(simd::IsaName(table->isa));
-}
-BENCHMARK(BM_DtwRow256)->Apply(ApplyIsaArgs)->Unit(benchmark::kMicrosecond);
-
 void BM_SquaredDtw256(benchmark::State& state) {
-  // End-to-end banded DTW through the public API (dispatched kernels);
-  // ODYSSEY_SIMD=scalar selects the scalar row kernel for comparison.
+  // End-to-end banded DTW through the public API. The DP row is scalar at
+  // every ISA level (its cur[j-1] chain is serial), so ODYSSEY_SIMD does
+  // not change this panel.
   const std::vector<float>& pool = Pool();
   const size_t window = WarpingWindowFromFraction(kLength, 0.05);
   float checksum = 0.0f;
@@ -169,7 +153,6 @@ void BM_SquaredDtw256(benchmark::State& state) {
   }
   benchmark::DoNotOptimize(checksum);
   state.SetItemsProcessed(state.iterations() * 63);
-  state.SetLabel(simd::IsaName(simd::ActiveIsa()));
 }
 BENCHMARK(BM_SquaredDtw256)->Unit(benchmark::kMillisecond);
 

@@ -93,8 +93,6 @@ namespace {
 alignas(64) std::atomic<uint64_t> g_threads_spawned{0};
 alignas(64) std::atomic<uint64_t> g_inflight_hwm{0};
 alignas(64) std::atomic<uint64_t> g_prep_overlap_nanos{0};
-alignas(64) std::atomic<uint64_t> g_workers_pinned{0};
-alignas(64) std::atomic<uint64_t> g_chunks_placed{0};
 
 }  // namespace
 
@@ -109,19 +107,11 @@ double PrepOverlapSeconds() {
              g_prep_overlap_nanos.load(std::memory_order_relaxed)) *
          1e-9;
 }
-uint64_t WorkersPinned() {
-  return g_workers_pinned.load(std::memory_order_relaxed);
-}
-uint64_t ChunksPlaced() {
-  return g_chunks_placed.load(std::memory_order_relaxed);
-}
 
 void Reset() {
   g_threads_spawned.store(0, std::memory_order_relaxed);
   g_inflight_hwm.store(0, std::memory_order_relaxed);
   g_prep_overlap_nanos.store(0, std::memory_order_relaxed);
-  g_workers_pinned.store(0, std::memory_order_relaxed);
-  g_chunks_placed.store(0, std::memory_order_relaxed);
 }
 
 void CountThreadsSpawned(uint64_t n) {
@@ -140,14 +130,6 @@ void AddPrepOverlapSeconds(double seconds) {
   if (seconds <= 0.0) return;
   g_prep_overlap_nanos.fetch_add(static_cast<uint64_t>(seconds * 1e9),
                                  std::memory_order_relaxed);
-}
-
-void CountWorkerPinned() {
-  g_workers_pinned.fetch_add(1, std::memory_order_relaxed);
-}
-
-void CountChunkPlaced() {
-  g_chunks_placed.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace executor_stats

@@ -93,15 +93,6 @@ uint64_t ThreadsSpawned();
 uint64_t QueriesInFlightHwm();
 double PrepOverlapSeconds();
 
-/// NUMA placement counters (src/common/numa.h). WorkersPinned() counts
-/// pool workers whose affinity the executor bound to their node's socket;
-/// ChunksPlaced() counts SharedChunk bundles whose build thread was bound
-/// for first-touch placement. Both stay zero when the NUMA layer is
-/// disabled or the machine reports a single node — the graceful-fallback
-/// contract the non-NUMA CI leg asserts.
-uint64_t WorkersPinned();
-uint64_t ChunksPlaced();
-
 /// Zeroes all counters (test setup).
 void Reset();
 
@@ -111,11 +102,6 @@ void CountThreadsSpawned(uint64_t n);
 /// Max-updates the in-flight high-water mark.
 void RecordQueriesInFlight(uint64_t n);
 void AddPrepOverlapSeconds(double seconds);
-/// NUMA placement hooks, called on successful binds only — by the
-/// executor's worker pinning (NodeRuntime::PinExecutorWorkers) and the
-/// driver's chunk-build-thread placement respectively.
-void CountWorkerPinned();
-void CountChunkPlaced();
 
 }  // namespace executor_stats
 

@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "src/common/check.h"
-#include "src/common/numa.h"
 #include "src/common/stopwatch.h"
 #include "src/common/summary_stats.h"
 #include "src/common/sync.h"
@@ -397,13 +396,6 @@ void OdysseyCluster::BuildNodes(
     groups.reserve(layout_.num_groups());
     for (int g = 0; g < layout_.num_groups(); ++g) {
       groups.emplace_back([&, g] {
-        // NUMA first-touch: bind the build thread to the group's socket
-        // before materializing, so the bundle's pages land on the memory
-        // its replicas will scan. The pool is created after the bind —
-        // child threads inherit the affinity mask.
-        if (numa::BindCurrentThread(numa::NodeForGroup(g))) {
-          executor_stats::CountChunkPlaced();
-        }
         ThreadPool pool(static_cast<size_t>(
             std::max(1, options_.build_threads_per_node)));
         bundles[g] = make_bundle(g, &pool);

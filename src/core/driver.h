@@ -221,9 +221,9 @@ class OdysseyCluster {
                  double overlap_seconds);
 
   /// Stage 2: `make_bundle(g, pool)` produces group g's immutable bundle
-  /// (one NUMA-placed thread per group, each with its own build pool), then
-  /// every node indexes views of its group's bundle, all nodes
-  /// concurrently.
+  /// (one thread per group, each with its own build pool, so the groups'
+  /// bundles build concurrently), then every node indexes views of its
+  /// group's bundle, all nodes concurrently.
   void BuildNodes(
       const std::function<std::shared_ptr<const SharedChunk>(int, ThreadPool*)>&
           make_bundle);

@@ -7,7 +7,6 @@
 #include <memory>
 
 #include "src/common/check.h"
-#include "src/common/numa.h"
 #include "src/common/stopwatch.h"
 #include "src/common/summary_stats.h"
 #include "src/distance/dtw.h"
@@ -92,7 +91,6 @@ void NodeRuntime::EnsureExecutor() {
   } else {
     workers_->Grow(want);
   }
-  PinExecutorWorkers();
   WarmExecutorScratch();
   if (!comms_thread_.joinable()) {
     comms_thread_ = CountedThread([this] { EpochThread(/*comms=*/true); });
@@ -131,31 +129,6 @@ void NodeRuntime::WarmExecutorScratch() {
   }
   workers_->WaitIdle();
   warmed_scratch_ = {width, batches, queues, length};
-}
-
-void NodeRuntime::PinExecutorWorkers() {
-  // Runs before WarmExecutorScratch so even the warm-up's scratch pages
-  // first-touch on the right socket. Same spin-barrier trick as the
-  // warm-up: each task parks its worker until all have started, so every
-  // worker binds its own affinity exactly once per pinning pass.
-  const int node = numa::NodeForGroup(layout_.GroupOf(id_));
-  if (node < 0) return;  // NUMA layer disabled (or off-platform)
-  const size_t width = workers_->num_threads();
-  if (width <= pinned_width_) return;
-  auto arrived = std::make_shared<std::atomic<size_t>>(0);
-  for (size_t i = 0; i < width; ++i) {
-    workers_->Submit([=] {
-      if (numa::BindCurrentThread(node)) {
-        executor_stats::CountWorkerPinned();
-      }
-      arrived->fetch_add(1, std::memory_order_acq_rel);
-      while (arrived->load(std::memory_order_acquire) < width) {
-        // Spin until every pinning task holds a distinct worker.
-      }
-    });
-  }
-  workers_->WaitIdle();
-  pinned_width_ = width;
 }
 
 void NodeRuntime::EpochThread(bool comms) {

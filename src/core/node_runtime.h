@@ -150,14 +150,6 @@ class NodeRuntime {
   /// purity contract; see src/common/hotpath.h). Driver-side, between
   /// epochs; no-op when no bound grew since the last warm-up.
   void WarmExecutorScratch();
-  /// Binds every pool worker to this node's NUMA socket
-  /// (numa::NodeForGroup of the node's replication group), matching the
-  /// first-touch placement of the group's SharedChunk. Same spin-barrier
-  /// technique as WarmExecutorScratch so each worker binds itself exactly
-  /// once; no-op when the NUMA layer is disabled or the pool has not grown
-  /// since the last pinning. Successes count in
-  /// executor_stats::WorkersPinned.
-  void PinExecutorWorkers();
   /// Persistent-thread bodies: park between epochs, run one *Loop per
   /// epoch. `comms` selects which loop.
   void EpochThread(bool comms);
@@ -229,9 +221,6 @@ class NodeRuntime {
     size_t length = 0;   ///< series length the DTW rows are sized for
   };
   ScratchBounds warmed_scratch_;
-  /// Pool width already NUMA-pinned (grow-only, like warmed_scratch_):
-  /// re-pinning is only needed when Grow added workers.
-  size_t pinned_width_ = 0;
   Mutex epoch_mu_;
   CondVar epoch_cv_;
   uint64_t epochs_started_ ODYSSEY_GUARDED_BY(epoch_mu_) = 0;

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "src/common/hotpath.h"
-#include "src/distance/simd.h"
 
 namespace odyssey {
 namespace {
@@ -27,11 +26,43 @@ DtwScratch& ScratchForThisThread() {
   return scratch;
 }
 
+// One banded DP row for row index i >= 1:
+//
+//   cur[j] = (ai - b[j])^2 + min(prev[j], prev[j-1], cur[j-1])
+//
+// for j in [jlo, jhi] (inclusive), returning the row minimum. prev/cur are
+// full-length rows with +inf outside the previous/current band, and
+// cur[jlo-1] is +inf when jlo > 0; when jlo == 0 the j == 0 cell takes only
+// prev[0]. Scalar at every ISA level on purpose: each cell waits on
+// cur[j-1], and staging the point costs around that chain with SSE or AVX2
+// measured slower (BM_SquaredDtw256, dtw-16k). CMakeLists.txt pins
+// -ffp-contract=off on this file, so the mul and add stay separate (no
+// FMA) whatever flags the build adds.
+ODYSSEY_HOT float DtwRow(float ai, const float* b, const float* prev,
+                         float* cur, size_t jlo, size_t jhi) {
+  float row_min = kInf;
+  size_t j = jlo;
+  if (j == 0) {
+    const float d = ai - b[0];
+    cur[0] = d * d + prev[0];
+    row_min = cur[0];
+    j = 1;
+  }
+  for (; j <= jhi; ++j) {
+    const float d = ai - b[j];
+    float best = prev[j];
+    if (prev[j - 1] < best) best = prev[j - 1];
+    if (cur[j - 1] < best) best = cur[j - 1];
+    cur[j] = d * d + best;
+    if (cur[j] < row_min) row_min = cur[j];
+  }
+  return row_min;
+}
+
 // Shared band DP. When `threshold` is finite, abandons as soon as a full row
 // exceeds it (every warping path must pass through each row's band, so the
 // row minimum lower-bounds the final value). Row 0 is a plain prefix sum;
-// every later row goes through the dispatched dtw_row kernel, which stages
-// the point costs and the prev-row mins with SIMD.
+// every later row goes through DtwRow.
 ODYSSEY_HOT float BandDtw(const float* a, const float* b, size_t n,
                           size_t window, float threshold)
     ODYSSEY_HOT_ALLOWS(
@@ -39,7 +70,6 @@ ODYSSEY_HOT float BandDtw(const float* a, const float* b, size_t n,
         "— allocation-free at steady state (counting-allocator-asserted)") {
   if (n == 0) return 0.0f;
   window = std::min(window, n - 1);
-  const simd::KernelTable& kernels = simd::ActiveTable();
 
   // Two rolling DP rows over the full length; cells outside the band stay
   // +inf. For the window sizes the paper uses (<= 15% of n) the wasted cells
@@ -76,8 +106,7 @@ ODYSSEY_HOT float BandDtw(const float* a, const float* b, size_t n,
     // resetting them is enough, no O(n) refill.
     if (jlo > 0) cur[jlo - 1] = kInf;
     if (jhi + 1 < n) cur[jhi + 1] = kInf;
-    const float row_min =
-        kernels.dtw_row(a[i], b, prev.data(), cur.data(), jlo, jhi);
+    const float row_min = DtwRow(a[i], b, prev.data(), cur.data(), jlo, jhi);
     if (row_min >= threshold) return row_min;
     std::swap(prev, cur);
   }

@@ -22,11 +22,6 @@ namespace {
 
 constexpr float kInf = std::numeric_limits<float>::infinity();
 
-/// Block length for the DTW row kernels: the vectorizable parts (point cost
-/// and the prev-row two-way min) are staged into stack buffers of this many
-/// floats, then the loop-carried cur[j-1] dependency is folded in scalar.
-constexpr size_t kDtwBlock = 128;
-
 // --------------------------------------------------------------- scalar
 
 ODYSSEY_HOT float SquaredEuclideanScalarK(const float* a, const float* b, size_t n) {
@@ -180,27 +175,6 @@ ODYSSEY_HOT void BatchedLbKeoghEarlyAbandonScalarK(const float* candidate,
   }
 }
 
-ODYSSEY_HOT float DtwRowScalarK(float ai, const float* b, const float* prev, float* cur,
-                    size_t jlo, size_t jhi) {
-  float row_min = kInf;
-  size_t j = jlo;
-  if (j == 0) {
-    const float d = ai - b[0];
-    cur[0] = d * d + prev[0];
-    row_min = cur[0];
-    j = 1;
-  }
-  for (; j <= jhi; ++j) {
-    const float d = ai - b[j];
-    float best = prev[j];
-    if (prev[j - 1] < best) best = prev[j - 1];
-    if (cur[j - 1] < best) best = cur[j - 1];
-    cur[j] = d * d + best;
-    if (cur[j] < row_min) row_min = cur[j];
-  }
-  return row_min;
-}
-
 constexpr KernelTable kScalarTable = {
     Isa::kScalar,
     SquaredEuclideanScalarK,
@@ -210,40 +184,9 @@ constexpr KernelTable kScalarTable = {
     BatchedSquaredEuclideanEarlyAbandonScalarK,
     BatchedLbKeoghEarlyAbandonScalarK,
     PaaScalarK,
-    DtwRowScalarK,
 };
 
 #if defined(ODYSSEY_X86)
-
-// Scalar remainder of the staging arrays for lanes [t, len) of a DTW row
-// block starting at column j — shared by the SSE and AVX2 row kernels so
-// the two cannot drift apart.
-inline void DtwStageTail(float ai, const float* b, const float* prev,
-                         size_t j, size_t t, size_t len, float* cost,
-                         float* s) {
-  for (; t < len; ++t) {
-    const float d = ai - b[j + t];
-    cost[t] = d * d;
-    const float pm =
-        prev[j + t] < prev[j + t - 1] ? prev[j + t] : prev[j + t - 1];
-    s[t] = cost[t] + pm;
-  }
-}
-
-// Folds the cur[j-1] dependency chain over one staged block; returns the
-// updated row minimum. cur[j] = min(s[j], cost[j] + cur[j-1]) equals
-// cost[j] + min(prev[j], prev[j-1], cur[j-1]) bit-for-bit because float
-// addition is monotone.
-inline float DtwFoldBlock(const float* cost, const float* s, float* cur,
-                          size_t j, size_t len, float row_min) {
-  for (size_t t = 0; t < len; ++t) {
-    const float left = cost[t] + cur[j + t - 1];
-    const float v = s[t] < left ? s[t] : left;
-    cur[j + t] = v;
-    if (v < row_min) row_min = v;
-  }
-  return row_min;
-}
 
 // ------------------------------------------------------------------ SSE
 // x86-64 baseline (SSE2) — always available, no target attribute needed.
@@ -361,41 +304,6 @@ ODYSSEY_HOT void PaaSseK(const float* series, size_t n, int segments, double* ou
     out[i] = sum / static_cast<double>(end - begin);
     begin = end;
   }
-}
-
-ODYSSEY_HOT float DtwRowSseK(float ai, const float* b, const float* prev, float* cur,
-                 size_t jlo, size_t jhi) {
-  float row_min = kInf;
-  size_t j = jlo;
-  if (j == 0) {
-    const float d = ai - b[0];
-    cur[0] = d * d + prev[0];
-    row_min = cur[0];
-    j = 1;
-  }
-  // Stage the order-independent parts of each block with SIMD: the point
-  // costs and s[j] = cost[j] + min(prev[j], prev[j-1]). The scalar fold
-  // (DtwFoldBlock) then only carries the cur[j-1] chain. Costs use mul
-  // (not FMA) so every ISA produces bit-identical DP rows.
-  float cost[kDtwBlock];
-  float s[kDtwBlock];
-  const __m128 vai = _mm_set1_ps(ai);
-  while (j <= jhi) {
-    const size_t len = (jhi - j + 1 < kDtwBlock) ? jhi - j + 1 : kDtwBlock;
-    size_t t = 0;
-    for (; t + 4 <= len; t += 4) {
-      const __m128 d = _mm_sub_ps(vai, _mm_loadu_ps(b + j + t));
-      const __m128 c = _mm_mul_ps(d, d);
-      _mm_storeu_ps(cost + t, c);
-      const __m128 p0 = _mm_loadu_ps(prev + j + t);
-      const __m128 p1 = _mm_loadu_ps(prev + j + t - 1);
-      _mm_storeu_ps(s + t, _mm_add_ps(c, _mm_min_ps(p0, p1)));
-    }
-    DtwStageTail(ai, b, prev, j, t, len, cost, s);
-    row_min = DtwFoldBlock(cost, s, cur, j, len, row_min);
-    j += len;
-  }
-  return row_min;
 }
 
 // Batched kernels, vector tiers: one query per SIMD lane over the
@@ -525,7 +433,6 @@ constexpr KernelTable kSseTable = {
     BatchedSquaredEuclideanEarlyAbandonSseK,
     BatchedLbKeoghEarlyAbandonSseK,
     PaaSseK,
-    DtwRowSseK,
 };
 
 // ----------------------------------------------------------------- AVX2
@@ -724,39 +631,6 @@ ODYSSEY_HOT void PaaAvx2K(const float* series, size_t n, int segments, double* o
   }
 }
 
-ODYSSEY_TARGET_AVX2
-ODYSSEY_HOT float DtwRowAvx2K(float ai, const float* b, const float* prev, float* cur,
-                  size_t jlo, size_t jhi) {
-  float row_min = kInf;
-  size_t j = jlo;
-  if (j == 0) {
-    const float d = ai - b[0];
-    cur[0] = d * d + prev[0];
-    row_min = cur[0];
-    j = 1;
-  }
-  // Same staging scheme as the SSE row kernel (see its comment); 8 lanes.
-  float cost[kDtwBlock];
-  float s[kDtwBlock];
-  const __m256 vai = _mm256_set1_ps(ai);
-  while (j <= jhi) {
-    const size_t len = (jhi - j + 1 < kDtwBlock) ? jhi - j + 1 : kDtwBlock;
-    size_t t = 0;
-    for (; t + 8 <= len; t += 8) {
-      const __m256 d = _mm256_sub_ps(vai, _mm256_loadu_ps(b + j + t));
-      const __m256 c = _mm256_mul_ps(d, d);
-      _mm256_storeu_ps(cost + t, c);
-      const __m256 p0 = _mm256_loadu_ps(prev + j + t);
-      const __m256 p1 = _mm256_loadu_ps(prev + j + t - 1);
-      _mm256_storeu_ps(s + t, _mm256_add_ps(c, _mm256_min_ps(p0, p1)));
-    }
-    DtwStageTail(ai, b, prev, j, t, len, cost, s);
-    row_min = DtwFoldBlock(cost, s, cur, j, len, row_min);
-    j += len;
-  }
-  return row_min;
-}
-
 // Batched kernels, AVX2 tier: 8 query lanes per group; see the SSE batched
 // kernels for the shared structure and bit-identity argument. mul+add (no
 // FMA) keeps each lane equal to the scalar per-query accumulation.
@@ -877,7 +751,6 @@ constexpr KernelTable kAvx2Table = {
     BatchedSquaredEuclideanEarlyAbandonAvx2K,
     BatchedLbKeoghEarlyAbandonAvx2K,
     PaaAvx2K,
-    DtwRowAvx2K,
 };
 
 bool CpuHasAvx2Fma() {

@@ -101,18 +101,6 @@ struct KernelTable {
   /// from scalar by ordinary FP reassociation (property-tested to the same
   /// relative tolerance as the distance kernels).
   void (*paa)(const float* series, size_t n, int segments, double* out);
-
-  /// One banded DTW dynamic-programming row for row index i >= 1:
-  ///
-  ///   cur[j] = (ai - b[j])^2 + min(prev[j], prev[j-1], cur[j-1])
-  ///
-  /// for j in [jlo, jhi] (inclusive), returning the row minimum. Caller
-  /// contract: prev/cur are full-length arrays with +inf outside the
-  /// previous/current band (so out-of-band reads are harmless), and
-  /// cur[jlo-1] is +inf when jlo > 0. When jlo == 0 the j == 0 cell takes
-  /// only prev[0] (no j-1 neighbors exist).
-  float (*dtw_row)(float ai, const float* b, const float* prev, float* cur,
-                   size_t jlo, size_t jhi);
 };
 
 /// Portable scalar reference kernels — always available, the ground truth

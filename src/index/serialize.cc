@@ -206,7 +206,10 @@ StatusOr<Index> LoadIndexFromFile(const std::string& path) {
   if (version != kVersion) {
     return Status::InvalidArgument("unsupported index version in " + path);
   }
-  if (length == 0 || segments == 0 || segments > length || max_bits == 0 ||
+  // Bounds every field an IsaxConfig checks, so a corrupt header is a
+  // Status here instead of an abort in the constructor below.
+  if (length == 0 || segments == 0 || segments > length ||
+      segments > static_cast<uint32_t>(kMaxSegments) || max_bits == 0 ||
       max_bits > static_cast<uint32_t>(kMaxSaxBits) || leaf_capacity == 0) {
     return Status::InvalidArgument("corrupt index header in " + path);
   }

@@ -4,6 +4,12 @@
 
 namespace odyssey {
 
+IsaxConfig::IsaxConfig(size_t series_length, int segments, int bits)
+    : paa(series_length, segments), max_bits(bits) {
+  ODYSSEY_CHECK(segments <= kMaxSegments);
+  ODYSSEY_CHECK(bits >= 1 && bits <= kMaxSaxBits);
+}
+
 void ComputeSax(const float* series, const IsaxConfig& config, uint8_t* out) {
   std::vector<double> paa(config.segments());
   ComputePaa(series, config.paa, paa.data());

@@ -19,10 +19,9 @@ struct IsaxConfig {
   int max_bits = kMaxSaxBits;
 
   IsaxConfig() = default;
-  IsaxConfig(size_t series_length, int segments, int bits = kMaxSaxBits)
-      : paa(series_length, segments), max_bits(bits) {
-    ODYSSEY_CHECK(bits >= 1 && bits <= kMaxSaxBits);
-  }
+  /// Aborts unless 1 <= segments <= min(series_length, kMaxSegments) and
+  /// 1 <= bits <= kMaxSaxBits.
+  IsaxConfig(size_t series_length, int segments, int bits = kMaxSaxBits);
 
   int segments() const { return paa.segments; }
   size_t series_length() const { return paa.series_length; }
@@ -67,6 +66,11 @@ struct IsaxWord {
 /// 2^segments root subtrees the series belongs to, and is the unit the
 /// DENSITY-AWARE partitioner orders by Gray rank.
 uint32_t RootKey(const uint8_t* sax, const IsaxConfig& config);
+
+/// Most segments an IsaxConfig may have: RootKey packs one bit per segment
+/// into a uint32_t and IsaxWord::Root unpacks it, so a 33rd segment would
+/// wrap the key.
+constexpr int kMaxSegments = 32;
 
 }  // namespace odyssey
 

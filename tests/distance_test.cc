@@ -183,6 +183,55 @@ TEST(DtwTest, EarlyAbandonExactBelowThreshold) {
   }
 }
 
+// Textbook Sakoe-Chiba DTW: the full (n+1) x (n+1) cost matrix in double
+// precision, cells outside |i - j| <= window left at +inf. Shares no code
+// with the library's rolling-row DP.
+double TextbookSquaredDtw(const std::vector<float>& a,
+                          const std::vector<float>& b, size_t window) {
+  const size_t n = a.size();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<std::vector<double>> d(n + 1, std::vector<double>(n + 1, inf));
+  d[0][0] = 0.0;
+  for (size_t i = 1; i <= n; ++i) {
+    for (size_t j = 1; j <= n; ++j) {
+      if ((i > j ? i - j : j - i) > window) continue;
+      const double diff = static_cast<double>(a[i - 1]) - b[j - 1];
+      d[i][j] = diff * diff +
+                std::min({d[i - 1][j], d[i][j - 1], d[i - 1][j - 1]});
+    }
+  }
+  return d[n][n];
+}
+
+TEST(DtwTest, MatchesTextbookBandedDp) {
+  Rng rng(15);
+  for (size_t n : {1u, 2u, 3u, 17u, 64u, 256u}) {
+    const size_t five_percent = static_cast<size_t>(std::ceil(0.05 * n));
+    for (size_t window : {size_t{0}, size_t{1}, five_percent, n / 4, n - 1,
+                          n + 5}) {
+      for (int trial = 0; trial < 4; ++trial) {
+        const std::vector<float> a = RandomSeries(&rng, n);
+        const std::vector<float> b = RandomSeries(&rng, n);
+        const double expected = TextbookSquaredDtw(a, b, window);
+        const double tolerance = 1e-5 * expected;
+        const float got = SquaredDtw(a.data(), b.data(), n, window);
+        EXPECT_NEAR(got, expected, tolerance)
+            << "n=" << n << " window=" << window << " trial=" << trial;
+        const float above = static_cast<float>(expected * 2 + 1);
+        EXPECT_NEAR(SquaredDtwEarlyAbandon(a.data(), b.data(), n, window,
+                                           above),
+                    expected, tolerance)
+            << "n=" << n << " window=" << window << " trial=" << trial;
+        const float below = static_cast<float>(expected / 2);
+        EXPECT_GE(SquaredDtwEarlyAbandon(a.data(), b.data(), n, window,
+                                         below),
+                  below)
+            << "n=" << n << " window=" << window << " trial=" << trial;
+      }
+    }
+  }
+}
+
 TEST(DtwTest, WarpingWindowFromFraction) {
   EXPECT_EQ(WarpingWindowFromFraction(256, 0.0), 0u);
   EXPECT_EQ(WarpingWindowFromFraction(256, 0.05), 13u);  // ceil(12.8)
@@ -490,44 +539,6 @@ TEST(SimdKernelTest, AlignedFastPathBitIdenticalToUnaligned) {
   std::free(ua - 1);
   std::free(ub - 1);
   std::free(uc - 1);
-}
-
-TEST(SimdKernelTest, DtwRowBitIdenticalToScalar) {
-  // The DTW row kernels use mul (not FMA) and a scalar dependency sweep so
-  // every ISA must produce bit-identical DP rows — exact EQ, no tolerance.
-  constexpr float kInf = std::numeric_limits<float>::infinity();
-  const simd::KernelTable& scalar = simd::ScalarTable();
-  for (const simd::KernelTable* table : VectorTables()) {
-    Rng rng(61);
-    for (int trial = 0; trial < 300; ++trial) {
-      const size_t n = 1 + rng.NextBounded(256);
-      const size_t jlo = rng.NextBounded(n);
-      const size_t jhi = jlo + rng.NextBounded(n - jlo);
-      const std::vector<float> b = RandomSeries(&rng, n);
-      const float ai = static_cast<float>(rng.NextGaussian());
-      // A plausible previous row: finite non-negative values on a band that
-      // overlaps [jlo, jhi], +inf elsewhere (the BandDtw invariant).
-      std::vector<float> prev(n, kInf);
-      const size_t plo = (jlo > 0) ? jlo - 1 : 0;
-      for (size_t j = plo; j <= jhi; ++j) {
-        prev[j] = static_cast<float>(rng.NextDouble()) * 10.0f;
-      }
-      std::vector<float> cur_scalar(n, kInf), cur_vector(n, kInf);
-      const float min_scalar =
-          scalar.dtw_row(ai, b.data(), prev.data(), cur_scalar.data(), jlo,
-                         jhi);
-      const float min_vector =
-          table->dtw_row(ai, b.data(), prev.data(), cur_vector.data(), jlo,
-                         jhi);
-      ASSERT_EQ(min_scalar, min_vector)
-          << simd::IsaName(table->isa) << " n=" << n << " jlo=" << jlo
-          << " jhi=" << jhi;
-      for (size_t j = jlo; j <= jhi; ++j) {
-        ASSERT_EQ(cur_scalar[j], cur_vector[j])
-            << simd::IsaName(table->isa) << " j=" << j;
-      }
-    }
-  }
 }
 
 TEST(SimdKernelTest, PaaMatchesScalarOnEveryLengthTo256) {

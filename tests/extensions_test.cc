@@ -503,6 +503,32 @@ TEST(SerializeTest, CorruptCountsNeverSizeAnAllocation) {
   std::remove(path.c_str());
 }
 
+// The header's geometry is bounded before any IsaxConfig is built from it:
+// a segment count that turns negative as an int, or one past the 32 bits a
+// root key holds, is a Status, not an abort or an index with wrapped keys.
+TEST(SerializeTest, CorruptGeometryIsInvalidArgument) {
+  const std::string path = ::testing::TempDir() + "/odyssey_geometry.odix";
+  struct Header {
+    uint32_t length;
+    uint32_t segments;
+  };
+  for (const Header& header : {Header{0xFFFFFFFFu, 0x80000000u},
+                               Header{256u, 33u}}) {
+    // Magic, version, length, segments, 8 bits, leaf capacity 32, no
+    // series, then a tree of zero roots.
+    std::vector<uint8_t> bytes = {'O', 'D', 'I', 'X'};
+    for (uint32_t v : {1u, header.length, header.segments, 8u, 32u, 0u, 0u}) {
+      PutU32(&bytes, bytes.size(), v);
+    }
+    WriteFileBytes(path, bytes);
+    const StatusOr<Index> loaded = LoadIndexFromFile(path);
+    ASSERT_FALSE(loaded.ok()) << "segments=" << header.segments;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+        << "segments=" << header.segments;
+  }
+  std::remove(path.c_str());
+}
+
 // ------------------------------------------------------------- Streaming
 
 TEST(StreamingTest, DynamicallyArrivingQueriesStayExact) {

@@ -149,16 +149,21 @@ TEST(IsaxWordTest, ComputeSaxMatchesPerSegmentSymbols) {
 }
 
 TEST(IsaxWordTest, RootWordAndKeyRoundTrip) {
-  const IsaxConfig config(64, 8);
-  for (uint32_t key : {0u, 1u, 37u, 128u, 255u}) {
-    const IsaxWord word = IsaxWord::Root(config, key);
-    ASSERT_EQ(word.symbols.size(), 8u);
-    uint32_t rebuilt = 0;
-    for (int i = 0; i < 8; ++i) {
-      EXPECT_EQ(word.bits[i], 1);
-      rebuilt = (rebuilt << 1) | word.symbols[i];
+  // kMaxSegments segments use every bit of the key.
+  for (int segments : {8, kMaxSegments}) {
+    const IsaxConfig config(64, segments);
+    const uint32_t all_ones =
+        static_cast<uint32_t>((uint64_t{1} << segments) - 1);
+    for (uint32_t key : {0u, 1u, 37u, 128u, all_ones}) {
+      const IsaxWord word = IsaxWord::Root(config, key);
+      ASSERT_EQ(word.symbols.size(), static_cast<size_t>(segments));
+      uint32_t rebuilt = 0;
+      for (int i = 0; i < segments; ++i) {
+        EXPECT_EQ(word.bits[i], 1);
+        rebuilt = (rebuilt << 1) | word.symbols[i];
+      }
+      EXPECT_EQ(rebuilt, key) << "segments=" << segments;
     }
-    EXPECT_EQ(rebuilt, key);
   }
 }
 
@@ -188,6 +193,12 @@ TEST(IsaxWordTest, MaxBitsBelowEight) {
     ComputeSax(data.data(i), config, sax.data());
     for (int s = 0; s < 8; ++s) EXPECT_LT(sax[s], 16);  // 4-bit symbols
   }
+}
+
+// A root key holds one bit per segment in a uint32_t, so a 33rd segment
+// must fail the config's check instead of wrapping every key.
+TEST(IsaxConfigDeathTest, MoreSegmentsThanARootKeyHoldsAborts) {
+  EXPECT_DEATH(IsaxConfig config(256, 33), "segments <= kMaxSegments");
 }
 
 // -------------------------------------------------------------- Mindist
