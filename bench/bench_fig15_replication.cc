@@ -5,8 +5,9 @@
 //          cost of FULL dominates (EQUALLY-SPLIT wins); for many queries
 //          it is amortized (FULL wins) — the paper's central trade-off.
 //  (e)     build time + transient bundle bytes of the shared-chunk build:
-//          FULL/PARTIAL-k replicas index one immutable bundle per group,
-//          so both stay flat as replication_degree() grows.
+//          FULL/PARTIAL-k replicas share one immutable bundle and one
+//          index per group, so both stay flat as replication_degree()
+//          grows.
 //  (f)     streaming build from disk through the double-buffered overlap
 //          pipeline: pull of chunk i+1 hidden behind the
 //          summarize+partition of chunk i (overlap_s counter). The win

@@ -38,18 +38,18 @@ namespace build_stats {
 /// Process-wide counters of *build-time* chunk summarization — the
 /// index-construction mirror of summary_stats' query-time promise. The
 /// SharedChunk subsystem (src/core/shared_chunk.h) promises each replication
-/// group materializes exactly one immutable {series, PAA, SAX, buffers}
-/// bundle per chunk, shared by every replica's tree build. Tests and
+/// group materializes exactly one immutable {series, SAX, buffers} bundle
+/// per chunk, from which the group builds its one index. Tests and
 /// bench_fig15_replication read these counters to prove the sharing ratio.
 
 /// Number of SharedChunk bundles materialized (one per replication group,
 /// plus one per standalone Index::Build).
 uint64_t ChunksBuilt();
-/// Total bytes of all materialized bundles (series + PAA + SAX + buffers) —
+/// Total bytes of all materialized bundles (series + ids + SAX + buffers) —
 /// the transient build memory the shared path divides by the replication
 /// degree.
 uint64_t ChunkBytes();
-/// Series summarized into bundles (PAA + SAX rows written). A cluster
+/// Series summarized into bundles (SAX rows written). A cluster
 /// build summarizes each dataset series once, whatever the replication
 /// degree.
 uint64_t SummariesBuilt();

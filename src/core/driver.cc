@@ -260,11 +260,10 @@ OdysseyCluster::OdysseyCluster(const SeriesCollection& dataset,
   }
   partition_seconds_ = watch.ElapsedSeconds();
 
-  // Stage 2: each group materializes and summarizes its chunk exactly once
-  // (Section 3.3: a group's members hold identical data); every member then
-  // builds its own — bit-identical — tree from views of that one bundle.
-  // Under FULL replication this is 1 copy + 1 summarization instead of Nsn
-  // of each.
+  // Stage 2: each group materializes, summarizes and indexes its chunk
+  // exactly once (Section 3.3: a group's members hold identical data), and
+  // every member serves that one index. Under FULL replication this is 1
+  // copy, 1 summarization and 1 tree instead of Nsn of each.
   BuildNodes([&](int g, ThreadPool* pool) {
     return SharedChunk::Build(dataset.Subset(chunks[g]), chunks[g],
                               options_.index_options.config, pool);
@@ -288,14 +287,14 @@ OdysseyCluster::OdysseyCluster(GroupChunks groups,
       overlap_seconds_(overlap_seconds) {
   driver_pool_ = std::make_unique<ThreadPool>(
       static_cast<size_t>(std::max(1, options_.build_threads_per_node)));
-  // Each group adopts its accumulated series + PAA/SAX tables (computed
-  // once per ingest chunk, never recomputed here) as one immutable bundle —
-  // the only per-group work left is grouping the summarization buffers.
+  // Each group adopts its accumulated series + SAX table (computed once per
+  // ingest chunk, never recomputed here) as one immutable bundle — the only
+  // per-group work left is grouping the buffers and building the tree.
   BuildNodes([&](int g, ThreadPool* pool) {
-    return SharedChunk::Adopt(
-        std::move(groups.data[g]), std::move(groups.ids[g]),
-        std::move(groups.paa[g]), std::move(groups.sax[g]),
-        options_.index_options.config, pool);
+    return SharedChunk::Adopt(std::move(groups.data[g]),
+                              std::move(groups.ids[g]),
+                              std::move(groups.sax[g]),
+                              options_.index_options.config, pool);
   });
 }
 
@@ -321,17 +320,17 @@ StatusOr<std::unique_ptr<OdysseyCluster>> OdysseyCluster::IngestAndBuild(
   // processed + the one in flight); the full archive only ever exists
   // distributed across the groups (as on a real cluster). Each arriving
   // chunk is summarized exactly once — before partitioning, so
-  // DENSITY-AWARE reuses the same table — and the rows are scattered into
-  // per-group tables alongside the series; the group bundles are then
+  // DENSITY-AWARE reuses the same table — and the SAX rows are scattered
+  // into per-group tables alongside the series; the group bundles are then
   // adopted at build time with zero re-summarization, and the next chunk's
   // disk read runs concurrently with all of this.
   const IsaxConfig& config = options.index_options.config;
   const size_t w = static_cast<size_t>(config.segments());
+  const int num_groups = layout->num_groups();
   GroupChunks groups;
-  groups.data.resize(layout->num_groups(), SeriesCollection(source.length()));
-  groups.ids.resize(layout->num_groups());
-  groups.paa.resize(layout->num_groups());
-  groups.sax.resize(layout->num_groups());
+  groups.data.resize(num_groups, SeriesCollection(source.length()));
+  groups.ids.resize(num_groups);
+  groups.sax.resize(num_groups);
   double partition_seconds = 0.0;
   ThreadPool pool(
       static_cast<size_t>(std::max(1, options.build_threads_per_node)));
@@ -339,7 +338,6 @@ StatusOr<std::unique_ptr<OdysseyCluster>> OdysseyCluster::IngestAndBuild(
   Stopwatch watch;
   uint64_t chunk_index = 0;
   uint32_t base = 0;  // global id of the current chunk's first series
-  std::vector<double> chunk_paa;
   std::vector<uint8_t> chunk_sax;
   for (;; ++chunk_index) {
     StatusOr<SeriesCollection> chunk = prefetcher.Next();
@@ -347,27 +345,25 @@ StatusOr<std::unique_ptr<OdysseyCluster>> OdysseyCluster::IngestAndBuild(
     if (chunk->empty()) break;
     const size_t n = chunk->size();
     watch.Restart();
-    chunk_paa.resize(n * w);
     chunk_sax.resize(n * w);
     pool.ParallelFor(n, [&](size_t begin, size_t end) {
+      double paa[kMaxSegments];
       for (size_t i = begin; i < end; ++i) {
-        double* paa = chunk_paa.data() + i * w;
         ComputePaa(chunk->data(i), config.paa, paa);
         ComputeSaxFromPaa(paa, config, chunk_sax.data() + i * w);
       }
     });
-    // Per-chunk seed: kRandomShuffle must not deal every chunk the same
-    // permutation.
+    // A tail chunk with fewer series than groups is cut into one part per
+    // series, for the first n groups. Per-chunk seed: kRandomShuffle must
+    // not deal every chunk the same permutation.
     const std::vector<std::vector<uint32_t>> local = PartitionSeries(
-        *chunk, layout->num_groups(), options.partitioning, config,
-        options.seed + chunk_index, &pool, options.density_options,
-        &chunk_sax);
-    for (int g = 0; g < layout->num_groups(); ++g) {
+        *chunk, static_cast<int>(std::min<size_t>(num_groups, n)),
+        options.partitioning, config, options.seed + chunk_index, &pool,
+        options.density_options, &chunk_sax);
+    for (size_t g = 0; g < local.size(); ++g) {
       for (uint32_t id : local[g]) {
         groups.data[g].Append(chunk->data(id));
         groups.ids[g].push_back(base + id);
-        groups.paa[g].insert(groups.paa[g].end(), chunk_paa.data() + id * w,
-                             chunk_paa.data() + (id + 1) * w);
         groups.sax[g].insert(groups.sax[g].end(), chunk_sax.data() + id * w,
                              chunk_sax.data() + (id + 1) * w);
       }
@@ -381,6 +377,12 @@ StatusOr<std::unique_ptr<OdysseyCluster>> OdysseyCluster::IngestAndBuild(
   if (chunk_index == 0) {
     return Status::InvalidArgument("archive is empty: " + source.path());
   }
+  if (std::any_of(groups.data.begin(), groups.data.end(),
+                  [](const SeriesCollection& d) { return d.empty(); })) {
+    return Status::InvalidArgument(
+        "archive holds " + std::to_string(base) + " series, too few for " +
+        std::to_string(num_groups) + " replication groups: " + source.path());
+  }
   return std::unique_ptr<OdysseyCluster>(
       new OdysseyCluster(std::move(groups), options, partition_seconds,
                          ingest_seconds, overlap_seconds));
@@ -389,50 +391,50 @@ StatusOr<std::unique_ptr<OdysseyCluster>> OdysseyCluster::IngestAndBuild(
 void OdysseyCluster::BuildNodes(
     const std::function<std::shared_ptr<const SharedChunk>(int, ThreadPool*)>&
         make_bundle) {
-  std::vector<std::shared_ptr<const SharedChunk>> bundles(
-      layout_.num_groups());
+  const int num_groups = layout_.num_groups();
+  std::vector<std::shared_ptr<const Index>> indexes(num_groups);
+  group_timings_.resize(num_groups);
   {
     std::vector<CountedThread> groups;
-    groups.reserve(layout_.num_groups());
-    for (int g = 0; g < layout_.num_groups(); ++g) {
+    groups.reserve(num_groups);
+    for (int g = 0; g < num_groups; ++g) {
       groups.emplace_back([&, g] {
-        ThreadPool pool(static_cast<size_t>(
-            std::max(1, options_.build_threads_per_node)));
-        bundles[g] = make_bundle(g, &pool);
+        // The group's members would each have built with
+        // build_threads_per_node workers; the one build gets all of them.
+        ThreadPool pool(layout_.GroupMembers(g).size() *
+                        static_cast<size_t>(
+                            std::max(1, options_.build_threads_per_node)));
+        std::shared_ptr<const SharedChunk> bundle = make_bundle(g, &pool);
+        ODYSSEY_CHECK_MSG(!bundle->data().empty(),
+                          "node received an empty chunk");
+        indexes[g] = std::make_shared<const Index>(Index::BuildFromShared(
+            std::move(bundle), options_.index_options, &pool,
+            &group_timings_[g]));
       });
     }
     for (auto& t : groups) t.Join();
   }
   nodes_.reserve(layout_.num_nodes());
   for (int n = 0; n < layout_.num_nodes(); ++n) {
-    nodes_.push_back(std::make_unique<NodeRuntime>(n, layout_));
+    nodes_.push_back(std::make_unique<NodeRuntime>(
+        n, layout_, indexes[layout_.GroupOf(n)]));
   }
-  std::vector<CountedThread> builders;
-  builders.reserve(layout_.num_nodes());
-  for (int n = 0; n < layout_.num_nodes(); ++n) {
-    builders.emplace_back([&, n] {
-      nodes_[n]->LoadSharedChunk(bundles[layout_.GroupOf(n)]);
-      nodes_[n]->BuildIndex(options_.index_options,
-                            options_.build_threads_per_node);
-    });
-  }
-  for (auto& t : builders) t.Join();
 }
 
 OdysseyCluster::~OdysseyCluster() = default;
 
 double OdysseyCluster::max_buffer_seconds() const {
   double out = 0.0;
-  for (const auto& node : nodes_) {
-    out = std::max(out, node->build_timings().buffer_seconds);
+  for (const BuildTimings& t : group_timings_) {
+    out = std::max(out, t.buffer_seconds);
   }
   return out;
 }
 
 double OdysseyCluster::max_tree_seconds() const {
   double out = 0.0;
-  for (const auto& node : nodes_) {
-    out = std::max(out, node->build_timings().tree_seconds);
+  for (const BuildTimings& t : group_timings_) {
+    out = std::max(out, t.tree_seconds);
   }
   return out;
 }
@@ -569,41 +571,19 @@ BatchReport OdysseyCluster::AnswerBatch(const SeriesCollection& queries) {
       effective = PolicyIsDynamic(effective) ? SchedulingPolicy::kDynamic
                                              : SchedulingPolicy::kStatic;
     }
+    // Static policies fix each member's share up front; dynamic ones fill
+    // the group's dispatch queue, which kQueryRequests drain below.
+    std::vector<std::vector<int>> assignment;
     switch (effective) {
-      case SchedulingPolicy::kStatic: {
-        const auto assignment =
-            StaticSplit(num_queries, static_cast<int>(members.size()));
-        for (size_t w = 0; w < members.size(); ++w) {
-          for (int q : assignment[w]) {
-            Message m;
-            m.type = MessageType::kAssignQuery;
-            m.from = cluster.coordinator_id();
-            m.query_id = q;
-            cluster.Send(members[w], std::move(m));
-            ++assigns_sent[static_cast<size_t>(members[w])];
-            recovery.OnDispatch(members[w], q);
-          }
-        }
+      case SchedulingPolicy::kStatic:
+        assignment = StaticSplit(num_queries, static_cast<int>(members.size()));
         break;
-      }
       case SchedulingPolicy::kPredictStaticUnsorted:
-      case SchedulingPolicy::kPredictStatic: {
-        const bool sorted = effective == SchedulingPolicy::kPredictStatic;
-        const auto assignment = PredictionGreedySplit(
-            estimates, static_cast<int>(members.size()), sorted);
-        for (size_t w = 0; w < members.size(); ++w) {
-          for (int q : assignment[w]) {
-            Message m;
-            m.type = MessageType::kAssignQuery;
-            m.from = cluster.coordinator_id();
-            m.query_id = q;
-            cluster.Send(members[w], std::move(m));
-            ++assigns_sent[static_cast<size_t>(members[w])];
-            recovery.OnDispatch(members[w], q);
-          }
-        }
+      case SchedulingPolicy::kPredictStatic:
+        assignment = PredictionGreedySplit(
+            estimates, static_cast<int>(members.size()),
+            /*sorted=*/effective == SchedulingPolicy::kPredictStatic);
         break;
-      }
       case SchedulingPolicy::kDynamic:
       case SchedulingPolicy::kPredictDynamic: {
         const bool sorted = effective == SchedulingPolicy::kPredictDynamic;
@@ -611,6 +591,17 @@ BatchReport OdysseyCluster::AnswerBatch(const SeriesCollection& queries) {
             DynamicDispatchOrder(estimates, num_queries, sorted);
         dispatch[g].assign(order.begin(), order.end());
         break;
+      }
+    }
+    for (size_t w = 0; w < assignment.size(); ++w) {
+      for (int q : assignment[w]) {
+        Message m;
+        m.type = MessageType::kAssignQuery;
+        m.from = cluster.coordinator_id();
+        m.query_id = q;
+        cluster.Send(members[w], std::move(m));
+        ++assigns_sent[static_cast<size_t>(members[w])];
+        recovery.OnDispatch(members[w], q);
       }
     }
     if (!dynamic) {

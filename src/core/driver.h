@@ -145,8 +145,10 @@ class OdysseyCluster {
   /// system feeds billion-scale archives whose ingest bandwidth, not tree
   /// build, dominates wall-clock. kDensityAware partitioning is applied per
   /// chunk (a streaming approximation of the global buffer histogram).
-  /// Errors (I/O failures, length mismatch with the index config, invalid
-  /// layout) come back as Status instead of aborting.
+  /// A last chunk holding n < num_groups series goes to the first n
+  /// groups. Errors (I/O failures, length mismatch with the index config,
+  /// invalid layout, an archive too small to give every group a series)
+  /// come back as Status instead of aborting.
   static StatusOr<std::unique_ptr<OdysseyCluster>> IngestAndBuild(
       SeriesIngestor& source, const OdysseyOptions& options);
 
@@ -186,7 +188,8 @@ class OdysseyCluster {
   /// summarization/partitioning (the double-buffered pipeline's win; 0 for
   /// the in-memory constructor).
   double overlap_seconds() const { return overlap_seconds_; }
-  /// Paper's index-time measures: the maximum across nodes.
+  /// Paper's index-time measures: the maximum across replication groups
+  /// (each group builds one index, which all of its members serve).
   double max_buffer_seconds() const;
   double max_tree_seconds() const;
   double index_seconds() const {
@@ -203,14 +206,13 @@ class OdysseyCluster {
 
  private:
   /// Per-group raw data + global ids, accumulated by the streaming build
-  /// as chunks are partitioned on arrival. The per-chunk PAA/SAX rows
+  /// as chunks are partitioned on arrival. The per-chunk SAX rows
   /// (computed once per ingest chunk, before partitioning) are scattered
   /// alongside, so the group bundles are adopted at build time without
   /// ever re-summarizing.
   struct GroupChunks {
     std::vector<SeriesCollection> data;
     std::vector<std::vector<uint32_t>> ids;
-    std::vector<std::vector<double>> paa;
     std::vector<std::vector<uint8_t>> sax;
   };
 
@@ -220,10 +222,11 @@ class OdysseyCluster {
                  double partition_seconds, double ingest_seconds,
                  double overlap_seconds);
 
-  /// Stage 2: `make_bundle(g, pool)` produces group g's immutable bundle
-  /// (one thread per group, each with its own build pool, so the groups'
-  /// bundles build concurrently), then every node indexes views of its
-  /// group's bundle, all nodes concurrently.
+  /// Stage 2: one thread per group, so the groups build concurrently. Each
+  /// runs `make_bundle(g, pool)` to produce group g's immutable bundle,
+  /// then builds the group's one Index from it, both on one pool of
+  /// members x build_threads_per_node workers. Every member's NodeRuntime
+  /// then holds that Index.
   void BuildNodes(
       const std::function<std::shared_ptr<const SharedChunk>(int, ThreadPool*)>&
           make_bundle);
@@ -249,6 +252,7 @@ class OdysseyCluster {
   /// scheduling estimates): like the node executors, it is created once
   /// per cluster so answering batches spawns no coordinator threads.
   std::unique_ptr<ThreadPool> driver_pool_;
+  std::vector<BuildTimings> group_timings_;  // one per replication group
   std::vector<std::unique_ptr<NodeRuntime>> nodes_;
 };
 

@@ -16,9 +16,12 @@ namespace {
 constexpr float kInf = std::numeric_limits<float>::infinity();
 }  // namespace
 
-NodeRuntime::NodeRuntime(int node_id, const ReplicationLayout& layout)
-    : id_(node_id), layout_(layout) {
+NodeRuntime::NodeRuntime(int node_id, const ReplicationLayout& layout,
+                         std::shared_ptr<const Index> index)
+    : id_(node_id), layout_(layout), index_(std::move(index)) {
   ODYSSEY_CHECK(node_id >= 0 && node_id < layout.num_nodes());
+  ODYSSEY_CHECK(index_ != nullptr);
+  ODYSSEY_CHECK(index_->chunk()->global_ids().size() == index_->data().size());
 }
 
 NodeRuntime::~NodeRuntime() {
@@ -30,33 +33,6 @@ NodeRuntime::~NodeRuntime() {
   epoch_cv_.SignalAll();
   if (comms_thread_.joinable()) comms_thread_.Join();
   if (main_thread_.joinable()) main_thread_.Join();
-}
-
-void NodeRuntime::LoadSharedChunk(std::shared_ptr<const SharedChunk> chunk) {
-  ODYSSEY_CHECK(chunk != nullptr);
-  ODYSSEY_CHECK_MSG(!chunk->data().empty(), "node received an empty chunk");
-  ODYSSEY_CHECK(chunk->global_ids().size() == chunk->size());
-  // Alias the bundle's id vector: the ids share the bundle's refcount and
-  // are never copied per replica.
-  global_ids_ = std::shared_ptr<const std::vector<uint32_t>>(
-      chunk, &chunk->global_ids());
-  pending_shared_ = std::move(chunk);
-}
-
-BuildTimings NodeRuntime::BuildIndex(const IndexOptions& options,
-                                     int build_threads) {
-  ODYSSEY_CHECK_MSG(pending_shared_ != nullptr,
-                    "LoadSharedChunk before BuildIndex");
-  ThreadPool pool(static_cast<size_t>(std::max(1, build_threads)));
-  // The by-value parameter takes the bundle, leaving pending_shared_ empty.
-  index_ = std::make_unique<Index>(Index::BuildFromShared(
-      std::move(pending_shared_), options, &pool, &build_timings_));
-  return build_timings_;
-}
-
-const Index& NodeRuntime::index() const {
-  ODYSSEY_CHECK(index_ != nullptr);
-  return *index_;
 }
 
 NodeBatchStats NodeRuntime::batch_stats() const {
@@ -111,7 +87,7 @@ void NodeRuntime::WarmExecutorScratch() {
   // Queue count is data-dependent (leaves inserted per batch); reserve a
   // generous floor and let the grow-only scratch absorb outliers.
   const size_t queues = std::max<size_t>(size_t{64}, batches * 4);
-  const size_t length = index_ != nullptr ? index_->data().length() : 0;
+  const size_t length = index_->data().length();
   if (width <= warmed_scratch_.width && batches <= warmed_scratch_.batches &&
       queues <= warmed_scratch_.queues && length <= warmed_scratch_.length) {
     return;
@@ -156,7 +132,6 @@ void NodeRuntime::EpochThread(bool comms) {
 void NodeRuntime::StartBatch(SimCluster* cluster,
                              const PreparedBatch* queries,
                              const NodeBatchOptions& options) {
-  ODYSSEY_CHECK(index_ != nullptr);
   {
     MutexLock lock(&epoch_mu_);
     ODYSSEY_CHECK_MSG(EpochIdleLocked(),
@@ -363,12 +338,7 @@ void NodeRuntime::ExecuteRecoveryQuery(int query_id) {
       options_.share_bsf ? &bsf_board_[query_id] : nullptr;
   QueryExecution exec(index_.get(), queries_->query(query_id),
                       options_.query_options, cell, nullptr);
-  const float initial_bsf = exec.SeedInitialBsf();
-  if (options_.threshold_model != nullptr &&
-      options_.threshold_model->calibrated()) {
-    exec.set_queue_threshold(
-        options_.threshold_model->PredictThreshold(initial_bsf));
-  }
+  SeedExecution(&exec);
   exec.Run(workers_.get());
   SendLocalAnswer(query_id, exec.results().SortedResults(),
                   /*recovery=*/true);
@@ -522,25 +492,9 @@ void NodeRuntime::ExecuteQuery(int query_id) {
   Stopwatch watch;
   std::atomic<float>* cell =
       options_.share_bsf ? &bsf_board_[query_id] : nullptr;
-  std::function<void(float)> on_improve;
-  if (options_.share_bsf) {
-    on_improve = [this, query_id](float threshold) {
-      Message update;
-      update.type = MessageType::kBsfUpdate;
-      update.from = id_;
-      update.query_id = query_id;
-      update.bsf = threshold;
-      cluster_->Broadcast(update, /*except=*/id_);
-    };
-  }
   QueryExecution exec(index_.get(), queries_->query(query_id),
-                      options_.query_options, cell, on_improve);
-  const float initial_bsf = exec.SeedInitialBsf();
-  if (options_.threshold_model != nullptr &&
-      options_.threshold_model->calibrated()) {
-    exec.set_queue_threshold(
-        options_.threshold_model->PredictThreshold(initial_bsf));
-  }
+                      options_.query_options, cell, BsfBroadcaster(query_id));
+  SeedExecution(&exec);
   {
     MutexLock lock(&exec_mu_);
     running_execs_.push_back({query_id, &exec});
@@ -561,6 +515,27 @@ void NodeRuntime::ExecuteQuery(int query_id) {
     ++batch_stats_.queries_executed;
     batch_stats_.busy_seconds += watch.ElapsedSeconds();
   }
+}
+
+void NodeRuntime::SeedExecution(QueryExecution* exec) const {
+  const float initial_bsf = exec->SeedInitialBsf();
+  if (options_.threshold_model != nullptr &&
+      options_.threshold_model->calibrated()) {
+    exec->set_queue_threshold(
+        options_.threshold_model->PredictThreshold(initial_bsf));
+  }
+}
+
+std::function<void(float)> NodeRuntime::BsfBroadcaster(int query_id) const {
+  if (!options_.share_bsf) return nullptr;
+  return [this, query_id](float threshold) {
+    Message update;
+    update.type = MessageType::kBsfUpdate;
+    update.from = id_;
+    update.query_id = query_id;
+    update.bsf = threshold;
+    cluster_->Broadcast(update, /*except=*/id_);
+  };
 }
 
 void NodeRuntime::PerformWorkStealing() {
@@ -761,30 +736,14 @@ void NodeRuntime::RunStolenWork(const Message& reply) {
   Stopwatch watch;
   const int query_id = reply.query_id;
   AtomicFetchMinFloat(&bsf_board_[query_id], reply.bsf);
-  std::function<void(float)> on_improve;
-  if (options_.share_bsf) {
-    on_improve = [this, query_id](float threshold) {
-      Message update;
-      update.type = MessageType::kBsfUpdate;
-      update.from = id_;
-      update.query_id = query_id;
-      update.bsf = threshold;
-      cluster_->Broadcast(update, /*except=*/id_);
-    };
-  }
   // The stolen query's summaries come from the same batch-level prepared
   // artifact the victim used — a steal costs no re-summarization — and the
   // stolen phases run on the same persistent pool (idle by now: stealing
   // only starts after the node's own queries finished).
   QueryExecution exec(index_.get(), queries_->query(query_id),
                       options_.query_options, &bsf_board_[query_id],
-                      on_improve);
-  const float initial_bsf = exec.SeedInitialBsf();
-  if (options_.threshold_model != nullptr &&
-      options_.threshold_model->calibrated()) {
-    exec.set_queue_threshold(
-        options_.threshold_model->PredictThreshold(initial_bsf));
-  }
+                      BsfBroadcaster(query_id));
+  SeedExecution(&exec);
   exec.RunBatchSubset(reply.batch_ids, workers_.get());
   {
     MutexLock lock(&stats_mu_);
@@ -807,8 +766,9 @@ void NodeRuntime::SendLocalAnswer(int query_id,
   answer.query_id = query_id;
   answer.recovery = recovery;
   answer.neighbors.reserve(local.size());
+  const std::vector<uint32_t>& global_ids = index_->chunk()->global_ids();
   for (const Neighbor& n : local) {
-    answer.neighbors.push_back({n.squared_distance, (*global_ids_)[n.id]});
+    answer.neighbors.push_back({n.squared_distance, global_ids[n.id]});
   }
   cluster_->Send(cluster_->coordinator_id(), std::move(answer));
 }

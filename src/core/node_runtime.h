@@ -1,10 +1,10 @@
 #ifndef ODYSSEY_CORE_NODE_RUNTIME_H_
 #define ODYSSEY_CORE_NODE_RUNTIME_H_
 
-/// One simulated Odyssey system node (paper Sections 3.2 and 3.5): stage-2
-/// index construction over a view of its replication group's shared bundle
-/// (LoadSharedChunk, Section 3.3's replicas-index-one-chunk property) and
-/// the stage-4 *persistent executor*: a long-lived comms thread
+/// One simulated Odyssey system node (paper Sections 3.2 and 3.5): it holds
+/// its replication group's one Index (built once per group by the driver —
+/// Section 3.3's replicas-hold-identical-data property, made literal) and
+/// runs the stage-4 *persistent executor*: a long-lived comms thread
 /// implementing the work-stealing manager of Algorithm 3 plus the BSF
 /// book-keeping array of Section 3.4, a long-lived main thread running
 /// query answering and the PerformWorkStealing loop of Algorithm 4, and a
@@ -24,6 +24,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -34,8 +35,8 @@
 #include "src/common/thread_pool.h"
 #include "src/core/replication.h"
 #include "src/core/scheduler.h"
-#include "src/core/shared_chunk.h"
 #include "src/core/worksteal.h"
+#include "src/index/query_engine.h"
 #include "src/index/threshold_model.h"
 #include "src/net/sim_cluster.h"
 #include "src/query/prepared_query.h"
@@ -80,11 +81,11 @@ struct NodeBatchStats {
   double busy_seconds = 0.0;  ///< time spent executing (own + stolen) work
 };
 
-/// One simulated system node (Figure 3's stages 2 and 4): owns a data
-/// chunk and its index, executes the queries it is assigned, shares BSF
-/// improvements, and participates in the work-stealing protocol
-/// (Algorithms 1, 3 and 4). All interaction with other nodes and with the
-/// coordinator goes through the SimCluster mailboxes.
+/// One simulated system node (Figure 3's stage 4): holds its group's index,
+/// executes the queries it is assigned, shares BSF improvements, and
+/// participates in the work-stealing protocol (Algorithms 1, 3 and 4). All
+/// interaction with other nodes and with the coordinator goes through the
+/// SimCluster mailboxes.
 ///
 /// Thread ownership (per *process*, not per batch or per query): one comms
 /// thread (the paper's work-stealing manager, which also maintains the BSF
@@ -95,29 +96,18 @@ struct NodeBatchStats {
 /// `max_inflight > 1` several in-flight queries partition the same pool.
 class NodeRuntime {
  public:
-  NodeRuntime(int node_id, const ReplicationLayout& layout);
+  /// `index` is the node's replication group's one index, shared by every
+  /// member. Its bundle must carry global ids (global id i is the original
+  /// dataset id of local series i, so answers are reported globally).
+  NodeRuntime(int node_id, const ReplicationLayout& layout,
+              std::shared_ptr<const Index> index);
   ~NodeRuntime();
 
   NodeRuntime(const NodeRuntime&) = delete;
   NodeRuntime& operator=(const NodeRuntime&) = delete;
 
   int id() const { return id_; }
-
-  /// Stage 2a: receives the node's replication group's immutable bundle
-  /// (series + SAX + buffers + global ids, summarized exactly once for the
-  /// whole group; global id i is the original dataset id of local series
-  /// i, so answers are reported globally). BuildIndex then only builds
-  /// this node's tree from the bundle's views.
-  void LoadSharedChunk(std::shared_ptr<const SharedChunk> chunk);
-
-  /// Stage 2b-c: builds the local index with `build_threads` workers.
-  BuildTimings BuildIndex(const IndexOptions& options, int build_threads);
-
-  const Index& index() const;
-  size_t chunk_size() const {
-    return global_ids_ != nullptr ? global_ids_->size() : 0;
-  }
-  const BuildTimings& build_timings() const { return build_timings_; }
+  const Index& index() const { return *index_; }
 
   /// Starts one query-batch epoch on the node's persistent threads,
   /// creating them (and the worker pool) on first use. `cluster` and
@@ -156,6 +146,14 @@ class NodeRuntime {
   void CommsLoop();
   void MainLoop();
   void ExecuteQuery(int query_id);
+  /// Seeds `exec`'s BSF by approximate search and, with a calibrated
+  /// threshold model, sets its queue threshold from that initial BSF
+  /// (Section 3.2.1). Every execution this node runs starts here.
+  void SeedExecution(QueryExecution* exec) const;
+  /// The kBsfUpdate broadcast a query execution fires on each BSF
+  /// improvement (Section 3.4), or an empty callback when BSF sharing is
+  /// off.
+  std::function<void(float)> BsfBroadcaster(int query_id) const;
   void HandleStealRequest(int thief, int steal_seq)
       ODYSSEY_EXCLUDES(exec_mu_, stats_mu_);
   /// Comms-thread reaction to the coordinator's kNodeDead verdict: marks
@@ -197,13 +195,7 @@ class NodeRuntime {
 
   const int id_;
   const ReplicationLayout layout_;
-
-  // Immutable after BuildIndex. global_ids_ aliases the shared bundle's id
-  // vector (no per-replica copy).
-  std::shared_ptr<const std::vector<uint32_t>> global_ids_;
-  std::shared_ptr<const SharedChunk> pending_shared_;  // between Load and Build
-  std::unique_ptr<Index> index_;
-  BuildTimings build_timings_;
+  const std::shared_ptr<const Index> index_;  // the group's, immutable
 
   // Persistent executor: comms/main threads park between epochs; workers_
   // serves the query phases (and in-flight orchestration) of every batch.

@@ -19,11 +19,10 @@ std::shared_ptr<const SharedChunk> SharedChunk::Build(
 
   const size_t w = static_cast<size_t>(config.segments());
   const size_t n = chunk->data_.size();
-  chunk->paa_table_.resize(n * w);
   chunk->sax_table_.resize(n * w);
   auto summarize_range = [&](size_t begin, size_t end) {
+    double paa[kMaxSegments];
     for (size_t i = begin; i < end; ++i) {
-      double* paa = chunk->paa_table_.data() + i * w;
       ComputePaa(chunk->data_.data(i), config.paa, paa);
       ComputeSaxFromPaa(paa, config, chunk->sax_table_.data() + i * w);
     }
@@ -39,16 +38,14 @@ std::shared_ptr<const SharedChunk> SharedChunk::Build(
 
 std::shared_ptr<const SharedChunk> SharedChunk::Adopt(
     SeriesCollection data, std::vector<uint32_t> global_ids,
-    std::vector<double> paa_table, std::vector<uint8_t> sax_table,
-    const IsaxConfig& config, ThreadPool* pool, bool build_buffers) {
+    std::vector<uint8_t> sax_table, const IsaxConfig& config,
+    ThreadPool* pool, bool build_buffers) {
   ODYSSEY_CHECK(data.length() == config.series_length());
   ODYSSEY_CHECK(global_ids.empty() || global_ids.size() == data.size());
   const size_t w = static_cast<size_t>(config.segments());
   ODYSSEY_CHECK(sax_table.size() == data.size() * w);
-  ODYSSEY_CHECK(paa_table.empty() || paa_table.size() == data.size() * w);
   std::unique_ptr<SharedChunk> chunk(
       new SharedChunk(std::move(data), std::move(global_ids), config));
-  chunk->paa_table_ = std::move(paa_table);
   chunk->sax_table_ = std::move(sax_table);
   return Finish(std::move(chunk), pool, build_buffers, 0.0);
 }
@@ -75,7 +72,6 @@ std::shared_ptr<const SharedChunk> SharedChunk::Finish(
 size_t SharedChunk::MemoryBytes() const {
   size_t bytes = data_.MemoryBytes() +
                  global_ids_.capacity() * sizeof(uint32_t) +
-                 paa_table_.capacity() * sizeof(double) +
                  sax_table_.capacity() * sizeof(uint8_t);
   bytes += buffers_.keys.capacity() * sizeof(uint32_t);
   for (const auto& ids : buffers_.series) {

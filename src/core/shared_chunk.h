@@ -13,42 +13,40 @@
 namespace odyssey {
 
 /// One replication group's immutable data bundle (the build-time mirror of
-/// PR 2's PreparedQuery): the z-normalized series block, the series'
-/// global ids, their PAA table (built through the SIMD KernelTable::paa
-/// path), their full-cardinality SAX table, and the summarization buffers
-/// the tree build consumes. Built exactly once per group per chunk and
-/// handed by shared_ptr to every group member — replicas index *views* of
-/// one bundle instead of each materializing a private copy, which is how
-/// the paper's PARTIAL-k replication (Section 3.3, Figure 7) avoids paying
-/// k× memory and k× summarization for bit-identical data (the same design
+/// PreparedQuery): the z-normalized series block, the series' global ids,
+/// their full-cardinality SAX table and the summarization buffers the tree
+/// build consumes. Built exactly once per group per chunk; the group's one
+/// Index (src/index/builder.h) holds it by shared_ptr, and every member of
+/// the group holds that Index. This is how the paper's PARTIAL-k
+/// replication (Section 3.3, Figure 7) avoids paying k× memory, k×
+/// summarization and k× tree builds for bit-identical data (the same design
 /// MESSI uses for its shared in-memory summary array).
 ///
 /// Immutability is the thread-safety contract: after Build/Adopt returns,
-/// no member mutates, so any number of concurrent tree builds and query
+/// no member mutates, so the tree build and any number of concurrent query
 /// executions may read the bundle without synchronization. The refcount is
 /// the lifetime contract: the bundle lives until the last Index drops it.
 class SharedChunk {
  public:
-  /// Summarizes `data` (one PAA + one SAX row per series, through
-  /// ComputePaa's dispatched kernel) and groups the rows into summarization
-  /// buffers. `global_ids` may be empty for standalone indexes (local ids
-  /// are then global). `pool` parallelizes summarization; may be null.
+  /// Summarizes `data` (one SAX row per series, quantized from a PAA that
+  /// ComputePaa's dispatched kernel writes to a stack buffer) and groups
+  /// the rows into summarization buffers. `global_ids` may be empty for
+  /// standalone indexes (local ids are then global). `pool` parallelizes
+  /// summarization; may be null.
   static std::shared_ptr<const SharedChunk> Build(
       SeriesCollection data, std::vector<uint32_t> global_ids,
       const IsaxConfig& config, ThreadPool* pool = nullptr);
 
-  /// Wraps pre-computed tables without re-summarizing — the streaming
-  /// build scatters per-ingest-chunk tables into per-group tables and
-  /// adopts them here; index deserialization adopts its stored table with
-  /// an empty PAA table. `paa_table` may be empty (not every producer
-  /// retains it); `sax_table` must hold data.size() * config.segments()
-  /// bytes. `build_buffers` is false when no tree build will follow (the
+  /// Wraps a pre-computed SAX table without re-summarizing — the streaming
+  /// build scatters per-ingest-chunk rows into per-group tables and adopts
+  /// them here; index deserialization adopts its stored table.
+  /// `sax_table` must hold data.size() * config.segments() bytes.
+  /// `build_buffers` is false when no tree build will follow (the
   /// deserialization path, which already has its tree).
   static std::shared_ptr<const SharedChunk> Adopt(
       SeriesCollection data, std::vector<uint32_t> global_ids,
-      std::vector<double> paa_table, std::vector<uint8_t> sax_table,
-      const IsaxConfig& config, ThreadPool* pool = nullptr,
-      bool build_buffers = true);
+      std::vector<uint8_t> sax_table, const IsaxConfig& config,
+      ThreadPool* pool = nullptr, bool build_buffers = true);
 
   SharedChunk(const SharedChunk&) = delete;
   SharedChunk& operator=(const SharedChunk&) = delete;
@@ -65,27 +63,17 @@ class SharedChunk {
            static_cast<size_t>(id) * static_cast<size_t>(config_.segments());
   }
   const std::vector<uint8_t>& sax_table() const { return sax_table_; }
-  /// PAA of local series `id` (segments() doubles), or empty table when the
-  /// producer did not retain PAAs (see Adopt). Retained deliberately even
-  /// though the tree build only needs the quantized SAX rows: the PAA rows
-  /// are the higher-resolution summary that re-partitioning / re-indexing
-  /// at a different cardinality would otherwise have to recompute, and
-  /// shared once per group they cost segments()*8 bytes per series
-  /// (divided by the replication degree). Producers that will never need
-  /// them can Adopt with an empty table.
-  const std::vector<double>& paa_table() const { return paa_table_; }
   const SummarizationBuffers& buffers() const { return buffers_; }
 
   /// Wall seconds spent producing this bundle's summaries *here* — the
-  /// paper's "buffer time", paid once per group and reported by every
-  /// replica that indexes this bundle. For Build that is summarization +
-  /// buffer grouping; for Adopt only the grouping (the adopted PAA/SAX
-  /// rows were computed upstream, e.g. on the streaming ingest path, and
-  /// are timed there).
+  /// paper's "buffer time", paid once per group. For Build that is
+  /// summarization + buffer grouping; for Adopt only the grouping (the
+  /// adopted SAX rows were computed upstream, e.g. on the streaming ingest
+  /// path, and are timed there).
   double summarize_seconds() const { return summarize_seconds_; }
 
-  /// Heap bytes of the whole bundle (series + ids + PAA + SAX + buffers):
-  /// what one group materializes once for all of its replicas.
+  /// Heap bytes of the whole bundle (series + ids + SAX + buffers): what
+  /// one group materializes once for all of its replicas.
   size_t MemoryBytes() const;
 
  private:
@@ -103,7 +91,6 @@ class SharedChunk {
   IsaxConfig config_;
   SeriesCollection data_;
   std::vector<uint32_t> global_ids_;
-  std::vector<double> paa_table_;    // size() * segments, may be empty
   std::vector<uint8_t> sax_table_;   // size() * segments
   SummarizationBuffers buffers_;     // empty when !build_buffers
   double summarize_seconds_ = 0.0;

@@ -26,13 +26,12 @@ struct IndexOptions {
 /// measures: "buffer time" (summaries + summarization buffers) and
 /// "tree time" (building the subtrees). Their sum is the index time.
 /// For an index built from a SharedChunk, buffer time is the bundle's
-/// once-per-group summarize_seconds(), reported identically by every
-/// replica (the build's critical path runs through that one bundle). Note
-/// the streaming caveat: an Adopt-ed bundle's summarize_seconds() covers
-/// only the buffer grouping — its PAA/SAX rows were computed on the ingest
-/// path and are charged to OdysseyCluster::partition_seconds(), so compare
-/// streaming and in-memory builds on partition + index totals, not on
-/// buffer_seconds alone.
+/// summarize_seconds(). A cluster builds one index per replication group,
+/// so it keeps one BuildTimings per group. Note the streaming caveat: an
+/// Adopt-ed bundle's summarize_seconds() covers only the buffer grouping —
+/// its SAX rows were computed on the ingest path and are charged to
+/// OdysseyCluster::partition_seconds(), so compare streaming and in-memory
+/// builds on partition + index totals, not on buffer_seconds alone.
 struct BuildTimings {
   double buffer_seconds = 0.0;
   double tree_seconds = 0.0;
@@ -42,10 +41,10 @@ struct BuildTimings {
 
 /// A complete single-node index over one data chunk: a refcounted view of
 /// the chunk bundle (raw series + full-cardinality SAX table, see
-/// src/core/shared_chunk.h) plus this node's iSAX tree. This is what every
-/// system node holds, and what the QueryEngine executes against. Replicas
-/// of one replication group hold shared_ptrs to the *same* bundle and
-/// differ only in their (bit-identical) trees.
+/// src/core/shared_chunk.h) plus its iSAX tree. This is what the
+/// QueryEngine executes against. A cluster builds one Index per
+/// replication group, and every member of the group holds a shared_ptr to
+/// that same object, so replica trees are identical by construction.
 class Index {
  public:
   /// Builds a private index over `chunk` (taking ownership): the series are
@@ -58,9 +57,9 @@ class Index {
 
   /// Builds an index over an existing bundle without copying or
   /// re-summarizing anything: only the tree is constructed. This is the
-  /// replica path — every member of a replication group calls this with
-  /// the group's one SharedChunk. The bundle's geometry must match
-  /// `options.config` and it must carry summarization buffers.
+  /// cluster path — each replication group calls this once on its one
+  /// SharedChunk. The bundle's geometry must match `options.config` and it
+  /// must carry summarization buffers.
   static Index BuildFromShared(std::shared_ptr<const SharedChunk> chunk,
                                const IndexOptions& options,
                                ThreadPool* pool = nullptr,

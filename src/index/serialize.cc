@@ -234,8 +234,8 @@ StatusOr<Index> LoadIndexFromFile(const std::string& path) {
     return Status::IoError("short SAX-table read: " + path);
   }
   // The tree is loaded below, not rebuilt, so the adopted bundle skips the
-  // summarization buffers (and carries no PAA table — the file stores none).
-  Index index(SharedChunk::Adopt(std::move(data), {}, {}, std::move(sax_table),
+  // summarization buffers.
+  Index index(SharedChunk::Adopt(std::move(data), {}, std::move(sax_table),
                                  options.config, /*pool=*/nullptr,
                                  /*build_buffers=*/false),
               options);

@@ -24,7 +24,7 @@ class IndexTree {
   /// "tree time" phase). `sax_table` is a *view* of the chunk's
   /// full-cardinality summary rows (one row of config.segments() bytes per
   /// series, covering every id the buffers mention) — typically a
-  /// SharedChunk's table, read concurrently by every replica's build.
+  /// SharedChunk's table, read by its replication group's one build.
   static IndexTree Build(const SummarizationBuffers& buffers,
                          const uint8_t* sax_table, const IsaxConfig& config,
                          size_t leaf_capacity, ThreadPool* pool);

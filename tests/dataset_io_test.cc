@@ -24,6 +24,7 @@
 #include "src/dataset/mapped_file.h"
 #include "src/dataset/registry.h"
 #include "src/dataset/workload.h"
+#include "tests/testing_utils.h"
 
 namespace odyssey {
 namespace {
@@ -315,6 +316,39 @@ TEST(VecsFormatTest, WritersProduceIngestibleFiles) {
 
 class IngestPathTest : public ::testing::TestWithParam<DataFormat> {};
 
+/// Writes `data` as a `format` archive named `stem` plus the format's
+/// extension (which DataFormat::kAuto detects) and sets the options the
+/// format needs: raw floats carry no length. Returns the path, or an
+/// empty string after a failed write.
+std::string WriteFixture(DataFormat format, const SeriesCollection& data,
+                         const std::string& stem, IngestOptions* options) {
+  std::string path;
+  Status written = Status::InvalidArgument("no writer for this format");
+  switch (format) {
+    case DataFormat::kRawFloat:
+      path = TempPath(stem + ".raw");
+      written = WriteRawFloats(data, path);
+      options->length = data.length();
+      break;
+    case DataFormat::kFvecs:
+      path = TempPath(stem + ".fvecs");
+      written = WriteFvecs(data, path);
+      break;
+    case DataFormat::kBvecs:
+      path = TempPath(stem + ".bvecs");
+      written = WriteBvecs(data, path);
+      break;
+    case DataFormat::kOdyssey:
+      path = TempPath(stem + ".bin");
+      written = WriteCollection(data, path);
+      break;
+    case DataFormat::kAuto:
+      break;
+  }
+  EXPECT_TRUE(written.ok()) << written.ToString();
+  return written.ok() ? path : std::string();
+}
+
 TEST_P(IngestPathTest, MmapAndBufferedIngestAreBitIdentical) {
   const DataFormat format = GetParam();
   const SeriesCollection data = GenerateAstroLike(40, 64, 11);
@@ -328,30 +362,10 @@ TEST_P(IngestPathTest, MmapAndBufferedIngestAreBitIdentical) {
     }
     raw.Append(row);
   }
-  std::string path;
   IngestOptions options;
   options.znormalize = true;
-  switch (format) {
-    case DataFormat::kRawFloat:
-      path = TempPath("paths.raw");
-      ASSERT_TRUE(WriteRawFloats(raw, path).ok());
-      options.length = 64;
-      break;
-    case DataFormat::kFvecs:
-      path = TempPath("paths.fvecs");
-      ASSERT_TRUE(WriteFvecs(raw, path).ok());
-      break;
-    case DataFormat::kBvecs:
-      path = TempPath("paths.bvecs");
-      ASSERT_TRUE(WriteBvecs(raw, path).ok());
-      break;
-    case DataFormat::kOdyssey:
-      path = TempPath("paths.bin");
-      ASSERT_TRUE(WriteCollection(raw, path).ok());
-      break;
-    case DataFormat::kAuto:
-      FAIL();
-  }
+  const std::string path = WriteFixture(format, raw, "paths", &options);
+  ASSERT_FALSE(path.empty());
 
   StatusOr<SeriesIngestor> via_mmap = SeriesIngestor::Open(path, options);
   options.io_mode = MappedFile::Mode::kBuffered;
@@ -374,6 +388,30 @@ TEST_P(IngestPathTest, MmapAndBufferedIngestAreBitIdentical) {
     EXPECT_NEAR(StdDev(a->data(i), 64), 1.0, 1e-3) << i;
   }
   std::remove(path.c_str());
+}
+
+// Seeded mutations of a valid archive (flipped bytes, truncations and
+// overwritten 32-bit words, which also hit the fvecs/bvecs dimension
+// headers and the ODSY header): every chunked read is Ok or a Status,
+// never an abort, a throw or a bad_alloc. Both outcomes must occur, or the
+// mutations missed the reader.
+TEST_P(IngestPathTest, SeededMutationsReadOrFailCleanly) {
+  IngestOptions options;
+  options.chunk_size = 5;
+  const std::string path = WriteFixture(
+      GetParam(), GenerateAstroLike(24, 16, 13), "mutated", &options);
+  ASSERT_FALSE(path.empty());
+  const testing_utils::MutationOutcome outcome =
+      testing_utils::RunSeededMutations(
+          path, /*seed=*/0x1D5 + static_cast<uint64_t>(GetParam()),
+          /*iterations=*/2000, [&options](const std::string& file) {
+            StatusOr<SeriesIngestor> source =
+                SeriesIngestor::Open(file, options);
+            if (!source.ok()) return source.status();
+            return source->ReadAll().status();
+          });
+  EXPECT_GT(outcome.ok, 0);
+  EXPECT_GT(outcome.failed, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllFormats, IngestPathTest,
@@ -559,65 +597,72 @@ TEST(FileBackedRegistryTest, DataDirSelectsRealFilesOverGenerators) {
 // -------------------------------------------- driver streaming build path
 
 TEST(IngestAndBuildTest, StreamingBuildAnswersMatchInMemoryBuild) {
-  const std::string path = TempPath("cluster.raw");
-  {
-    const SeriesCollection base = GenerateSeismicLike(600, 64, 17);
-    SeriesCollection raw(64);
-    for (size_t i = 0; i < base.size(); ++i) {
-      float row[64];
-      for (size_t t = 0; t < 64; ++t) row[t] = 42.0f + 7.0f * base.data(i)[t];
-      raw.Append(row);
+  // 600 series stream in as 5 chunks of at most 128. 513 series leave a
+  // last chunk of one series, fewer than the two groups it is dealt to.
+  for (const size_t count : {size_t{600}, size_t{513}}) {
+    SCOPED_TRACE("series=" + std::to_string(count));
+    const std::string path = TempPath("cluster.raw");
+    {
+      const SeriesCollection base = GenerateSeismicLike(count, 64, 17);
+      SeriesCollection raw(64);
+      for (size_t i = 0; i < base.size(); ++i) {
+        float row[64];
+        for (size_t t = 0; t < 64; ++t) {
+          row[t] = 42.0f + 7.0f * base.data(i)[t];
+        }
+        raw.Append(row);
+      }
+      ASSERT_TRUE(WriteRawFloats(raw, path).ok());
     }
-    ASSERT_TRUE(WriteRawFloats(raw, path).ok());
-  }
 
-  IngestOptions options;
-  options.length = 64;
-  options.chunk_size = 128;  // 600 series stream in as 5 chunks
+    IngestOptions options;
+    options.length = 64;
+    options.chunk_size = 128;
 
-  OdysseyOptions cluster_options;
-  cluster_options.num_nodes = 4;
-  cluster_options.num_groups = 2;
-  cluster_options.index_options.config = IsaxConfig(64, 16);
-  cluster_options.build_threads_per_node = 2;
-  cluster_options.query_options.num_threads = 2;
+    OdysseyOptions cluster_options;
+    cluster_options.num_nodes = 4;
+    cluster_options.num_groups = 2;
+    cluster_options.index_options.config = IsaxConfig(64, 16);
+    cluster_options.build_threads_per_node = 2;
+    cluster_options.query_options.num_threads = 2;
 
-  // Reference: whole-archive ingest, in-memory constructor.
-  StatusOr<SeriesCollection> all = IngestFile(path, options);
-  ASSERT_TRUE(all.ok());
-  OdysseyCluster reference(*all, cluster_options);
+    // Reference: whole-archive ingest, in-memory constructor.
+    StatusOr<SeriesCollection> all = IngestFile(path, options);
+    ASSERT_TRUE(all.ok());
+    OdysseyCluster reference(*all, cluster_options);
 
-  const SeriesCollection queries = GenerateUniformQueries(*all, 8, 0.5, 23);
-  const BatchReport a = reference.AnswerBatch(queries);
+    const SeriesCollection queries = GenerateUniformQueries(*all, 8, 0.5, 23);
+    const BatchReport a = reference.AnswerBatch(queries);
 
-  // Streaming: the driver pulls bounded chunks and partitions on arrival.
-  // Non-positive build widths clamp to one thread, as in the in-memory
-  // constructor, instead of sizing a pool from a negative count.
-  for (const int build_threads : {2, 0, -1}) {
-    SCOPED_TRACE("build_threads_per_node=" + std::to_string(build_threads));
-    cluster_options.build_threads_per_node = build_threads;
-    StatusOr<SeriesIngestor> source = SeriesIngestor::Open(path, options);
-    ASSERT_TRUE(source.ok());
-    StatusOr<std::unique_ptr<OdysseyCluster>> streamed =
-        OdysseyCluster::IngestAndBuild(*source, cluster_options);
-    ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
-    EXPECT_EQ((*streamed)->num_nodes(), 4);
+    // Streaming: the driver pulls bounded chunks and partitions on arrival.
+    // Non-positive build widths clamp to one thread, as in the in-memory
+    // constructor, instead of sizing a pool from a negative count.
+    for (const int build_threads : {2, 0, -1}) {
+      SCOPED_TRACE("build_threads_per_node=" + std::to_string(build_threads));
+      cluster_options.build_threads_per_node = build_threads;
+      StatusOr<SeriesIngestor> source = SeriesIngestor::Open(path, options);
+      ASSERT_TRUE(source.ok());
+      StatusOr<std::unique_ptr<OdysseyCluster>> streamed =
+          OdysseyCluster::IngestAndBuild(*source, cluster_options);
+      ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+      EXPECT_EQ((*streamed)->num_nodes(), 4);
 
-    const BatchReport b = (*streamed)->AnswerBatch(queries);
-    ASSERT_EQ(a.answers.size(), b.answers.size());
-    // Exact search over the same global collection: answers must agree even
-    // though the streamed partitioning differs from the global one.
-    for (size_t q = 0; q < a.answers.size(); ++q) {
-      ASSERT_EQ(a.answers[q].size(), b.answers[q].size()) << q;
-      for (size_t k = 0; k < a.answers[q].size(); ++k) {
-        EXPECT_EQ(a.answers[q][k].id, b.answers[q][k].id) << q;
-        EXPECT_EQ(a.answers[q][k].squared_distance,
-                  b.answers[q][k].squared_distance)
-            << q;
+      const BatchReport b = (*streamed)->AnswerBatch(queries);
+      ASSERT_EQ(a.answers.size(), b.answers.size());
+      // Exact search over the same global collection: answers must agree
+      // even though the streamed partitioning differs from the global one.
+      for (size_t q = 0; q < a.answers.size(); ++q) {
+        ASSERT_EQ(a.answers[q].size(), b.answers[q].size()) << q;
+        for (size_t k = 0; k < a.answers[q].size(); ++k) {
+          EXPECT_EQ(a.answers[q][k].id, b.answers[q][k].id) << q;
+          EXPECT_EQ(a.answers[q][k].squared_distance,
+                    b.answers[q][k].squared_distance)
+              << q;
+        }
       }
     }
+    std::remove(path.c_str());
   }
-  std::remove(path.c_str());
 }
 
 TEST(IngestAndBuildTest, LengthMismatchAndEmptyArchiveAreStatusErrors) {
@@ -642,8 +687,19 @@ TEST(IngestAndBuildTest, LengthMismatchAndEmptyArchiveAreStatusErrors) {
   StatusOr<SeriesIngestor> empty = SeriesIngestor::Open(empty_path, options);
   ASSERT_TRUE(empty.ok());
   EXPECT_FALSE(OdysseyCluster::IngestAndBuild(*empty, cluster_options).ok());
+
+  // One series cannot fill two groups: a Status, before any node is built.
+  const std::string single_path = TempPath("single.raw");
+  ASSERT_TRUE(WriteRawFloats(GenerateRandomWalk(1, 64, 2), single_path).ok());
+  cluster_options.num_groups = 2;
+  StatusOr<SeriesIngestor> single = SeriesIngestor::Open(single_path, options);
+  ASSERT_TRUE(single.ok());
+  cluster = OdysseyCluster::IngestAndBuild(*single, cluster_options);
+  ASSERT_FALSE(cluster.ok());
+  EXPECT_EQ(cluster.status().code(), StatusCode::kInvalidArgument);
   std::remove(path.c_str());
   std::remove(empty_path.c_str());
+  std::remove(single_path.c_str());
 }
 
 }  // namespace

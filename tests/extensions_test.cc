@@ -529,6 +529,26 @@ TEST(SerializeTest, CorruptGeometryIsInvalidArgument) {
   std::remove(path.c_str());
 }
 
+// Seeded mutations of a valid index file (flipped bytes, truncations,
+// overwritten 32-bit words, several of which land in the header and the
+// tree's counts, tags and keys): every load is Ok or a Status, never an
+// abort, a throw or a bad_alloc. Both outcomes must occur, or the
+// mutations missed the parser.
+TEST(SerializeTest, SeededMutationsLoadOrFailCleanly) {
+  const std::string path = ::testing::TempDir() + "/odyssey_mutated.odix";
+  const Index built = Index::Build(GenerateRandomWalk(48, 64, 161),
+                                   TestIndexOptions());
+  ASSERT_TRUE(SaveIndexToFile(built, path).ok());
+  const testing_utils::MutationOutcome outcome =
+      testing_utils::RunSeededMutations(
+          path, /*seed=*/0x0D1A, /*iterations=*/2000,
+          [](const std::string& file) {
+            return LoadIndexFromFile(file).status();
+          });
+  EXPECT_GT(outcome.ok, 0);
+  EXPECT_GT(outcome.failed, 0);
+}
+
 // ------------------------------------------------------------- Streaming
 
 TEST(StreamingTest, DynamicallyArrivingQueriesStayExact) {

@@ -1,6 +1,6 @@
 // The build-path sharing contract (mirror of query_test's query-time
-// contract): one immutable {series, PAA, SAX, buffers} bundle per
-// replication group per chunk — never per node — with replica trees
+// contract): one immutable {series, SAX, buffers} bundle and one Index per
+// replication group per chunk — never per node — with the shared tree
 // bit-identical to a private build, across FULL / PARTIAL-k /
 // EQUALLY-SPLIT, for both the in-memory and the streaming (double-buffered
 // overlap) build.
@@ -59,16 +59,11 @@ TEST(SharedChunkTest, BuildMatchesPerSeriesSummaries) {
                                         &pool);
   ASSERT_EQ(chunk->size(), 300u);
   ASSERT_EQ(chunk->sax_table().size(), 300u * 16u);
-  ASSERT_EQ(chunk->paa_table().size(), 300u * 16u);
   for (uint32_t i = 0; i < 300; ++i) {
     uint8_t expected_sax[16];
     ComputeSax(data.data(i), config, expected_sax);
-    const std::vector<double> expected_paa = ComputePaa(data.data(i),
-                                                        config.paa);
     for (int s = 0; s < 16; ++s) {
       EXPECT_EQ(chunk->sax(i)[s], expected_sax[s]) << i << " seg " << s;
-      EXPECT_EQ(chunk->paa_table()[i * 16 + s], expected_paa[s])
-          << i << " seg " << s;
     }
   }
   // The buffers cover every series exactly once.
@@ -87,8 +82,8 @@ TEST(SharedChunkTest, AdoptReusesTablesWithoutResummarizing) {
 
   summary_stats::Reset();
   const auto adopted = SharedChunk::Adopt(
-      SeriesCollection(data), {}, std::vector<double>(built->paa_table()),
-      std::vector<uint8_t>(built->sax_table()), config);
+      SeriesCollection(data), {}, std::vector<uint8_t>(built->sax_table()),
+      config);
   EXPECT_EQ(summary_stats::PaaCalls(), 0u);
   EXPECT_EQ(summary_stats::SaxCalls(), 0u);
   EXPECT_EQ(adopted->sax_table(), built->sax_table());
@@ -157,24 +152,41 @@ TEST(BuildStatsTest, SharedFullReplicationStoresOneBundle) {
   EXPECT_EQ(cluster.total_index_bytes(), 4 * replica.IndexMemoryBytes());
 }
 
-TEST(SharedChunkTest, ReplicasOfAGroupShareOneBundle) {
-  const SeriesCollection data = GenerateSeismicLike(600, 64, 31);
-  for (const auto& [nodes, groups] :
-       std::vector<std::pair<int, int>>{{4, 1}, {4, 2}, {4, 4}}) {
-    OdysseyCluster cluster(data, ClusterOptions(nodes, groups));
-    // Replicas of one group share one bundle (pointer-equal), across groups
-    // they do not.
-    if (groups < nodes) {
-      EXPECT_EQ(cluster.node(0).index().chunk().get(),
-                cluster.node(groups).index().chunk().get())
-          << cluster.layout().ToString();
-    }
-    if (groups > 1) {
-      EXPECT_NE(cluster.node(0).index().chunk().get(),
-                cluster.node(1).index().chunk().get())
-          << cluster.layout().ToString();
+/// Members of one replication group serve the very same Index object
+/// (pointer-equal), so their trees are identical by construction; members
+/// of different groups never share one.
+void ExpectOneIndexPerGroup(const OdysseyCluster& cluster) {
+  const ReplicationLayout& layout = cluster.layout();
+  for (int a = 0; a < cluster.num_nodes(); ++a) {
+    for (int b = 0; b < cluster.num_nodes(); ++b) {
+      EXPECT_EQ(&cluster.node(a).index() == &cluster.node(b).index(),
+                layout.GroupOf(a) == layout.GroupOf(b))
+          << layout.ToString() << ": nodes " << a << " and " << b;
     }
   }
+}
+
+TEST(SharedChunkTest, ReplicasOfAGroupShareOneIndex) {
+  const SeriesCollection data = GenerateSeismicLike(600, 64, 31);
+  const std::string path = TempPath("one_index.raw");
+  ASSERT_TRUE(WriteRawFloats(data, path).ok());
+  // FULL, PARTIAL-2 and EQUALLY-SPLIT, in memory and streamed.
+  for (const auto& [nodes, groups] :
+       std::vector<std::pair<int, int>>{{4, 1}, {4, 2}, {4, 4}}) {
+    const OdysseyOptions options = ClusterOptions(nodes, groups);
+    OdysseyCluster in_memory(data, options);
+    ExpectOneIndexPerGroup(in_memory);
+
+    IngestOptions ingest;
+    ingest.length = 64;
+    ingest.chunk_size = 128;
+    StatusOr<SeriesIngestor> source = SeriesIngestor::Open(path, ingest);
+    ASSERT_TRUE(source.ok()) << source.status().ToString();
+    auto streamed = OdysseyCluster::IngestAndBuild(*source, options);
+    ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+    ExpectOneIndexPerGroup(**streamed);
+  }
+  std::remove(path.c_str());
 }
 
 // ----------------------------------------------- streaming + overlap build

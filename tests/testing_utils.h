@@ -1,10 +1,23 @@
 #ifndef ODYSSEY_TESTS_TESTING_UTILS_H_
 #define ODYSSEY_TESTS_TESTING_UTILS_H_
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
+#include <csignal>
+#include <cstdint>
+#include <cstdio>
+#include <exception>
+#include <fstream>
+#include <functional>
+#include <iterator>
+#include <string>
 #include <vector>
 
+#include "src/common/rng.h"
+#include "src/common/status.h"
 #include "src/dataset/series_collection.h"
 #include "src/distance/dtw.h"
 #include "src/distance/euclidean.h"
@@ -95,6 +108,100 @@ inline std::vector<Neighbor> BruteForceKnnDtw(const SeriesCollection& data,
 inline bool NearlyEqual(float a, float b, float rel = 1e-4f) {
   const float scale = std::max({1.0f, std::fabs(a), std::fabs(b)});
   return std::fabs(a - b) <= rel * scale;
+}
+
+/// One seeded corruption of a valid loader fixture: flip 1-8 random bytes,
+/// truncate at a random offset, or overwrite an aligned 32-bit word with a
+/// random or a small value. Rng(seed + iteration) drives it, so the pair
+/// replays the exact bytes.
+inline std::vector<uint8_t> MutateFixture(std::vector<uint8_t> bytes,
+                                          uint64_t seed, int iteration) {
+  Rng rng(seed + static_cast<uint64_t>(iteration));
+  if (bytes.size() < 4) return bytes;
+  switch (rng.NextBounded(3)) {
+    case 0:
+      for (uint64_t n = 1 + rng.NextBounded(8); n > 0; --n) {
+        bytes[rng.NextBounded(bytes.size())] ^=
+            static_cast<uint8_t>(1 + rng.NextBounded(255));
+      }
+      break;
+    case 1:
+      bytes.resize(rng.NextBounded(bytes.size()));
+      break;
+    default: {
+      const size_t offset = 4 * rng.NextBounded(bytes.size() / 4);
+      const uint32_t value = rng.NextBounded(2) == 0
+                                 ? static_cast<uint32_t>(rng.NextU64())
+                                 : static_cast<uint32_t>(rng.NextBounded(16));
+      for (int i = 0; i < 4; ++i) {
+        bytes[offset + i] = static_cast<uint8_t>(value >> (8 * i));
+      }
+      break;
+    }
+  }
+  return bytes;
+}
+
+/// What the SIGABRT handler below prints: the replay line of the mutation
+/// being loaded, written before each load because a handler may not format.
+inline char g_mutation_replay[160];
+inline volatile std::sig_atomic_t g_mutation_replay_len = 0;
+
+inline void PrintMutationReplay(int /*signal*/) {
+  const ssize_t written = ::write(STDERR_FILENO, g_mutation_replay,
+                                  static_cast<size_t>(g_mutation_replay_len));
+  (void)written;
+}
+
+struct MutationOutcome {
+  int ok = 0;      ///< loads that returned Ok
+  int failed = 0;  ///< loads that returned a non-Ok Status
+};
+
+/// Reads the valid fixture at `path`, then loads `iterations` seeded
+/// mutations of it (each rewritten to `path`, which is removed at the end)
+/// through `load`, whose contract is Ok or a non-Ok Status: never an
+/// exception (std::bad_alloc included) and never an abort. A throw fails
+/// the test with its seed and iteration; an abort prints them on stderr
+/// before the process dies. Either way MutateFixture(fixture, seed,
+/// iteration) rebuilds the offending bytes.
+inline MutationOutcome RunSeededMutations(
+    const std::string& path, uint64_t seed, int iterations,
+    const std::function<Status(const std::string&)>& load) {
+  std::vector<uint8_t> fixture;
+  {
+    std::ifstream in(path, std::ios::binary);
+    fixture.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  MutationOutcome outcome;
+  const auto previous = std::signal(SIGABRT, PrintMutationReplay);
+  for (int i = 0; i < iterations; ++i) {
+    const std::vector<uint8_t> bytes = MutateFixture(fixture, seed, i);
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    const bool written =
+        f != nullptr &&
+        std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
+    if (f == nullptr || std::fclose(f) != 0 || !written) {
+      ADD_FAILURE() << "cannot write " << path;
+      break;
+    }
+    const std::string replay = "mutation replay: seed " +
+                               std::to_string(seed) + ", iteration " +
+                               std::to_string(i);
+    g_mutation_replay_len = std::snprintf(
+        g_mutation_replay, sizeof(g_mutation_replay), "%s\n", replay.c_str());
+    try {
+      (load(path).ok() ? outcome.ok : outcome.failed) += 1;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << replay << " threw: " << e.what();
+    } catch (...) {
+      ADD_FAILURE() << replay << " threw a non-std exception";
+    }
+  }
+  std::signal(SIGABRT, previous);
+  g_mutation_replay_len = 0;
+  std::remove(path.c_str());
+  return outcome;
 }
 
 }  // namespace testing_utils
