@@ -2,8 +2,9 @@
 // (src/distance/simd.h): squared Euclidean, early-abandoning Euclidean,
 // LB_Keogh and PAA at each available ISA level on 256-point series (the
 // paper's standard series length), plus banded DTW through its public
-// entry point. The scalar/vector ratio here is the acceptance number for
-// SIMD-touching PRs.
+// entry point and the leaf scan's per-series SAX bound (src/isax/mindist.h).
+// The scalar/vector ratio here is the acceptance number for SIMD-touching
+// PRs.
 //
 //   $ ./bench_distance_kernels
 
@@ -21,6 +22,9 @@
 #include "src/distance/dtw.h"
 #include "src/distance/lb_keogh.h"
 #include "src/distance/simd.h"
+#include "src/isax/isax_word.h"
+#include "src/isax/mindist.h"
+#include "src/isax/paa.h"
 
 namespace odyssey {
 namespace {
@@ -360,6 +364,66 @@ void BM_MultiQueryLbKeoghBatched256(benchmark::State& state) {
 BENCHMARK(BM_MultiQueryLbKeoghBatched256)
     ->Apply(ApplyIsaAndQArgs)
     ->Unit(benchmark::kMicrosecond);
+
+// ------------------------------------------------ per-series SAX bound
+//
+// The leaf scan's first filter: the full-cardinality SAX bound of every
+// series in a popped leaf. Both panels score the SAX rows of the walk pool
+// (16 segments, 8 bits) against one query: the reference MindistPaaToSax,
+// and the per-query SaxBoundTable the query engine reads instead (built
+// once per query outside the timed loop, as a QueryExecution does). CI
+// gates Table against Mindist on a fresh run.
+
+const IsaxConfig& BoundConfig() {
+  static const IsaxConfig config(kLength, 16);
+  return config;
+}
+
+const std::vector<uint8_t>& WalkPoolSax() {
+  static const std::vector<uint8_t>& sax = *new std::vector<uint8_t>([] {
+    const IsaxConfig& config = BoundConfig();
+    const size_t w = static_cast<size_t>(config.segments());
+    std::vector<uint8_t> rows(kSeries * w);
+    for (size_t i = 0; i < kSeries; ++i) {
+      ComputeSax(WalkPool().data() + i * kLength, config, rows.data() + i * w);
+    }
+    return rows;
+  }());
+  return sax;
+}
+
+void BM_SeriesBoundMindist256(benchmark::State& state) {
+  const IsaxConfig& config = BoundConfig();
+  const size_t w = static_cast<size_t>(config.segments());
+  const std::vector<uint8_t>& sax = WalkPoolSax();
+  const std::vector<double> paa = ComputePaa(WalkPool().data(), config.paa);
+  float checksum = 0.0f;
+  for (auto _ : state) {
+    for (size_t i = 0; i < kSeries; ++i) {
+      checksum += MindistPaaToSax(paa.data(), sax.data() + i * w, config);
+    }
+  }
+  benchmark::DoNotOptimize(checksum);
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(kSeries));
+}
+BENCHMARK(BM_SeriesBoundMindist256)->Unit(benchmark::kMicrosecond);
+
+void BM_SeriesBoundTable256(benchmark::State& state) {
+  const IsaxConfig& config = BoundConfig();
+  const size_t w = static_cast<size_t>(config.segments());
+  const std::vector<uint8_t>& sax = WalkPoolSax();
+  const std::vector<double> paa = ComputePaa(WalkPool().data(), config.paa);
+  const SaxBoundTable table = SaxBoundTable::ForPaa(paa.data(), config);
+  float checksum = 0.0f;
+  for (auto _ : state) {
+    for (size_t i = 0; i < kSeries; ++i) {
+      checksum += table.Bound(sax.data() + i * w);
+    }
+  }
+  benchmark::DoNotOptimize(checksum);
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(kSeries));
+}
+BENCHMARK(BM_SeriesBoundTable256)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace odyssey

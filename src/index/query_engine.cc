@@ -150,6 +150,9 @@ QueryExecution::QueryExecution(const Index* index, const PreparedQuery& query,
         "DTW execution needs a query prepared with the same warping window");
     envelope_ = &query.envelope();
     envelope_paa_ = &query.envelope_paa();
+    sax_bounds_ = SaxBoundTable::ForEnvelope(*envelope_paa_, index_->config());
+  } else {
+    sax_bounds_ = SaxBoundTable::ForPaa(query.paa(), index_->config());
   }
   if (shared_bsf_ == nullptr) shared_bsf_ = &local_bsf_;
   batch_ranges_ = PartitionRsBatches(index_->tree().root_count(),
@@ -430,10 +433,8 @@ ODYSSEY_HOT float QueryExecution::LeafLowerBound(const TreeNode* node) const {
 }
 
 ODYSSEY_HOT float QueryExecution::SeriesLowerBound(const uint8_t* sax) const {
-  if (options_.use_dtw) {
-    return MindistEnvelopeToSax(*envelope_paa_, sax, index_->config());
-  }
-  return MindistPaaToSax(prepared_->paa(), sax, index_->config());
+  // MindistEnvelopeToSax (DTW) or MindistPaaToSax (ED), bit for bit.
+  return sax_bounds_.Bound(sax);
 }
 
 ODYSSEY_HOT float QueryExecution::RealDistance(const float* series,

@@ -213,11 +213,13 @@ class QueryExecution {
   /// prepared against the same iSAX geometry as the index, with an envelope
   /// for options.dtw_window when options.use_dtw is set — replicas and
   /// work-stealing thieves share one PreparedQuery instead of each
-  /// re-deriving PAA/SAX/envelope. `shared_bsf` (optional) is the node's
-  /// BSF book-keeping cell for this query: it is read for pruning and
-  /// lowered on improvement; `on_bsf_improve` (optional) fires after each
-  /// lowering with the new squared threshold (the node runtime broadcasts
-  /// it on the BSF channel).
+  /// re-deriving PAA/SAX/envelope. The constructor builds this execution's
+  /// SaxBoundTable (32 KiB at 16 segments and 8 bits) from the query's PAA
+  /// or envelope PAA, so the scan's per-series filter is a table lookup.
+  /// `shared_bsf` (optional) is the node's BSF book-keeping cell for this
+  /// query: it is read for pruning and lowered on improvement;
+  /// `on_bsf_improve` (optional) fires after each lowering with the new
+  /// squared threshold (the node runtime broadcasts it on the BSF channel).
   QueryExecution(const Index* index, const PreparedQuery& query,
                  const QueryOptions& options,
                  std::atomic<float>* shared_bsf = nullptr,
@@ -328,6 +330,9 @@ class QueryExecution {
   // per-series bound checks pay no precondition re-validation.
   const Envelope* envelope_ = nullptr;
   const EnvelopePaa* envelope_paa_ = nullptr;
+  /// The per-series SAX bound's terms for this query (ED or DTW), built in
+  /// the constructor: SeriesLowerBound is a lookup per segment.
+  SaxBoundTable sax_bounds_;
   QueryOptions options_;
   /// Dispatched distance kernels, resolved once per execution so the scan
   /// loop pays no per-distance dispatch cost.

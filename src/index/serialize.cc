@@ -2,6 +2,7 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -78,10 +79,14 @@ bool WriteNode(std::FILE* f, const TreeNode* node) {
   return WriteNode(f, node->left()) && WriteNode(f, node->right());
 }
 
-/// Reads one pre-order subtree under the word `word`.
+/// Reads one pre-order subtree under the word `word`. A leaf must hold
+/// only ids the table has, none already placed in another leaf (`placed`,
+/// one flag per series), and only rows its word matches: the query engine
+/// trusts that every series sits in exactly one leaf whose word bounds it.
 std::unique_ptr<TreeNode> ReadNode(BoundedReader* in, IsaxWord word,
                                    const std::vector<uint8_t>& sax_table,
-                                   const IsaxConfig& config, bool* ok) {
+                                   const IsaxConfig& config,
+                                   std::vector<uint8_t>* placed, bool* ok) {
   uint8_t tag = 0;
   if (!in->Value(&tag)) {
     *ok = false;
@@ -106,10 +111,13 @@ std::unique_ptr<TreeNode> ReadNode(BoundedReader* in, IsaxWord word,
     std::vector<uint8_t> leaf_sax;
     leaf_sax.reserve(n * w);
     for (uint32_t id : ids) {
-      if (static_cast<size_t>(id) * w + w > sax_table.size()) {
+      if (static_cast<size_t>(id) * w + w > sax_table.size() ||
+          (*placed)[id] != 0 ||
+          !node->word().Matches(sax_table.data() + id * w, config)) {
         *ok = false;
         return nullptr;
       }
+      (*placed)[id] = 1;
       leaf_sax.insert(leaf_sax.end(), sax_table.data() + id * w,
                       sax_table.data() + (id + 1) * w);
     }
@@ -132,9 +140,11 @@ std::unique_ptr<TreeNode> ReadNode(BoundedReader* in, IsaxWord word,
   IsaxWord right_word = left_word;
   right_word.symbols[split] =
       static_cast<uint8_t>(right_word.symbols[split] | 1u);
-  auto left = ReadNode(in, std::move(left_word), sax_table, config, ok);
+  auto left =
+      ReadNode(in, std::move(left_word), sax_table, config, placed, ok);
   if (!*ok) return nullptr;
-  auto right = ReadNode(in, std::move(right_word), sax_table, config, ok);
+  auto right =
+      ReadNode(in, std::move(right_word), sax_table, config, placed, ok);
   if (!*ok) return nullptr;
   node->AdoptChildren(split, std::move(left), std::move(right));
   return node;
@@ -233,6 +243,15 @@ StatusOr<Index> LoadIndexFromFile(const std::string& path) {
   if (!in.Read(sax_table.data(), sax_table.size())) {
     return Status::IoError("short SAX-table read: " + path);
   }
+  // A symbol is max_bits wide: the query engine's bound tables have one
+  // entry per possible symbol, so a wider byte would be read past its row.
+  const uint32_t symbols = 1u << max_bits;
+  for (uint8_t symbol : sax_table) {
+    if (symbol >= symbols) {
+      return Status::InvalidArgument("SAX symbol wider than max_bits in " +
+                                     path);
+    }
+  }
   // The tree is loaded below, not rebuilt, so the adopted bundle skips the
   // summarization buffers.
   Index index(SharedChunk::Adopt(std::move(data), {}, std::move(sax_table),
@@ -253,6 +272,7 @@ StatusOr<Index> LoadIndexFromFile(const std::string& path) {
   std::vector<std::unique_ptr<TreeNode>> roots;
   keys.reserve(root_count);
   roots.reserve(root_count);
+  std::vector<uint8_t> placed(count, 0);
   for (uint32_t r = 0; r < root_count; ++r) {
     uint32_t key = 0;
     if (!in.Value(&key)) {
@@ -263,12 +283,20 @@ StatusOr<Index> LoadIndexFromFile(const std::string& path) {
     }
     bool ok = true;
     auto root = ReadNode(&in, IsaxWord::Root(options.config, key),
-                         index.sax_table(), options.config, &ok);
+                         index.sax_table(), options.config, &placed, &ok);
     if (!ok) {
       return Status::InvalidArgument("corrupt subtree in " + path);
     }
+    // A build creates a root only for a series it holds, and approximate
+    // search must reach a non-empty leaf from any root it picks.
+    if (root->subtree_size() == 0) {
+      return Status::InvalidArgument("empty root subtree in " + path);
+    }
     keys.push_back(key);
     roots.push_back(std::move(root));
+  }
+  if (std::find(placed.begin(), placed.end(), 0) != placed.end()) {
+    return Status::InvalidArgument("series missing from the tree in " + path);
   }
   index.tree_ = IndexTree::FromRoots(std::move(keys), std::move(roots));
   return index;

@@ -1,6 +1,7 @@
 #include "src/isax/mindist.h"
 
 #include <algorithm>
+#include <limits>
 
 namespace odyssey {
 namespace {
@@ -93,6 +94,42 @@ float MindistEnvelopeToSax(const EnvelopePaa& env_paa, const uint8_t* sax,
                      config.paa.SegmentCount(i));
   }
   return static_cast<float>(sum);
+}
+
+template <typename Term>
+SaxBoundTable::SaxBoundTable(const IsaxConfig& config, Term term)
+    : segments_(config.segments()), symbols_(size_t{1} << config.max_bits) {
+  // Region edges come straight from the breakpoint row: the same doubles
+  // RegionLower and RegionUpper return, without their per-call checks.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<double>& bps =
+      BreakpointTable::Get().ForBits(config.max_bits);
+  terms_.resize(static_cast<size_t>(segments_) * symbols_);
+  double* out = terms_.data();
+  for (int i = 0; i < segments_; ++i) {
+    const size_t count = config.paa.SegmentCount(i);
+    for (size_t s = 0; s < symbols_; ++s) {
+      const double lo = s == 0 ? -kInf : bps[s - 1];
+      const double hi = s + 1 == symbols_ ? kInf : bps[s];
+      *out++ = term(i, lo, hi, count);
+    }
+  }
+}
+
+SaxBoundTable SaxBoundTable::ForPaa(const double* query_paa,
+                                    const IsaxConfig& config) {
+  return SaxBoundTable(config, [query_paa](int i, double lo, double hi,
+                                           size_t count) {
+    return SegmentGapSq(query_paa[i], lo, hi, count);
+  });
+}
+
+SaxBoundTable SaxBoundTable::ForEnvelope(const EnvelopePaa& env_paa,
+                                         const IsaxConfig& config) {
+  return SaxBoundTable(config, [&env_paa](int i, double lo, double hi,
+                                          size_t count) {
+    return BandGapSq(env_paa.lower[i], env_paa.upper[i], lo, hi, count);
+  });
 }
 
 }  // namespace odyssey

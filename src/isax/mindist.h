@@ -1,6 +1,10 @@
 #ifndef ODYSSEY_ISAX_MINDIST_H_
 #define ODYSSEY_ISAX_MINDIST_H_
 
+#include <cstdint>
+#include <vector>
+
+#include "src/common/hotpath.h"
 #include "src/distance/lb_keogh.h"
 #include "src/isax/isax_word.h"
 
@@ -11,6 +15,11 @@ namespace odyssey {
 /// guaranteed <= the squared Euclidean (resp. DTW) distance between the
 /// query and ANY series summarized by the word — the invariant that makes
 /// pruning exact.
+///
+/// The two *ToSax functions are the reference definition of the
+/// per-series bound. The leaf scan does not call them: it reads the same
+/// terms from a SaxBoundTable (below), which returns the same float bit
+/// for bit.
 
 /// Squared lower bound between a query PAA and a variable-cardinality iSAX
 /// word. Per segment: the gap between the query's PAA value and the
@@ -21,7 +30,8 @@ float MindistPaaToWord(const double* query_paa, const IsaxWord& word,
 
 /// Squared lower bound between a query PAA and a full-cardinality SAX
 /// summary (a leaf's per-series summary; the tightest summary-level filter
-/// applied before computing a real distance).
+/// applied before computing a real distance). Reference for
+/// SaxBoundTable::ForPaa.
 float MindistPaaToSax(const double* query_paa, const uint8_t* sax,
                       const IsaxConfig& config);
 
@@ -43,9 +53,54 @@ EnvelopePaa ComputeEnvelopePaa(const Envelope& envelope,
 float MindistEnvelopeToWord(const EnvelopePaa& env_paa, const IsaxWord& word,
                             const IsaxConfig& config);
 
-/// Same bound against a full-cardinality SAX summary.
+/// Same bound against a full-cardinality SAX summary. Reference for
+/// SaxBoundTable::ForEnvelope.
 float MindistEnvelopeToSax(const EnvelopePaa& env_paa, const uint8_t* sax,
                            const IsaxConfig& config);
+
+/// One query's full-cardinality SAX bound as a lookup table. Row i holds,
+/// for every symbol s < 2^max_bits, the double that MindistPaaToSax (or
+/// MindistEnvelopeToSax) adds for symbol s at segment i. Bound() adds one
+/// entry per segment, in segment order and in double, and rounds the sum
+/// to float once, so it returns the reference's float bit for bit: the
+/// same terms, added in the same order. mindist.cc compiles with
+/// -ffp-contract=off so that the reference's multiply-add is not fused
+/// into an FMA the table's pre-rounded terms could not reproduce.
+///
+/// At 16 segments and 8 bits a table is 32 KiB, so a query execution
+/// builds one per query, once, before its scan starts.
+class SaxBoundTable {
+ public:
+  SaxBoundTable() = default;
+
+  /// Euclidean terms of the query PAA `query_paa` (config.segments()
+  /// doubles).
+  static SaxBoundTable ForPaa(const double* query_paa,
+                              const IsaxConfig& config);
+  /// DTW terms of the query's per-segment envelope PAA.
+  static SaxBoundTable ForEnvelope(const EnvelopePaa& env_paa,
+                                   const IsaxConfig& config);
+
+  /// The bound for one full-cardinality SAX row (one symbol per segment).
+  /// Every symbol must be < 2^max_bits, or the lookup reads past its
+  /// segment's row; LoadIndexFromFile checks this for every stored row.
+  ODYSSEY_HOT float Bound(const uint8_t* sax) const {
+    const double* row = terms_.data();
+    double sum = 0.0;
+    for (int i = 0; i < segments_; ++i, row += symbols_) sum += row[sax[i]];
+    return static_cast<float>(sum);
+  }
+
+ private:
+  /// Fills the table from term(i, lo, hi, count), the term of segment i for
+  /// the breakpoint region [lo, hi] of each symbol in turn.
+  template <typename Term>
+  SaxBoundTable(const IsaxConfig& config, Term term);
+
+  int segments_ = 0;
+  size_t symbols_ = 0;         ///< 2^max_bits: the row stride
+  std::vector<double> terms_;  ///< terms_[i * symbols_ + s]
+};
 
 }  // namespace odyssey
 

@@ -6,8 +6,10 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <string>
 #include <vector>
@@ -529,21 +531,215 @@ TEST(SerializeTest, CorruptGeometryIsInvalidArgument) {
   std::remove(path.c_str());
 }
 
+uint32_t GetU32(const std::vector<uint8_t>& bytes, size_t offset) {
+  uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) {
+    v |= static_cast<uint32_t>(bytes[offset + i]) << (8 * i);
+  }
+  return v;
+}
+
+/// Offset of the SAX table in a saved index: it follows the 28-byte header
+/// and the series rows.
+size_t SaxTableOffset(uint32_t count, const IsaxConfig& config) {
+  return 28 + size_t{count} * config.series_length() * sizeof(float);
+}
+
+/// Where a saved index's tree section keeps its records: the root count,
+/// each root record (its u32 key) and each leaf record (its tag byte), in
+/// pre-order. An internal record is its tag and split byte; a leaf record
+/// is its tag, a u32 id count and the ids.
+struct TreeLayout {
+  size_t root_count_at = 0;
+  std::vector<size_t> roots;
+  std::vector<size_t> leaves;
+};
+
+TreeLayout ParseTree(const std::vector<uint8_t>& bytes, uint32_t count,
+                     const IsaxConfig& config) {
+  TreeLayout layout;
+  size_t pos = SaxTableOffset(count, config) +
+               size_t{count} * static_cast<size_t>(config.segments());
+  layout.root_count_at = pos;
+  const uint32_t roots = GetU32(bytes, pos);
+  pos += sizeof(uint32_t);
+  std::function<void()> read_node = [&] {
+    if (bytes[pos] == 1) {
+      pos += 2;
+      read_node();
+      read_node();
+      return;
+    }
+    layout.leaves.push_back(pos);
+    pos += 1 + sizeof(uint32_t) + GetU32(bytes, pos + 1) * sizeof(uint32_t);
+  };
+  for (uint32_t r = 0; r < roots; ++r) {
+    layout.roots.push_back(pos);
+    pos += sizeof(uint32_t);
+    read_node();
+  }
+  EXPECT_EQ(pos, bytes.size());
+  return layout;
+}
+
+/// Saves a `count`-series index (length 64, 8 segments, leaf 16) and returns
+/// its bytes.
+std::vector<uint8_t> SavedIndexBytes(uint32_t count, uint64_t seed,
+                                     const std::string& path) {
+  IndexOptions options = TestIndexOptions();
+  options.leaf_capacity = 16;
+  const Index built =
+      Index::Build(GenerateRandomWalk(count, 64, seed), options);
+  EXPECT_TRUE(SaveIndexToFile(built, path).ok());
+  return ReadFileBytes(path);
+}
+
+void ExpectInvalidArgument(const std::string& path) {
+  const StatusOr<Index> loaded = LoadIndexFromFile(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+      << loaded.status().ToString();
+}
+
+// The query engine's per-series bound reads one table entry per symbol, so
+// a stored symbol at or above 2^max_bits would read past its row. Lowering
+// the header's max_bits from 8 to 4 leaves every stored byte intact but
+// makes most of them too wide.
+TEST(SerializeTest, SymbolWiderThanMaxBitsIsInvalidArgument) {
+  const std::string path = ::testing::TempDir() + "/odyssey_bits.odix";
+  std::vector<uint8_t> bytes = SavedIndexBytes(500, 163, path);
+  ASSERT_EQ(GetU32(bytes, 16), 8u);
+  PutU32(&bytes, 16, 4);
+  WriteFileBytes(path, bytes);
+  ExpectInvalidArgument(path);
+  std::remove(path.c_str());
+}
+
+// A stored row the leaf's word does not cover breaks the invariant exact
+// search rests on: the leaf's bound no longer bounds the series. Moving
+// every row's segment-0 symbol to the opposite half flips its root bit.
+TEST(SerializeTest, RowOutsideItsLeafWordIsInvalidArgument) {
+  const std::string path = ::testing::TempDir() + "/odyssey_rows.odix";
+  constexpr uint32_t kCount = 2000;
+  const IsaxConfig config = TestIndexOptions().config;
+  std::vector<uint8_t> bytes = SavedIndexBytes(kCount, 165, path);
+  const size_t table = SaxTableOffset(kCount, config);
+  for (uint32_t id = 0; id < kCount; ++id) {
+    uint8_t& symbol = bytes[table + size_t{id} * config.segments()];
+    symbol = symbol < 128 ? 255 : 0;
+  }
+  WriteFileBytes(path, bytes);
+  ExpectInvalidArgument(path);
+  std::remove(path.c_str());
+}
+
+// Every series sits in exactly one leaf. A leaf listing one id twice (so
+// the id it replaced is in no leaf) and a series no leaf lists are both
+// rejected.
+TEST(SerializeTest, SeriesInNoLeafOrTwoIsInvalidArgument) {
+  const std::string path = ::testing::TempDir() + "/odyssey_ids.odix";
+  constexpr uint32_t kCount = 500;
+  const IsaxConfig config = TestIndexOptions().config;
+  const std::vector<uint8_t> saved = SavedIndexBytes(kCount, 167, path);
+  const std::vector<size_t> leaves = ParseTree(saved, kCount, config).leaves;
+
+  // A leaf of two or more ids repeats its first id in its second slot.
+  std::vector<uint8_t> bytes = saved;
+  const auto leaf = std::find_if(leaves.begin(), leaves.end(), [&](size_t at) {
+    return GetU32(saved, at + 1) >= 2;
+  });
+  ASSERT_NE(leaf, leaves.end());
+  PutU32(&bytes, *leaf + 5 + sizeof(uint32_t), GetU32(saved, *leaf + 5));
+  WriteFileBytes(path, bytes);
+  ExpectInvalidArgument(path);
+
+  // One more series (a copy of series 0, row and SAX row) that no leaf
+  // lists.
+  const size_t row_bytes = config.series_length() * sizeof(float);
+  const size_t w = static_cast<size_t>(config.segments());
+  const size_t table = SaxTableOffset(kCount, config);
+  bytes.assign(saved.begin(), saved.begin() + table);
+  bytes.insert(bytes.end(), saved.begin() + 28, saved.begin() + 28 + row_bytes);
+  bytes.insert(bytes.end(), saved.begin() + table,
+               saved.begin() + table + kCount * w);
+  bytes.insert(bytes.end(), saved.begin() + table, saved.begin() + table + w);
+  bytes.insert(bytes.end(), saved.begin() + table + kCount * w, saved.end());
+  PutU32(&bytes, 24, kCount + 1);
+  WriteFileBytes(path, bytes);
+  ExpectInvalidArgument(path);
+  std::remove(path.c_str());
+}
+
+// A build creates a root only for a series it holds. A root that is an
+// empty leaf would send approximate search to a leaf with no series.
+TEST(SerializeTest, EmptyRootIsInvalidArgument) {
+  const std::string path = ::testing::TempDir() + "/odyssey_empty_root.odix";
+  constexpr uint32_t kCount = 500;
+  const IsaxConfig config = TestIndexOptions().config;
+  std::vector<uint8_t> bytes = SavedIndexBytes(kCount, 169, path);
+  const TreeLayout layout = ParseTree(bytes, kCount, config);
+  // The smallest key no root has, inserted where the keys stay ascending.
+  uint32_t key = 0;
+  size_t at = bytes.size();
+  for (size_t root : layout.roots) {
+    if (GetU32(bytes, root) != key) {
+      at = root;
+      break;
+    }
+    ++key;
+  }
+  ASSERT_LT(key, 1u << config.segments());
+  std::vector<uint8_t> empty_root;
+  PutU32(&empty_root, 0, key);
+  empty_root.insert(empty_root.end(), {0, 0, 0, 0, 0});  // leaf of no ids
+  bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(at),
+               empty_root.begin(), empty_root.end());
+  PutU32(&bytes, layout.root_count_at,
+         static_cast<uint32_t>(layout.roots.size() + 1));
+  WriteFileBytes(path, bytes);
+  ExpectInvalidArgument(path);
+  std::remove(path.c_str());
+}
+
 // Seeded mutations of a valid index file (flipped bytes, truncations,
 // overwritten 32-bit words, several of which land in the header and the
 // tree's counts, tags and keys): every load is Ok or a Status, never an
-// abort, a throw or a bad_alloc. Both outcomes must occur, or the
-// mutations missed the parser.
+// abort, a throw or a bad_alloc, and every index that loads answers an
+// exact query without aborting. Both outcomes must occur, or the mutations
+// missed the parser.
 TEST(SerializeTest, SeededMutationsLoadOrFailCleanly) {
   const std::string path = ::testing::TempDir() + "/odyssey_mutated.odix";
-  const Index built = Index::Build(GenerateRandomWalk(48, 64, 161),
-                                   TestIndexOptions());
+  // 4-bit symbols: a flipped SAX byte is then usually wider than max_bits,
+  // which the loader must reject before a query reads past a table row.
+  IndexOptions options = TestIndexOptions();
+  options.config = IsaxConfig(64, 8, 4);
+  const Index built = Index::Build(GenerateRandomWalk(48, 64, 161), options);
   ASSERT_TRUE(SaveIndexToFile(built, path).ok());
   const testing_utils::MutationOutcome outcome =
       testing_utils::RunSeededMutations(
           path, /*seed=*/0x0D1A, /*iterations=*/2000,
           [](const std::string& file) {
-            return LoadIndexFromFile(file).status();
+            StatusOr<Index> loaded = LoadIndexFromFile(file);
+            if (!loaded.ok() || loaded->data().empty()) {
+              return loaded.status();
+            }
+            // The query is series 0 of what loaded plus a small sawtooth,
+            // so it has the loaded length whatever the header now says.
+            const size_t n = loaded->config().series_length();
+            std::vector<float> query(loaded->data().data(0),
+                                     loaded->data().data(0) + n);
+            for (size_t i = 0; i < n; ++i) {
+              query[i] += 0.01f * static_cast<float>(i % 7);
+            }
+            QueryOptions qo;
+            qo.num_threads = 1;
+            const PreparedQuery prepared =
+                PrepareQuery(query.data(), loaded->config(), qo);
+            QueryExecution exec(&*loaded, prepared, qo);
+            exec.SeedInitialBsf();
+            exec.Run();
+            EXPECT_EQ(exec.results().SortedResults().size(), 1u);
+            return loaded.status();
           });
   EXPECT_GT(outcome.ok, 0);
   EXPECT_GT(outcome.failed, 0);

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -303,6 +305,90 @@ TEST(MindistTest, EnvelopeMindistLowerBoundsDtw) {
                 dtw * (1 + 1e-5f) + 1e-6f);
     }
   }
+}
+
+// The leaf scan's per-series filter reads SaxBoundTable instead of calling
+// MindistPaaToSax / MindistEnvelopeToSax. Every pruning decision stays the
+// same only if the two agree to the bit, so this compares the floats'
+// bytes. It covers segment counts that do not divide the length (uneven
+// segment weights), every symbol at every segment, query values exactly on
+// breakpoints and beyond the outermost ones, and seeded random rows.
+TEST(SaxBoundTableTest, BoundIsTheReferenceBitForBit) {
+  const std::vector<double>& bps8 = BreakpointTable::Get().ForBits(8);
+  Rng rng(0x5AB0);
+  size_t compared = 0;
+  for (size_t length : {7u, 64u, 100u, 256u, 257u}) {
+    for (int segments : {1, 3, 8, 16, 32}) {
+      if (static_cast<size_t>(segments) > length) continue;
+      for (int bits : {1, 4, 8}) {
+        const IsaxConfig config(length, segments, bits);
+        const std::vector<double>& bps = BreakpointTable::Get().ForBits(bits);
+        const uint32_t symbols = 1u << bits;
+        // Candidate query values: Gaussian draws, this depth's and the
+        // 8-bit depth's breakpoints, and values past the outermost ones.
+        auto draw = [&] {
+          switch (rng.NextBounded(4)) {
+            case 0:
+              return bps[rng.NextBounded(bps.size())];
+            case 1:
+              return bps8[rng.NextBounded(bps8.size())];
+            case 2:
+              return (rng.NextBounded(2) == 0 ? -1.0 : 1.0) *
+                     (bps8.back() + 1.0 + 10.0 * rng.NextDouble());
+            default:
+              return 1.5 * rng.NextGaussian();
+          }
+        };
+        std::vector<uint8_t> sax(segments);
+        for (int query = 0; query < 4; ++query) {
+          std::vector<double> paa(segments);
+          EnvelopePaa env_paa;
+          for (int i = 0; i < segments; ++i) {
+            paa[i] = draw();
+            const double a = draw();
+            const double b = query == 0 ? a : draw();  // a zero-width band
+            env_paa.lower.push_back(std::min(a, b));
+            env_paa.upper.push_back(std::max(a, b));
+          }
+          const SaxBoundTable ed = SaxBoundTable::ForPaa(paa.data(), config);
+          const SaxBoundTable dtw =
+              SaxBoundTable::ForEnvelope(env_paa, config);
+          auto expect_same = [&] {
+            const float want_ed = MindistPaaToSax(paa.data(), sax.data(),
+                                                  config);
+            const float got_ed = ed.Bound(sax.data());
+            const float want_dtw =
+                MindistEnvelopeToSax(env_paa, sax.data(), config);
+            const float got_dtw = dtw.Bound(sax.data());
+            ASSERT_EQ(std::memcmp(&want_ed, &got_ed, sizeof(float)), 0)
+                << "ED n=" << length << " w=" << segments << " bits=" << bits
+                << ": " << want_ed << " vs " << got_ed;
+            ASSERT_EQ(std::memcmp(&want_dtw, &got_dtw, sizeof(float)), 0)
+                << "DTW n=" << length << " w=" << segments
+                << " bits=" << bits << ": " << want_dtw << " vs " << got_dtw;
+            compared += 2;
+          };
+          // Every symbol at every segment: row r puts symbol (r + 7i) mod
+          // 2^bits at segment i.
+          for (uint32_t r = 0; r < symbols; ++r) {
+            for (int i = 0; i < segments; ++i) {
+              sax[i] = static_cast<uint8_t>((r + 7u * i) % symbols);
+            }
+            expect_same();
+            if (::testing::Test::HasFatalFailure()) return;
+          }
+          for (int row = 0; row < 64; ++row) {
+            for (int i = 0; i < segments; ++i) {
+              sax[i] = static_cast<uint8_t>(rng.NextBounded(symbols));
+            }
+            expect_same();
+            if (::testing::Test::HasFatalFailure()) return;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 10000u);
 }
 
 }  // namespace
