@@ -59,10 +59,16 @@ int main() {
     from_load.Run(&pool);
     const Neighbor a = from_build.results().SortedResults()[0];
     const Neighbor b = from_load.results().SortedResults()[0];
-    std::printf("  query %zu: built -> (%u, %.4f), loaded -> (%u, %.4f)\n", q,
-                a.id, std::sqrt(a.squared_distance), b.id,
+    // An answer id is a row of the index; global_ids() maps it back to the
+    // series' position in `data`, which the file stores alongside the rows.
+    const uint32_t series_a = built.chunk()->global_ids()[a.id];
+    const uint32_t series_b = loaded->chunk()->global_ids()[b.id];
+    std::printf("  query %zu: built -> (series %u, %.4f), loaded -> "
+                "(series %u, %.4f)\n",
+                q, series_a, std::sqrt(a.squared_distance), series_b,
                 std::sqrt(b.squared_distance));
-    ODYSSEY_CHECK(a.id == b.id);
+    ODYSSEY_CHECK(a.id == b.id && series_a == series_b);
+    ODYSSEY_CHECK(a.squared_distance == b.squared_distance);
   }
   std::remove(path.c_str());
   std::printf("loaded index answers identically — a valid replica.\n");

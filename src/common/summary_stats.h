@@ -38,14 +38,14 @@ namespace build_stats {
 /// Process-wide counters of *build-time* chunk summarization — the
 /// index-construction mirror of summary_stats' query-time promise. The
 /// SharedChunk subsystem (src/core/shared_chunk.h) promises each replication
-/// group materializes exactly one immutable {series, SAX, buffers} bundle
-/// per chunk, from which the group builds its one index. Tests and
+/// group materializes exactly one {series, ids, SAX} bundle per chunk, from
+/// which the group builds its one index. Tests and
 /// bench_fig15_replication read these counters to prove the sharing ratio.
 
 /// Number of SharedChunk bundles materialized (one per replication group,
 /// plus one per standalone Index::Build).
 uint64_t ChunksBuilt();
-/// Total bytes of all materialized bundles (series + ids + SAX + buffers) —
+/// Total bytes of all materialized bundles (series + ids + SAX) —
 /// the transient build memory the shared path divides by the replication
 /// degree.
 uint64_t ChunkBytes();
@@ -60,7 +60,8 @@ double OverlapSeconds();
 /// Zeroes all counters (test setup).
 void Reset();
 
-/// Increment hooks, called by SharedChunk and the streaming driver.
+/// Increment hooks, called by the index build (Index::BuildFromShared) and
+/// the streaming driver.
 void CountChunk(uint64_t bytes, uint64_t summaries);
 void AddOverlapSeconds(double seconds);
 

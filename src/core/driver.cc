@@ -288,13 +288,14 @@ OdysseyCluster::OdysseyCluster(GroupChunks groups,
   driver_pool_ = std::make_unique<ThreadPool>(
       static_cast<size_t>(std::max(1, options_.build_threads_per_node)));
   // Each group adopts its accumulated series + SAX table (computed once per
-  // ingest chunk, never recomputed here) as one immutable bundle — the only
-  // per-group work left is grouping the buffers and building the tree.
-  BuildNodes([&](int g, ThreadPool* pool) {
+  // ingest chunk, never recomputed here) as one bundle — the only per-group
+  // work left is grouping the buffers, building the tree and reordering the
+  // rows into leaf order.
+  BuildNodes([&](int g, ThreadPool*) {
     return SharedChunk::Adopt(std::move(groups.data[g]),
                               std::move(groups.ids[g]),
                               std::move(groups.sax[g]),
-                              options_.index_options.config, pool);
+                              options_.index_options.config);
   });
 }
 
@@ -331,6 +332,16 @@ StatusOr<std::unique_ptr<OdysseyCluster>> OdysseyCluster::IngestAndBuild(
   groups.data.resize(num_groups, SeriesCollection(source.length()));
   groups.ids.resize(num_groups);
   groups.sax.resize(num_groups);
+  // Size each group's storage once: exact for one group, an even share
+  // otherwise, so only a group an uneven split overflows grows (and copies).
+  const size_t share =
+      (source.total_series() + static_cast<size_t>(num_groups) - 1) /
+      static_cast<size_t>(num_groups);
+  for (int g = 0; g < num_groups; ++g) {
+    groups.data[g].Reserve(share);
+    groups.ids[g].reserve(share);
+    groups.sax[g].reserve(share * w);
+  }
   double partition_seconds = 0.0;
   ThreadPool pool(
       static_cast<size_t>(std::max(1, options.build_threads_per_node)));
@@ -383,13 +394,19 @@ StatusOr<std::unique_ptr<OdysseyCluster>> OdysseyCluster::IngestAndBuild(
         "archive holds " + std::to_string(base) + " series, too few for " +
         std::to_string(num_groups) + " replication groups: " + source.path());
   }
+  // A short group's id and SAX slack would outlive the build; trimming them
+  // copies little. The series rows are never copied.
+  for (int g = 0; g < num_groups; ++g) {
+    groups.ids[g].shrink_to_fit();
+    groups.sax[g].shrink_to_fit();
+  }
   return std::unique_ptr<OdysseyCluster>(
       new OdysseyCluster(std::move(groups), options, partition_seconds,
                          ingest_seconds, overlap_seconds));
 }
 
 void OdysseyCluster::BuildNodes(
-    const std::function<std::shared_ptr<const SharedChunk>(int, ThreadPool*)>&
+    const std::function<std::unique_ptr<SharedChunk>(int, ThreadPool*)>&
         make_bundle) {
   const int num_groups = layout_.num_groups();
   std::vector<std::shared_ptr<const Index>> indexes(num_groups);
@@ -404,7 +421,7 @@ void OdysseyCluster::BuildNodes(
         ThreadPool pool(layout_.GroupMembers(g).size() *
                         static_cast<size_t>(
                             std::max(1, options_.build_threads_per_node)));
-        std::shared_ptr<const SharedChunk> bundle = make_bundle(g, &pool);
+        std::unique_ptr<SharedChunk> bundle = make_bundle(g, &pool);
         ODYSSEY_CHECK_MSG(!bundle->data().empty(),
                           "node received an empty chunk");
         indexes[g] = std::make_shared<const Index>(Index::BuildFromShared(

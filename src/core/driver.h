@@ -206,10 +206,10 @@ class OdysseyCluster {
 
  private:
   /// Per-group raw data + global ids, accumulated by the streaming build
-  /// as chunks are partitioned on arrival. The per-chunk SAX rows
-  /// (computed once per ingest chunk, before partitioning) are scattered
-  /// alongside, so the group bundles are adopted at build time without
-  /// ever re-summarizing.
+  /// as chunks are partitioned on arrival, in storage reserved once from
+  /// the archive's series count. The per-chunk SAX rows (computed once per
+  /// ingest chunk, before partitioning) are scattered alongside, so the
+  /// group bundles are adopted at build time without ever re-summarizing.
   struct GroupChunks {
     std::vector<SeriesCollection> data;
     std::vector<std::vector<uint32_t>> ids;
@@ -223,12 +223,13 @@ class OdysseyCluster {
                  double overlap_seconds);
 
   /// Stage 2: one thread per group, so the groups build concurrently. Each
-  /// runs `make_bundle(g, pool)` to produce group g's immutable bundle,
-  /// then builds the group's one Index from it, both on one pool of
-  /// members x build_threads_per_node workers. Every member's NodeRuntime
-  /// then holds that Index.
+  /// runs `make_bundle(g, pool)` to produce group g's bundle, then builds
+  /// the group's one Index from it (which reorders the bundle into leaf
+  /// order and owns it), both on one pool of members x
+  /// build_threads_per_node workers. Every member's NodeRuntime then holds
+  /// that Index.
   void BuildNodes(
-      const std::function<std::shared_ptr<const SharedChunk>(int, ThreadPool*)>&
+      const std::function<std::unique_ptr<SharedChunk>(int, ThreadPool*)>&
           make_bundle);
 
   /// Builds the batch's PreparedQuery artifacts across a driver-side

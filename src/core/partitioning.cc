@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <span>
 
 #include "src/common/check.h"
 #include "src/common/gray_code.h"
@@ -68,7 +69,7 @@ std::vector<std::vector<uint32_t>> DensityAwarePartition(
   // Step 4: split the series of the lambda largest buffers individually.
   std::vector<size_t> by_size = order;
   std::sort(by_size.begin(), by_size.end(), [&](size_t a, size_t b) {
-    return buffers.series[a].size() > buffers.series[b].size();
+    return buffers.series(a).size() > buffers.series(b).size();
   });
   const size_t lambda = std::min(options.lambda, by_size.size());
   std::vector<bool> presplit(buffers.buffer_count(), false);
@@ -77,7 +78,7 @@ std::vector<std::vector<uint32_t>> DensityAwarePartition(
   for (size_t i = 0; i < lambda; ++i) {
     const size_t b = by_size[i];
     presplit[b] = true;
-    for (uint32_t id : buffers.series[b]) {
+    for (uint32_t id : buffers.series(b)) {
       chunks[rr].push_back(id);
       rr = (rr + 1) % num_chunks;
     }
@@ -88,8 +89,8 @@ std::vector<std::vector<uint32_t>> DensityAwarePartition(
     if (presplit[b]) continue;
     std::vector<uint32_t>& chunk = chunks[rr];
     rr = (rr + 1) % num_chunks;
-    chunk.insert(chunk.end(), buffers.series[b].begin(),
-                 buffers.series[b].end());
+    const std::span<const uint32_t> ids = buffers.series(b);
+    chunk.insert(chunk.end(), ids.begin(), ids.end());
   }
 
   // Step 6: while unbalanced, split the largest buffer of the largest chunk

@@ -1,14 +1,15 @@
 #include "src/core/shared_chunk.h"
 
+#include <cstring>
+#include <numeric>
 #include <utility>
 
 #include "src/common/check.h"
 #include "src/common/stopwatch.h"
-#include "src/common/summary_stats.h"
 
 namespace odyssey {
 
-std::shared_ptr<const SharedChunk> SharedChunk::Build(
+std::unique_ptr<SharedChunk> SharedChunk::Build(
     SeriesCollection data, std::vector<uint32_t> global_ids,
     const IsaxConfig& config, ThreadPool* pool) {
   ODYSSEY_CHECK(data.length() == config.series_length());
@@ -32,14 +33,13 @@ std::shared_ptr<const SharedChunk> SharedChunk::Build(
   } else {
     summarize_range(0, n);
   }
-  return Finish(std::move(chunk), pool, /*build_buffers=*/true,
-                watch.ElapsedSeconds());
+  chunk->summarize_seconds_ = watch.ElapsedSeconds();
+  return chunk;
 }
 
-std::shared_ptr<const SharedChunk> SharedChunk::Adopt(
+std::unique_ptr<SharedChunk> SharedChunk::Adopt(
     SeriesCollection data, std::vector<uint32_t> global_ids,
-    std::vector<uint8_t> sax_table, const IsaxConfig& config,
-    ThreadPool* pool, bool build_buffers) {
+    std::vector<uint8_t> sax_table, const IsaxConfig& config) {
   ODYSSEY_CHECK(data.length() == config.series_length());
   ODYSSEY_CHECK(global_ids.empty() || global_ids.size() == data.size());
   const size_t w = static_cast<size_t>(config.segments());
@@ -47,37 +47,54 @@ std::shared_ptr<const SharedChunk> SharedChunk::Adopt(
   std::unique_ptr<SharedChunk> chunk(
       new SharedChunk(std::move(data), std::move(global_ids), config));
   chunk->sax_table_ = std::move(sax_table);
-  return Finish(std::move(chunk), pool, build_buffers, 0.0);
+  return chunk;
 }
 
-std::shared_ptr<const SharedChunk> SharedChunk::Finish(
-    std::unique_ptr<SharedChunk> chunk, ThreadPool* pool, bool build_buffers,
-    double summarize_seconds_so_far) {
-  Stopwatch watch;
-  if (build_buffers) {
-    chunk->buffers_ = BuildBuffers(chunk->sax_table_.data(),
-                                   chunk->data_.size(), chunk->config_, pool);
+void SharedChunk::PermuteRows(const std::vector<uint32_t>& order) {
+  const size_t n = size();
+  ODYSSEY_CHECK(order.size() == n);
+  if (global_ids_.empty()) {
+    global_ids_.resize(n);
+    std::iota(global_ids_.begin(), global_ids_.end(), uint32_t{0});
   }
-  chunk->summarize_seconds_ = summarize_seconds_so_far + watch.ElapsedSeconds();
-  // The summaries counted here are the rows this bundle *owns*, whether it
-  // computed them (Build) or inherited them from the streaming scatter
-  // (Adopt) — either way they were built exactly once for this data. The
-  // deserialization path (no buffers, no build to follow) does not count.
-  if (build_buffers) {
-    build_stats::CountChunk(chunk->MemoryBytes(), chunk->data_.size());
+  const size_t length = data_.length();
+  const size_t row_bytes = length * sizeof(float);
+  const size_t w = static_cast<size_t>(config_.segments());
+  std::vector<float> row(length);
+  uint8_t sax[kMaxSegments];
+  std::vector<bool> placed(n, false);
+  auto move_row = [&](size_t dst, size_t src) {
+    std::memcpy(data_.mutable_data(dst), data_.data(src), row_bytes);
+    std::memcpy(sax_table_.data() + dst * w, sax_table_.data() + src * w, w);
+    global_ids_[dst] = global_ids_[src];
+  };
+  for (size_t start = 0; start < n; ++start) {
+    if (placed[start]) continue;
+    placed[start] = true;
+    if (order[start] == start) continue;
+    // Walk the cycle through `start`: park its row, pull each row's source
+    // into it, and drop the parked row into the slot that closes the cycle.
+    std::memcpy(row.data(), data_.data(start), row_bytes);
+    std::memcpy(sax, sax_table_.data() + start * w, w);
+    const uint32_t id = global_ids_[start];
+    size_t dst = start;
+    for (;;) {
+      const size_t src = order[dst];
+      if (src == start) break;
+      ODYSSEY_CHECK_MSG(src < n && !placed[src], "order is no permutation");
+      move_row(dst, src);
+      placed[src] = true;
+      dst = src;
+    }
+    std::memcpy(data_.mutable_data(dst), row.data(), row_bytes);
+    std::memcpy(sax_table_.data() + dst * w, sax, w);
+    global_ids_[dst] = id;
   }
-  return std::shared_ptr<const SharedChunk>(std::move(chunk));
 }
 
 size_t SharedChunk::MemoryBytes() const {
-  size_t bytes = data_.MemoryBytes() +
-                 global_ids_.capacity() * sizeof(uint32_t) +
-                 sax_table_.capacity() * sizeof(uint8_t);
-  bytes += buffers_.keys.capacity() * sizeof(uint32_t);
-  for (const auto& ids : buffers_.series) {
-    bytes += ids.capacity() * sizeof(uint32_t);
-  }
-  return bytes;
+  return data_.MemoryBytes() + global_ids_.capacity() * sizeof(uint32_t) +
+         sax_table_.capacity() * sizeof(uint8_t);
 }
 
 }  // namespace odyssey

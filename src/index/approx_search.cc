@@ -44,7 +44,7 @@ const TreeNode* DescendToLeaf(const Index& index, const double* query_paa,
     const TreeNode* other = (bit == 0) ? node->right() : node->left();
     node = (preferred->subtree_size() > 0) ? preferred : other;
   }
-  ODYSSEY_CHECK(!node->ids().empty());
+  ODYSSEY_CHECK(node->subtree_size() > 0);
   return node;
 }
 
@@ -52,11 +52,12 @@ template <typename DistanceFn>
 float ScanLeaf(const Index& index, const TreeNode* leaf, const float* query,
                uint32_t* answer_id, const DistanceFn& distance) {
   float best = std::numeric_limits<float>::infinity();
-  for (uint32_t id : leaf->ids()) {
-    const float d = distance(query, index.data().data(id), best);
+  const uint32_t end = static_cast<uint32_t>(leaf->end());
+  for (uint32_t row = leaf->begin(); row < end; ++row) {
+    const float d = distance(query, index.data().data(row), best);
     if (d < best) {
       best = d;
-      if (answer_id != nullptr) *answer_id = id;
+      if (answer_id != nullptr) *answer_id = row;
     }
   }
   return best;

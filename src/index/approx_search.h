@@ -19,8 +19,8 @@ namespace odyssey {
 /// share the same prepared artifact.
 ///
 /// Returns the squared Euclidean distance of the approximate answer, and
-/// the matching series id via `*answer_id` (optional). The index must be
-/// non-empty.
+/// the matching row of index.data() via `*answer_id` (optional). The index
+/// must be non-empty.
 float ApproximateSearchSquared(const Index& index, const PreparedQuery& query,
                                uint32_t* answer_id = nullptr);
 

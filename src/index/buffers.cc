@@ -44,25 +44,23 @@ SummarizationBuffers BuildBuffers(const uint8_t* sax_table,
     key_range(0, series_count);
   }
 
-  // Group ids by key. A counting pass followed by bucket fill keeps ids in
-  // ascending order within each buffer (determinism for replicas).
-  std::vector<uint32_t> order(series_count);
-  for (size_t i = 0; i < series_count; ++i) order[i] = static_cast<uint32_t>(i);
-  std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    return keys[a] < keys[b];
-  });
-
+  // Group ids by key. A stable sort keeps ids in ascending order within
+  // each buffer (determinism for replicas).
   SummarizationBuffers buffers;
-  for (size_t i = 0; i < series_count;) {
-    const uint32_t key = keys[order[i]];
-    buffers.keys.push_back(key);
-    std::vector<uint32_t> ids;
-    while (i < series_count && keys[order[i]] == key) {
-      ids.push_back(order[i]);
-      ++i;
-    }
-    buffers.series.push_back(std::move(ids));
+  buffers.ids.resize(series_count);
+  for (size_t i = 0; i < series_count; ++i) {
+    buffers.ids[i] = static_cast<uint32_t>(i);
   }
+  std::stable_sort(buffers.ids.begin(), buffers.ids.end(),
+                   [&](uint32_t a, uint32_t b) { return keys[a] < keys[b]; });
+  for (size_t i = 0; i < series_count; ++i) {
+    const uint32_t key = keys[buffers.ids[i]];
+    if (buffers.keys.empty() || buffers.keys.back() != key) {
+      buffers.keys.push_back(key);
+      buffers.starts.push_back(i);
+    }
+  }
+  buffers.starts.push_back(series_count);
   return buffers;
 }
 

@@ -6,34 +6,13 @@
 
 namespace odyssey {
 
-void TreeNode::Insert(uint32_t id, const uint8_t* sax,
-                      const IsaxConfig& config, size_t leaf_capacity) {
-  TreeNode* node = this;
-  for (;;) {
-    ++node->subtree_size_;
-    if (node->is_leaf()) {
-      const size_t w = node->word_.symbols.size();
-      node->ids_.push_back(id);
-      node->leaf_sax_.insert(node->leaf_sax_.end(), sax, sax + w);
-      if (node->ids_.size() > leaf_capacity) {
-        node->Split(config, leaf_capacity);
-      }
-      return;
-    }
-    node = node->ChildFor(sax, config);
-  }
-}
-
-TreeNode* TreeNode::ChildFor(const uint8_t* sax,
-                             const IsaxConfig& config) const {
-  const int s = split_segment_;
-  const int child_bits = left_->word_.bits[s];
-  const uint8_t bit =
-      static_cast<uint8_t>(sax[s] >> (config.max_bits - child_bits)) & 1u;
-  return bit == 0 ? left_.get() : right_.get();
-}
-
-void TreeNode::Split(const IsaxConfig& config, size_t leaf_capacity) {
+void TreeNode::BuildSubtree(uint32_t* ids, uint32_t begin, uint32_t count,
+                            const uint8_t* sax_table, const IsaxConfig& config,
+                            size_t leaf_capacity,
+                            std::vector<uint32_t>* scratch) {
+  begin_ = begin;
+  subtree_size_ = count;
+  if (count <= leaf_capacity) return;
   // Deterministic split choice: the segment with the fewest bits that can
   // still be refined; lowest index breaks ties.
   int seg = -1;
@@ -51,52 +30,53 @@ void TreeNode::Split(const IsaxConfig& config, size_t leaf_capacity) {
   left_word.symbols[seg] = static_cast<uint8_t>(word_.symbols[seg] << 1);
   IsaxWord right_word = left_word;
   right_word.symbols[seg] = static_cast<uint8_t>(right_word.symbols[seg] | 1u);
-
+  const int shift = config.max_bits - left_word.bits[seg];
   left_ = std::make_unique<TreeNode>(std::move(left_word));
   right_ = std::make_unique<TreeNode>(std::move(right_word));
   split_segment_ = seg;
 
-  std::vector<uint32_t> ids = std::move(ids_);
-  std::vector<uint8_t> sax = std::move(leaf_sax_);
-  ids_.clear();
-  leaf_sax_.clear();
-  const size_t w = word_.symbols.size();
-  for (size_t i = 0; i < ids.size(); ++i) {
-    TreeNode* child = ChildFor(sax.data() + i * w, config);
-    // Children inherit the payload directly (not via Insert) so the parent's
-    // subtree_size_ is not double counted.
-    child->ids_.push_back(ids[i]);
-    child->leaf_sax_.insert(child->leaf_sax_.end(), sax.data() + i * w,
-                            sax.data() + (i + 1) * w);
-    ++child->subtree_size_;
-  }
-  // A pathological split can leave one child oversized (all summaries
-  // identical at the refined bit). Recurse until balanced or fully refined.
-  for (TreeNode* child : {left_.get(), right_.get()}) {
-    if (child->ids_.size() > leaf_capacity) {
-      child->Split(config, leaf_capacity);
+  // Stable partition on the refined bit: bit-0 ids compact forward in
+  // place, bit-1 ids wait in the scratch and follow them.
+  const size_t w = static_cast<size_t>(config.segments());
+  uint32_t* slice = ids + begin;
+  uint32_t left_count = 0;
+  scratch->clear();
+  for (uint32_t i = 0; i < count; ++i) {
+    const uint32_t id = slice[i];
+    if (((sax_table[size_t{id} * w + static_cast<size_t>(seg)] >> shift) &
+         1u) == 0) {
+      slice[left_count++] = id;
+    } else {
+      scratch->push_back(id);
     }
   }
+  std::copy(scratch->begin(), scratch->end(), slice + left_count);
+  // A pathological split can leave one child oversized (all summaries
+  // identical at the refined bit); the recursion splits it again until
+  // balanced or fully refined.
+  left_->BuildSubtree(ids, begin, left_count, sax_table, config, leaf_capacity,
+                      scratch);
+  right_->BuildSubtree(ids, begin + left_count, count - left_count, sax_table,
+                       config, leaf_capacity, scratch);
+}
+
+void TreeNode::SetLeafRange(uint32_t begin, uint32_t count) {
+  ODYSSEY_CHECK(is_leaf() && subtree_size_ == 0);
+  begin_ = begin;
+  subtree_size_ = count;
 }
 
 void TreeNode::AdoptChildren(int split_segment,
                              std::unique_ptr<TreeNode> left,
                              std::unique_ptr<TreeNode> right) {
-  ODYSSEY_CHECK(is_leaf() && ids_.empty());
+  ODYSSEY_CHECK(is_leaf() && subtree_size_ == 0);
   ODYSSEY_CHECK(left != nullptr && right != nullptr);
+  ODYSSEY_CHECK(right->begin_ == left->end());
   split_segment_ = split_segment;
   left_ = std::move(left);
   right_ = std::move(right);
+  begin_ = left_->begin_;
   subtree_size_ = left_->subtree_size_ + right_->subtree_size_;
-}
-
-void TreeNode::SetLeafPayload(std::vector<uint32_t> ids,
-                              std::vector<uint8_t> sax) {
-  ODYSSEY_CHECK(is_leaf() && ids_.empty());
-  ODYSSEY_CHECK(sax.size() == ids.size() * word_.symbols.size());
-  ids_ = std::move(ids);
-  leaf_sax_ = std::move(sax);
-  subtree_size_ = ids_.size();
 }
 
 size_t TreeNode::CountNodes() const {
@@ -115,9 +95,8 @@ size_t TreeNode::MaxDepth() const {
 }
 
 size_t TreeNode::MemoryBytes() const {
-  size_t bytes = sizeof(TreeNode) + word_.symbols.capacity() +
-                 word_.bits.capacity() +
-                 ids_.capacity() * sizeof(uint32_t) + leaf_sax_.capacity();
+  size_t bytes =
+      sizeof(TreeNode) + word_.symbols.capacity() + word_.bits.capacity();
   if (!is_leaf()) bytes += left_->MemoryBytes() + right_->MemoryBytes();
   return bytes;
 }

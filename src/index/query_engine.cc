@@ -378,15 +378,17 @@ ODYSSEY_HOT void QueryExecution::ProcessQueue(BoundedPq* queue) {
 
 ODYSSEY_HOT void QueryExecution::ScanLeaf(const TreeNode* leaf) {
   stat_leaves_processed_.fetch_add(1, std::memory_order_relaxed);
-  const auto& ids = leaf->ids();
-  for (size_t i = 0; i < ids.size(); ++i) {
+  // The leaf's rows are contiguous (leaf order), so its SAX rows and series
+  // rows are each read as one sequential stream.
+  const uint32_t end = static_cast<uint32_t>(leaf->end());
+  for (uint32_t row = leaf->begin(); row < end; ++row) {
     const float threshold = PruneThreshold();
     // Per-series summary filter at full cardinality before the real
     // distance (the tightest summary-level bound).
-    if (SeriesLowerBound(leaf->leaf_sax(i)) >= threshold) continue;
-    const float d = RealDistance(index_->data().data(ids[i]), threshold);
+    if (SeriesLowerBound(index_->sax(row)) >= threshold) continue;
+    const float d = RealDistance(index_->data().data(row), threshold);
     stat_real_distances_.fetch_add(1, std::memory_order_relaxed);
-    if (d < threshold) OfferCandidate(d, ids[i]);
+    if (d < threshold) OfferCandidate(d, row);
   }
 }
 
@@ -678,7 +680,9 @@ ODYSSEY_HOT void GroupedQueryExecution::ScanLeafGrouped(const LeafWork& work,
   const bool use_dtw = first->options_.use_dtw;
   const simd::KernelTable* kernels = first->kernels_;
   const size_t q_count = members_.size();
-  const auto& ids = leaf->ids();
+  const uint32_t begin = leaf->begin();
+  const uint32_t end = static_cast<uint32_t>(leaf->end());
+  const Index& index = *first->index_;
   if (scratch->active.size() == 1) {
     // One active member for the whole leaf — the common case in a mixed
     // batch, where co-resident queries rarely want the same leaves. Run
@@ -691,10 +695,10 @@ ODYSSEY_HOT void GroupedQueryExecution::ScanLeafGrouped(const LeafWork& work,
     // leaf, but the independent add chains run at near-vector throughput.
     const int lone = scratch->active[0];
     QueryExecution* m = members_[lone];
-    for (size_t s = 0; s < ids.size(); ++s) {
+    for (uint32_t row = begin; row < end; ++row) {
       const float threshold = m->PruneThreshold();
-      if (m->SeriesLowerBound(leaf->leaf_sax(s)) >= threshold) continue;
-      const float* series = first->index_->data().data(ids[s]);
+      if (m->SeriesLowerBound(index.sax(row)) >= threshold) continue;
+      const float* series = index.data().data(row);
       m->stat_real_distances_.fetch_add(1, std::memory_order_relaxed);
       if (use_dtw) {
         const float lb = scalar_->lb_keogh_early_abandon(
@@ -704,14 +708,14 @@ ODYSSEY_HOT void GroupedQueryExecution::ScanLeafGrouped(const LeafWork& work,
         const float d = SquaredDtwEarlyAbandon(series, m->query_, n_,
                                                m->options_.dtw_window,
                                                threshold);
-        if (d < threshold) m->OfferCandidate(d, ids[s]);
+        if (d < threshold) m->OfferCandidate(d, row);
       } else {
-        QueueLoneCandidate(lone, series, ids[s], scratch);
+        QueueLoneCandidate(lone, series, row, scratch);
       }
     }
     return;
   }
-  for (size_t s = 0; s < ids.size(); ++s) {
+  for (uint32_t row = begin; row < end; ++row) {
     // Per-series summary filter per member, as in ScanLeaf. Members that
     // filter out (or were inactive for the leaf) get a 0.0 threshold: their
     // lane freezes after the first abandon check and its output is ignored
@@ -723,7 +727,7 @@ ODYSSEY_HOT void GroupedQueryExecution::ScanLeafGrouped(const LeafWork& work,
     int lone = -1;
     for (int q : scratch->active) {
       const float threshold = members_[q]->PruneThreshold();
-      if (members_[q]->SeriesLowerBound(leaf->leaf_sax(s)) >= threshold) {
+      if (members_[q]->SeriesLowerBound(index.sax(row)) >= threshold) {
         continue;
       }
       scratch->thresholds[q] = threshold;
@@ -732,7 +736,7 @@ ODYSSEY_HOT void GroupedQueryExecution::ScanLeafGrouped(const LeafWork& work,
       ++passing;
     }
     if (passing == 0) continue;
-    const float* series = first->index_->data().data(ids[s]);
+    const float* series = index.data().data(row);
     if (use_dtw && passing == 1) {
       // Lone DTW survivor: the batched LB_Keogh block doesn't amortize for
       // one live lane — bound through the per-query *scalar* kernel, which
@@ -747,7 +751,7 @@ ODYSSEY_HOT void GroupedQueryExecution::ScanLeafGrouped(const LeafWork& work,
       const float d = SquaredDtwEarlyAbandon(series, m->query_, n_,
                                              m->options_.dtw_window,
                                              threshold);
-      if (d < threshold) m->OfferCandidate(d, ids[s]);
+      if (d < threshold) m->OfferCandidate(d, row);
       continue;
     }
     if (!use_dtw && passing < kBatchedRouteOccupancy) {
@@ -766,7 +770,7 @@ ODYSSEY_HOT void GroupedQueryExecution::ScanLeafGrouped(const LeafWork& work,
         if (scratch->pass[q] == 0) continue;
         members_[q]->stat_real_distances_.fetch_add(
             1, std::memory_order_relaxed);
-        QueueLoneCandidate(q, series, ids[s], scratch);
+        QueueLoneCandidate(q, series, row, scratch);
       }
       continue;
     }
@@ -789,7 +793,7 @@ ODYSSEY_HOT void GroupedQueryExecution::ScanLeafGrouped(const LeafWork& work,
         const float d = SquaredDtwEarlyAbandon(series, m->query_, n_,
                                                m->options_.dtw_window,
                                                threshold);
-        if (d < threshold) m->OfferCandidate(d, ids[s]);
+        if (d < threshold) m->OfferCandidate(d, row);
       }
     } else {
       kernels->batched_squared_euclidean_early_abandon(
@@ -800,7 +804,7 @@ ODYSSEY_HOT void GroupedQueryExecution::ScanLeafGrouped(const LeafWork& work,
         QueryExecution* m = members_[q];
         m->stat_real_distances_.fetch_add(1, std::memory_order_relaxed);
         if (scratch->out[q] < scratch->thresholds[q]) {
-          m->OfferCandidate(scratch->out[q], ids[s]);
+          m->OfferCandidate(scratch->out[q], row);
         }
       }
     }

@@ -24,7 +24,10 @@ namespace odyssey {
 /// (via the BSF channel) between nodes.
 bool AtomicFetchMinFloat(std::atomic<float>* cell, float value);
 
-/// One answer candidate: squared distance + series id local to the chunk.
+/// One answer candidate: squared distance + series id. In a
+/// QueryExecution's results the id is a row of Index::data() (leaf order;
+/// Index::chunk()->global_ids() maps it to the caller's id); in a cluster's
+/// answers it is already the global dataset id.
 struct Neighbor {
   float squared_distance = 0.0f;
   uint32_t id = 0;

@@ -6,14 +6,17 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <functional>
 #include <memory>
+#include <string>
+#include <vector>
+
+#include "src/common/check.h"
 
 namespace odyssey {
 namespace {
 
 constexpr char kMagic[4] = {'O', 'D', 'I', 'X'};
-constexpr uint32_t kVersion = 1;
+constexpr uint32_t kVersion = 2;
 constexpr uint8_t kLeafTag = 0;
 constexpr uint8_t kInternalTag = 1;
 
@@ -65,11 +68,8 @@ class BoundedReader {
 
 bool WriteNode(std::FILE* f, const TreeNode* node) {
   if (node->is_leaf()) {
-    if (!WriteValue<uint8_t>(f, kLeafTag)) return false;
-    const uint32_t n = static_cast<uint32_t>(node->ids().size());
-    if (!WriteValue(f, n)) return false;
-    return n == 0 ||
-           WriteBytes(f, node->ids().data(), n * sizeof(uint32_t));
+    return WriteValue<uint8_t>(f, kLeafTag) &&
+           WriteValue(f, static_cast<uint32_t>(node->subtree_size()));
   }
   if (!WriteValue<uint8_t>(f, kInternalTag)) return false;
   if (!WriteValue<uint8_t>(
@@ -79,14 +79,14 @@ bool WriteNode(std::FILE* f, const TreeNode* node) {
   return WriteNode(f, node->left()) && WriteNode(f, node->right());
 }
 
-/// Reads one pre-order subtree under the word `word`. A leaf must hold
-/// only ids the table has, none already placed in another leaf (`placed`,
-/// one flag per series), and only rows its word matches: the query engine
-/// trusts that every series sits in exactly one leaf whose word bounds it.
+/// Reads one pre-order subtree under the word `word`. Its leaves take the
+/// next rows of `chunk` in order, starting at `*next_row`: a leaf may claim
+/// no more rows than are left, and only rows its word matches — the query
+/// engine trusts that every leaf's word bounds each of its rows.
 std::unique_ptr<TreeNode> ReadNode(BoundedReader* in, IsaxWord word,
-                                   const std::vector<uint8_t>& sax_table,
+                                   const SharedChunk& chunk,
                                    const IsaxConfig& config,
-                                   std::vector<uint8_t>* placed, bool* ok) {
+                                   uint32_t* next_row, bool* ok) {
   uint8_t tag = 0;
   if (!in->Value(&tag)) {
     *ok = false;
@@ -94,34 +94,19 @@ std::unique_ptr<TreeNode> ReadNode(BoundedReader* in, IsaxWord word,
   }
   auto node = std::make_unique<TreeNode>(word);
   if (tag == kLeafTag) {
-    const size_t w = static_cast<size_t>(config.segments());
     uint32_t n = 0;
-    // A leaf can hold no more ids than the file has left, nor more than the
-    // index has series (which bounds the leaf's SAX rows below).
-    if (!in->Value(&n) || !in->Fits(n, sizeof(uint32_t)) ||
-        n > sax_table.size() / w) {
+    if (!in->Value(&n) || n > chunk.size() - *next_row) {
       *ok = false;
       return nullptr;
     }
-    std::vector<uint32_t> ids(n);
-    if (n > 0 && !in->Read(ids.data(), n * sizeof(uint32_t))) {
-      *ok = false;
-      return nullptr;
-    }
-    std::vector<uint8_t> leaf_sax;
-    leaf_sax.reserve(n * w);
-    for (uint32_t id : ids) {
-      if (static_cast<size_t>(id) * w + w > sax_table.size() ||
-          (*placed)[id] != 0 ||
-          !node->word().Matches(sax_table.data() + id * w, config)) {
+    for (uint32_t row = *next_row; row < *next_row + n; ++row) {
+      if (!node->word().Matches(chunk.sax(row), config)) {
         *ok = false;
         return nullptr;
       }
-      (*placed)[id] = 1;
-      leaf_sax.insert(leaf_sax.end(), sax_table.data() + id * w,
-                      sax_table.data() + (id + 1) * w);
     }
-    node->SetLeafPayload(std::move(ids), std::move(leaf_sax));
+    node->SetLeafRange(*next_row, n);
+    *next_row += n;
     return node;
   }
   if (tag != kInternalTag) {
@@ -140,11 +125,10 @@ std::unique_ptr<TreeNode> ReadNode(BoundedReader* in, IsaxWord word,
   IsaxWord right_word = left_word;
   right_word.symbols[split] =
       static_cast<uint8_t>(right_word.symbols[split] | 1u);
-  auto left =
-      ReadNode(in, std::move(left_word), sax_table, config, placed, ok);
+  auto left = ReadNode(in, std::move(left_word), chunk, config, next_row, ok);
   if (!*ok) return nullptr;
   auto right =
-      ReadNode(in, std::move(right_word), sax_table, config, placed, ok);
+      ReadNode(in, std::move(right_word), chunk, config, next_row, ok);
   if (!*ok) return nullptr;
   node->AdoptChildren(split, std::move(left), std::move(right));
   return node;
@@ -175,9 +159,10 @@ Status SaveIndexToFile(const Index& index, const std::string& path) {
       return Status::IoError("short data write: " + path);
     }
   }
-  if (!WriteBytes(f.get(), index.sax_table().data(),
-                  index.sax_table().size())) {
-    return Status::IoError("short SAX-table write: " + path);
+  const std::vector<uint32_t>& ids = index.chunk()->global_ids();
+  ODYSSEY_CHECK(ids.size() == count);
+  if (!WriteBytes(f.get(), ids.data(), ids.size() * sizeof(uint32_t))) {
+    return Status::IoError("short id-map write: " + path);
   }
   const IndexTree& tree = index.tree();
   if (!WriteValue(f.get(), static_cast<uint32_t>(tree.root_count()))) {
@@ -214,7 +199,10 @@ StatusOr<Index> LoadIndexFromFile(const std::string& path) {
     return Status::InvalidArgument("bad magic in " + path);
   }
   if (version != kVersion) {
-    return Status::InvalidArgument("unsupported index version in " + path);
+    return Status::InvalidArgument("unsupported index version " +
+                                   std::to_string(version) + " in " + path +
+                                   " (this build reads version " +
+                                   std::to_string(kVersion) + ")");
   }
   // Bounds every field an IsaxConfig checks, so a corrupt header is a
   // Status here instead of an abort in the constructor below.
@@ -223,8 +211,8 @@ StatusOr<Index> LoadIndexFromFile(const std::string& path) {
       max_bits > static_cast<uint32_t>(kMaxSaxBits) || leaf_capacity == 0) {
     return Status::InvalidArgument("corrupt index header in " + path);
   }
-  // The series rows and the SAX table follow the header back to back.
-  if (!in.Fits(count, uint64_t{length} * sizeof(float) + segments)) {
+  // The series rows and the id map follow the header back to back.
+  if (!in.Fits(count, uint64_t{length} * sizeof(float) + sizeof(uint32_t))) {
     return Status::InvalidArgument("series count exceeds the file size in " +
                                    path);
   }
@@ -239,25 +227,22 @@ StatusOr<Index> LoadIndexFromFile(const std::string& path) {
   if (!in.Read(dst, static_cast<size_t>(count) * length * sizeof(float))) {
     return Status::IoError("short data read: " + path);
   }
-  std::vector<uint8_t> sax_table(static_cast<size_t>(count) * segments);
-  if (!in.Read(sax_table.data(), sax_table.size())) {
-    return Status::IoError("short SAX-table read: " + path);
+  std::vector<uint32_t> ids(count);
+  if (!in.Read(ids.data(), ids.size() * sizeof(uint32_t))) {
+    return Status::IoError("short id-map read: " + path);
   }
-  // A symbol is max_bits wide: the query engine's bound tables have one
-  // entry per possible symbol, so a wider byte would be read past its row.
-  const uint32_t symbols = 1u << max_bits;
-  for (uint8_t symbol : sax_table) {
-    if (symbol >= symbols) {
-      return Status::InvalidArgument("SAX symbol wider than max_bits in " +
+  {
+    std::vector<uint32_t> sorted = ids;
+    std::sort(sorted.begin(), sorted.end());
+    if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
+      return Status::InvalidArgument("id map names a series twice in " +
                                      path);
     }
   }
-  // The tree is loaded below, not rebuilt, so the adopted bundle skips the
-  // summarization buffers.
-  Index index(SharedChunk::Adopt(std::move(data), {}, std::move(sax_table),
-                                 options.config, /*pool=*/nullptr,
-                                 /*build_buffers=*/false),
-              options);
+  // The file stores no SAX rows: each is recomputed from its series, so a
+  // row's summary always matches the series it bounds.
+  std::unique_ptr<SharedChunk> chunk =
+      SharedChunk::Build(std::move(data), std::move(ids), options.config);
 
   uint32_t root_count = 0;
   if (!in.Value(&root_count)) {
@@ -268,22 +253,24 @@ StatusOr<Index> LoadIndexFromFile(const std::string& path) {
     return Status::InvalidArgument("root count exceeds the file size in " +
                                    path);
   }
+  const uint64_t key_limit = uint64_t{1} << segments;
   std::vector<uint32_t> keys;
   std::vector<std::unique_ptr<TreeNode>> roots;
   keys.reserve(root_count);
   roots.reserve(root_count);
-  std::vector<uint8_t> placed(count, 0);
+  uint32_t next_row = 0;
   for (uint32_t r = 0; r < root_count; ++r) {
     uint32_t key = 0;
     if (!in.Value(&key)) {
       return Status::IoError("short tree read: " + path);
     }
-    if (!keys.empty() && key <= keys.back()) {
-      return Status::InvalidArgument("root keys out of order in " + path);
+    if ((!keys.empty() && key <= keys.back()) || key >= key_limit) {
+      return Status::InvalidArgument("root key out of order or range in " +
+                                     path);
     }
     bool ok = true;
-    auto root = ReadNode(&in, IsaxWord::Root(options.config, key),
-                         index.sax_table(), options.config, &placed, &ok);
+    auto root = ReadNode(&in, IsaxWord::Root(options.config, key), *chunk,
+                         options.config, &next_row, &ok);
     if (!ok) {
       return Status::InvalidArgument("corrupt subtree in " + path);
     }
@@ -295,9 +282,12 @@ StatusOr<Index> LoadIndexFromFile(const std::string& path) {
     keys.push_back(key);
     roots.push_back(std::move(root));
   }
-  if (std::find(placed.begin(), placed.end(), 0) != placed.end()) {
+  // The leaves claim rows in order, so every row lies in exactly one leaf
+  // once their counts add up to the rows.
+  if (next_row != count) {
     return Status::InvalidArgument("series missing from the tree in " + path);
   }
+  Index index(std::move(chunk), options);
   index.tree_ = IndexTree::FromRoots(std::move(keys), std::move(roots));
   return index;
 }

@@ -1,36 +1,41 @@
 #include "src/index/tree.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/common/check.h"
 
 namespace odyssey {
 
-IndexTree IndexTree::Build(const SummarizationBuffers& buffers,
+IndexTree IndexTree::Build(SummarizationBuffers buffers,
                            const uint8_t* sax_table, const IsaxConfig& config,
-                           size_t leaf_capacity, ThreadPool* pool) {
+                           size_t leaf_capacity, ThreadPool* pool,
+                           std::vector<uint32_t>* leaf_order) {
   ODYSSEY_CHECK(leaf_capacity >= 1);
+  ODYSSEY_CHECK(leaf_order != nullptr);
   IndexTree tree;
-  tree.keys_ = buffers.keys;
-  tree.roots_.resize(buffers.buffer_count());
-  const size_t w = static_cast<size_t>(config.segments());
+  tree.keys_ = std::move(buffers.keys);
+  tree.roots_.resize(tree.keys_.size());
+  uint32_t* ids = buffers.ids.data();
 
   auto build_range = [&](size_t begin, size_t end) {
+    std::vector<uint32_t> scratch;
     for (size_t b = begin; b < end; ++b) {
       auto root = std::make_unique<TreeNode>(
-          IsaxWord::Root(config, buffers.keys[b]));
-      for (uint32_t id : buffers.series[b]) {
-        root->Insert(id, sax_table + static_cast<size_t>(id) * w, config,
-                     leaf_capacity);
-      }
+          IsaxWord::Root(config, tree.keys_[b]));
+      root->BuildSubtree(
+          ids, static_cast<uint32_t>(buffers.starts[b]),
+          static_cast<uint32_t>(buffers.starts[b + 1] - buffers.starts[b]),
+          sax_table, config, leaf_capacity, &scratch);
       tree.roots_[b] = std::move(root);
     }
   };
   if (pool != nullptr) {
-    pool->ParallelFor(buffers.buffer_count(), build_range);
+    pool->ParallelFor(tree.roots_.size(), build_range);
   } else {
-    build_range(0, buffers.buffer_count());
+    build_range(0, tree.roots_.size());
   }
+  *leaf_order = std::move(buffers.ids);
   return tree;
 }
 

@@ -12,22 +12,27 @@ namespace odyssey {
 
 /// The forest of root subtrees of an iSAX index: one subtree per non-empty
 /// root key, ordered by key. The ordered array of roots is what RS-batches
-/// partition, so its determinism across replicas matters.
+/// partition, so its determinism across replicas matters. The roots' row
+/// ranges tile the index's rows in key order.
 class IndexTree {
  public:
   IndexTree() = default;
   IndexTree(IndexTree&&) = default;
   IndexTree& operator=(IndexTree&&) = default;
 
-  /// Builds all subtrees from summarization buffers. Each subtree is
-  /// independent, so construction parallelizes over buffers (the paper's
-  /// "tree time" phase). `sax_table` is a *view* of the chunk's
-  /// full-cardinality summary rows (one row of config.segments() bytes per
-  /// series, covering every id the buffers mention) — typically a
-  /// SharedChunk's table, read by its replication group's one build.
-  static IndexTree Build(const SummarizationBuffers& buffers,
+  /// Builds all subtrees from summarization buffers, which it consumes:
+  /// each buffer's slice of ids is reordered in place as its subtree splits
+  /// (TreeNode::BuildSubtree), so `*leaf_order` receives every id in leaf
+  /// order — roots by key, left child before right — and each node's row
+  /// range [begin, end) indexes that order. Each subtree is independent, so
+  /// construction parallelizes over buffers (the paper's "tree time"
+  /// phase). `sax_table` is a *view* of the chunk's full-cardinality
+  /// summary rows (one row of config.segments() bytes per series, covering
+  /// every id the buffers mention).
+  static IndexTree Build(SummarizationBuffers buffers,
                          const uint8_t* sax_table, const IsaxConfig& config,
-                         size_t leaf_capacity, ThreadPool* pool);
+                         size_t leaf_capacity, ThreadPool* pool,
+                         std::vector<uint32_t>* leaf_order);
 
   /// Deserialization support: adopts pre-built subtrees. `keys` must be
   /// sorted ascending and parallel to `roots`.

@@ -83,7 +83,8 @@ class SaxBoundTable {
 
   /// The bound for one full-cardinality SAX row (one symbol per segment).
   /// Every symbol must be < 2^max_bits, or the lookup reads past its
-  /// segment's row; LoadIndexFromFile checks this for every stored row.
+  /// segment's row; ComputeSax never writes a wider one, and
+  /// LoadIndexFromFile recomputes every row it loads.
   ODYSSEY_HOT float Bound(const uint8_t* sax) const {
     const double* row = terms_.data();
     double sum = 0.0;

@@ -7,10 +7,13 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -319,17 +322,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzExactnessTest,
 
 // --------------------------------------------------------- Serialization
 
-std::string FingerprintTree(const TreeNode* node) {
-  if (node->is_leaf()) {
-    std::string out = "L(" + node->word().ToString() + ":";
-    for (uint32_t id : node->ids()) out += std::to_string(id) + ",";
-    return out + ")";
-  }
-  return "I(" + node->word().ToString() + "#" +
-         std::to_string(node->split_segment()) +
-         FingerprintTree(node->left()) + FingerprintTree(node->right()) + ")";
-}
-
 TEST(SerializeTest, RoundTripIsBitIdentical) {
   const SeriesCollection data = GenerateSeismicLike(1500, 64, 141);
   const Index built = Index::Build(SeriesCollection(data), TestIndexOptions());
@@ -338,13 +330,9 @@ TEST(SerializeTest, RoundTripIsBitIdentical) {
   StatusOr<Index> loaded = LoadIndexFromFile(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
-  ASSERT_EQ(loaded->data().size(), built.data().size());
-  ASSERT_EQ(loaded->tree().root_count(), built.tree().root_count());
-  for (size_t r = 0; r < built.tree().root_count(); ++r) {
-    ASSERT_EQ(loaded->tree().root_key(r), built.tree().root_key(r));
-    ASSERT_EQ(FingerprintTree(loaded->tree().root(r)),
-              FingerprintTree(built.tree().root(r)));
-  }
+  // Same tree, same rows in the same order, same id map, and the same SAX
+  // rows recomputed from the series.
+  EXPECT_TRUE(testing_utils::IndexesIdentical(built, *loaded));
   // The loaded index answers queries exactly.
   const SeriesCollection queries = GenerateUniformQueries(data, 5, 1.5, 143);
   ThreadPool pool(2);
@@ -464,7 +452,7 @@ TEST(SerializeTest, CorruptCountsNeverSizeAnAllocation) {
   // A valid 28-byte header (magic, version, length 256, 16 segments, 8
   // bits, leaf capacity 32) declaring 2^32-1 series: ~4 TB of rows.
   std::vector<uint8_t> bytes = {'O', 'D', 'I', 'X'};
-  for (uint32_t v : {1u, 256u, 16u, 8u, 32u, 0xFFFFFFFFu}) {
+  for (uint32_t v : {2u, 256u, 16u, 8u, 32u, 0xFFFFFFFFu}) {
     PutU32(&bytes, bytes.size(), v);
   }
   WriteFileBytes(path, bytes);
@@ -488,16 +476,16 @@ TEST(SerializeTest, CorruptCountsNeverSizeAnAllocation) {
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
 
-  // An inflated id count on the first leaf in pre-order: follow internal
+  // An inflated row count on the first leaf in pre-order: follow internal
   // nodes (tag 1 + split byte) from the first root down its left spine.
   size_t pos = 28 + kCount * iopts.config.series_length() * sizeof(float) +
-               kCount * static_cast<size_t>(iopts.config.segments()) +
-               2 * sizeof(uint32_t);  // root count, first root key
+               kCount * sizeof(uint32_t) +  // the id map
+               2 * sizeof(uint32_t);        // root count, first root key
   while (pos < saved.size() && saved[pos] == 1) pos += 2;
   ASSERT_LT(pos + 4, saved.size());
   ASSERT_EQ(saved[pos], 0) << "expected a leaf tag";
   bytes = saved;
-  PutU32(&bytes, pos + 1, 0x10000000u);  // 2^28 ids: a 1 GB vector
+  PutU32(&bytes, pos + 1, 0x10000000u);  // 2^28 rows, far more than stored
   WriteFileBytes(path, bytes);
   loaded = LoadIndexFromFile(path);
   ASSERT_FALSE(loaded.ok());
@@ -519,7 +507,7 @@ TEST(SerializeTest, CorruptGeometryIsInvalidArgument) {
     // Magic, version, length, segments, 8 bits, leaf capacity 32, no
     // series, then a tree of zero roots.
     std::vector<uint8_t> bytes = {'O', 'D', 'I', 'X'};
-    for (uint32_t v : {1u, header.length, header.segments, 8u, 32u, 0u, 0u}) {
+    for (uint32_t v : {2u, header.length, header.segments, 8u, 32u, 0u, 0u}) {
       PutU32(&bytes, bytes.size(), v);
     }
     WriteFileBytes(path, bytes);
@@ -539,16 +527,16 @@ uint32_t GetU32(const std::vector<uint8_t>& bytes, size_t offset) {
   return v;
 }
 
-/// Offset of the SAX table in a saved index: it follows the 28-byte header
+/// Offset of the id map in a saved index: it follows the 28-byte header
 /// and the series rows.
-size_t SaxTableOffset(uint32_t count, const IsaxConfig& config) {
+size_t IdMapOffset(uint32_t count, const IsaxConfig& config) {
   return 28 + size_t{count} * config.series_length() * sizeof(float);
 }
 
 /// Where a saved index's tree section keeps its records: the root count,
 /// each root record (its u32 key) and each leaf record (its tag byte), in
 /// pre-order. An internal record is its tag and split byte; a leaf record
-/// is its tag, a u32 id count and the ids.
+/// is its tag and a u32 row count.
 struct TreeLayout {
   size_t root_count_at = 0;
   std::vector<size_t> roots;
@@ -558,8 +546,7 @@ struct TreeLayout {
 TreeLayout ParseTree(const std::vector<uint8_t>& bytes, uint32_t count,
                      const IsaxConfig& config) {
   TreeLayout layout;
-  size_t pos = SaxTableOffset(count, config) +
-               size_t{count} * static_cast<size_t>(config.segments());
+  size_t pos = IdMapOffset(count, config) + size_t{count} * sizeof(uint32_t);
   layout.root_count_at = pos;
   const uint32_t roots = GetU32(bytes, pos);
   pos += sizeof(uint32_t);
@@ -571,7 +558,7 @@ TreeLayout ParseTree(const std::vector<uint8_t>& bytes, uint32_t count,
       return;
     }
     layout.leaves.push_back(pos);
-    pos += 1 + sizeof(uint32_t) + GetU32(bytes, pos + 1) * sizeof(uint32_t);
+    pos += 1 + sizeof(uint32_t);
   };
   for (uint32_t r = 0; r < roots; ++r) {
     layout.roots.push_back(pos);
@@ -582,14 +569,18 @@ TreeLayout ParseTree(const std::vector<uint8_t>& bytes, uint32_t count,
   return layout;
 }
 
+IndexOptions SmallLeafOptions() {
+  IndexOptions options = TestIndexOptions();
+  options.leaf_capacity = 16;
+  return options;
+}
+
 /// Saves a `count`-series index (length 64, 8 segments, leaf 16) and returns
 /// its bytes.
 std::vector<uint8_t> SavedIndexBytes(uint32_t count, uint64_t seed,
                                      const std::string& path) {
-  IndexOptions options = TestIndexOptions();
-  options.leaf_capacity = 16;
   const Index built =
-      Index::Build(GenerateRandomWalk(count, 64, seed), options);
+      Index::Build(GenerateRandomWalk(count, 64, seed), SmallLeafOptions());
   EXPECT_TRUE(SaveIndexToFile(built, path).ok());
   return ReadFileBytes(path);
 }
@@ -601,70 +592,82 @@ void ExpectInvalidArgument(const std::string& path) {
       << loaded.status().ToString();
 }
 
-// The query engine's per-series bound reads one table entry per symbol, so
-// a stored symbol at or above 2^max_bits would read past its row. Lowering
-// the header's max_bits from 8 to 4 leaves every stored byte intact but
-// makes most of them too wide.
-TEST(SerializeTest, SymbolWiderThanMaxBitsIsInvalidArgument) {
-  const std::string path = ::testing::TempDir() + "/odyssey_bits.odix";
-  std::vector<uint8_t> bytes = SavedIndexBytes(500, 163, path);
-  ASSERT_EQ(GetU32(bytes, 16), 8u);
-  PutU32(&bytes, 16, 4);
+// Version 1 stored leaf id lists and a SAX table, and trusted the table's
+// rows to summarize their series. A genuine version-1 file — one series of
+// length 4, 2 segments, one root leaf — is refused, not misread.
+TEST(SerializeTest, Version1FileIsInvalidArgument) {
+  const std::string path = ::testing::TempDir() + "/odyssey_v1.odix";
+  std::vector<uint8_t> bytes = {'O', 'D', 'I', 'X'};
+  for (uint32_t v : {1u, 4u, 2u, 8u, 32u, 1u}) PutU32(&bytes, bytes.size(), v);
+  for (float value : {1.0f, 1.0f, -1.0f, -1.0f}) {
+    uint32_t word = 0;
+    std::memcpy(&word, &value, sizeof(word));
+    PutU32(&bytes, bytes.size(), word);
+  }
+  bytes.insert(bytes.end(), {200, 50});   // the series' SAX row
+  PutU32(&bytes, bytes.size(), 1);        // one root...
+  PutU32(&bytes, bytes.size(), 2);        // ...of key 0b10
+  bytes.push_back(0);                     // a leaf
+  PutU32(&bytes, bytes.size(), 1);        // of one id:
+  PutU32(&bytes, bytes.size(), 0);        // series 0
   WriteFileBytes(path, bytes);
-  ExpectInvalidArgument(path);
+  const StatusOr<Index> loaded = LoadIndexFromFile(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().ToString().find("version 1"), std::string::npos)
+      << loaded.status().ToString();
   std::remove(path.c_str());
 }
 
-// A stored row the leaf's word does not cover breaks the invariant exact
-// search rests on: the leaf's bound no longer bounds the series. Moving
-// every row's segment-0 symbol to the opposite half flips its root bit.
+// A series row whose summary the leaf's word does not cover breaks the
+// invariant exact search rests on: the leaf's bound no longer bounds the
+// series. The loader recomputes every SAX row from its series, so
+// rewriting one row to a constant on the other side of segment 0's first
+// breakpoint moves its root bit out of its leaf's word.
 TEST(SerializeTest, RowOutsideItsLeafWordIsInvalidArgument) {
   const std::string path = ::testing::TempDir() + "/odyssey_rows.odix";
   constexpr uint32_t kCount = 2000;
-  const IsaxConfig config = TestIndexOptions().config;
-  std::vector<uint8_t> bytes = SavedIndexBytes(kCount, 165, path);
-  const size_t table = SaxTableOffset(kCount, config);
-  for (uint32_t id = 0; id < kCount; ++id) {
-    uint8_t& symbol = bytes[table + size_t{id} * config.segments()];
-    symbol = symbol < 128 ? 255 : 0;
+  const IndexOptions options = SmallLeafOptions();
+  const Index built =
+      Index::Build(GenerateRandomWalk(kCount, 64, 165), options);
+  ASSERT_TRUE(SaveIndexToFile(built, path).ok());
+  std::vector<uint8_t> bytes = ReadFileBytes(path);
+  constexpr uint32_t kRow = 777;
+  const bool top_bit = (built.sax(kRow)[0] >> (options.config.max_bits - 1)) != 0;
+  const float value = top_bit ? -10.0f : 10.0f;
+  uint32_t word = 0;
+  std::memcpy(&word, &value, sizeof(word));
+  for (size_t t = 0; t < 64; ++t) {
+    PutU32(&bytes, 28 + (size_t{kRow} * 64 + t) * sizeof(float), word);
   }
   WriteFileBytes(path, bytes);
   ExpectInvalidArgument(path);
   std::remove(path.c_str());
 }
 
-// Every series sits in exactly one leaf. A leaf listing one id twice (so
-// the id it replaced is in no leaf) and a series no leaf lists are both
-// rejected.
+// Every row sits in exactly one leaf, and the id map names each series
+// once. A leaf claiming one row fewer (that row is then in no leaf), one
+// claiming a row more (the last leaf then runs past the rows) and an id
+// map repeating an id are all rejected.
 TEST(SerializeTest, SeriesInNoLeafOrTwoIsInvalidArgument) {
   const std::string path = ::testing::TempDir() + "/odyssey_ids.odix";
   constexpr uint32_t kCount = 500;
   const IsaxConfig config = TestIndexOptions().config;
   const std::vector<uint8_t> saved = SavedIndexBytes(kCount, 167, path);
   const std::vector<size_t> leaves = ParseTree(saved, kCount, config).leaves;
-
-  // A leaf of two or more ids repeats its first id in its second slot.
-  std::vector<uint8_t> bytes = saved;
   const auto leaf = std::find_if(leaves.begin(), leaves.end(), [&](size_t at) {
     return GetU32(saved, at + 1) >= 2;
   });
   ASSERT_NE(leaf, leaves.end());
-  PutU32(&bytes, *leaf + 5 + sizeof(uint32_t), GetU32(saved, *leaf + 5));
-  WriteFileBytes(path, bytes);
-  ExpectInvalidArgument(path);
-
-  // One more series (a copy of series 0, row and SAX row) that no leaf
-  // lists.
-  const size_t row_bytes = config.series_length() * sizeof(float);
-  const size_t w = static_cast<size_t>(config.segments());
-  const size_t table = SaxTableOffset(kCount, config);
-  bytes.assign(saved.begin(), saved.begin() + table);
-  bytes.insert(bytes.end(), saved.begin() + 28, saved.begin() + 28 + row_bytes);
-  bytes.insert(bytes.end(), saved.begin() + table,
-               saved.begin() + table + kCount * w);
-  bytes.insert(bytes.end(), saved.begin() + table, saved.begin() + table + w);
-  bytes.insert(bytes.end(), saved.begin() + table + kCount * w, saved.end());
-  PutU32(&bytes, 24, kCount + 1);
+  for (int delta : {-1, +1}) {
+    std::vector<uint8_t> bytes = saved;
+    PutU32(&bytes, *leaf + 1, GetU32(saved, *leaf + 1) + delta);
+    WriteFileBytes(path, bytes);
+    ExpectInvalidArgument(path);
+  }
+  std::vector<uint8_t> bytes = saved;
+  const size_t ids = IdMapOffset(kCount, config);
+  PutU32(&bytes, ids + sizeof(uint32_t), GetU32(saved, ids));
   WriteFileBytes(path, bytes);
   ExpectInvalidArgument(path);
   std::remove(path.c_str());
@@ -691,7 +694,7 @@ TEST(SerializeTest, EmptyRootIsInvalidArgument) {
   ASSERT_LT(key, 1u << config.segments());
   std::vector<uint8_t> empty_root;
   PutU32(&empty_root, 0, key);
-  empty_root.insert(empty_root.end(), {0, 0, 0, 0, 0});  // leaf of no ids
+  empty_root.insert(empty_root.end(), {0, 0, 0, 0, 0});  // leaf of no rows
   bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(at),
                empty_root.begin(), empty_root.end());
   PutU32(&bytes, layout.root_count_at,
@@ -702,15 +705,14 @@ TEST(SerializeTest, EmptyRootIsInvalidArgument) {
 }
 
 // Seeded mutations of a valid index file (flipped bytes, truncations,
-// overwritten 32-bit words, several of which land in the header and the
-// tree's counts, tags and keys): every load is Ok or a Status, never an
-// abort, a throw or a bad_alloc, and every index that loads answers an
-// exact query without aborting. Both outcomes must occur, or the mutations
-// missed the parser.
+// overwritten 32-bit words, several of which land in the header, the rows,
+// the id map and the tree's counts, tags and keys): every load is Ok or a
+// Status, never an abort, a throw or a bad_alloc, and every index that
+// loads answers an exact 1-NN query with the distance an exhaustive scan of
+// its own rows finds — a row whose summary did not bound it would break
+// that. Both outcomes must occur, or the mutations missed the parser.
 TEST(SerializeTest, SeededMutationsLoadOrFailCleanly) {
   const std::string path = ::testing::TempDir() + "/odyssey_mutated.odix";
-  // 4-bit symbols: a flipped SAX byte is then usually wider than max_bits,
-  // which the loader must reject before a query reads past a table row.
   IndexOptions options = TestIndexOptions();
   options.config = IsaxConfig(64, 8, 4);
   const Index built = Index::Build(GenerateRandomWalk(48, 64, 161), options);
@@ -723,13 +725,19 @@ TEST(SerializeTest, SeededMutationsLoadOrFailCleanly) {
             if (!loaded.ok() || loaded->data().empty()) {
               return loaded.status();
             }
-            // The query is series 0 of what loaded plus a small sawtooth,
-            // so it has the loaded length whatever the header now says.
+            // A smooth query of the loaded length, whatever the header now
+            // says; finite, so only mutated rows can score NaN or inf, and
+            // neither side ever counts those.
+            const SeriesCollection& rows = loaded->data();
             const size_t n = loaded->config().series_length();
-            std::vector<float> query(loaded->data().data(0),
-                                     loaded->data().data(0) + n);
+            std::vector<float> query(n);
             for (size_t i = 0; i < n; ++i) {
-              query[i] += 0.01f * static_cast<float>(i % 7);
+              query[i] = std::sin(0.3f * static_cast<float>(i));
+            }
+            float best = std::numeric_limits<float>::infinity();
+            for (size_t i = 0; i < rows.size(); ++i) {
+              const float d = SquaredEuclidean(query.data(), rows.data(i), n);
+              if (d < best) best = d;
             }
             QueryOptions qo;
             qo.num_threads = 1;
@@ -738,7 +746,12 @@ TEST(SerializeTest, SeededMutationsLoadOrFailCleanly) {
             QueryExecution exec(&*loaded, prepared, qo);
             exec.SeedInitialBsf();
             exec.Run();
-            EXPECT_EQ(exec.results().SortedResults().size(), 1u);
+            const std::vector<Neighbor> got = exec.results().SortedResults();
+            EXPECT_EQ(got.size(), 1u);
+            if (!got.empty()) {
+              EXPECT_TRUE(NearlyEqual(got[0].squared_distance, best))
+                  << got[0].squared_distance << " vs " << best;
+            }
             return loaded.status();
           });
   EXPECT_GT(outcome.ok, 0);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <functional>
@@ -60,7 +61,7 @@ TEST(BuffersTest, GroupsCoverAllSeriesByKey) {
     }
     uint32_t prev = 0;
     bool first = true;
-    for (uint32_t id : buffers.series[b]) {
+    for (uint32_t id : buffers.series(b)) {
       EXPECT_EQ(RootKey(table.data() + id * 8, config), buffers.keys[b]);
       if (!first) {
         EXPECT_LT(prev, id);  // ascending ids (determinism)
@@ -100,7 +101,7 @@ TEST(TreeTest, LeavesRespectCapacityUnlessFullyRefined) {
         fully_refined &= (bits == kMaxSaxBits);
       }
       if (!fully_refined) {
-        EXPECT_LE(node->ids().size(), options.leaf_capacity);
+        EXPECT_LE(node->subtree_size(), options.leaf_capacity);
       }
       return;
     }
@@ -112,17 +113,45 @@ TEST(TreeTest, LeavesRespectCapacityUnlessFullyRefined) {
   }
 }
 
-TEST(TreeTest, EverySeriesLandsInAMatchingLeaf) {
+// The leaf layout: leaves visited in pre-order (roots by key, left child
+// before right) hold consecutive row ranges that tile [0, n), and every
+// internal node's range is the union of its children's.
+TEST(TreeTest, LeafRangesTileTheRowsInPreOrder) {
   const SeriesCollection data = GenerateRandomWalk(800, 64, 7);
   const Index index = Index::Build(SeriesCollection(data), SmallOptions(64));
-  std::vector<bool> seen(data.size(), false);
+  size_t next = 0;
+  std::function<void(const TreeNode*)> visit = [&](const TreeNode* node) {
+    EXPECT_EQ(node->begin(), next);
+    if (node->is_leaf()) {
+      next += node->subtree_size();
+      return;
+    }
+    EXPECT_EQ(node->left()->begin(), node->begin());
+    EXPECT_EQ(node->right()->begin(), node->left()->end());
+    EXPECT_EQ(node->right()->end(), node->end());
+    visit(node->left());
+    visit(node->right());
+  };
+  for (size_t r = 0; r < index.tree().root_count(); ++r) {
+    visit(index.tree().root(r));
+  }
+  EXPECT_EQ(next, data.size());
+}
+
+// Every row's SAX row summarizes that row's series, and the leaf holding
+// the row covers it: the two facts exact search rests on.
+TEST(TreeTest, EveryRowMatchesItsLeafAndSummarizesItsSeries) {
+  const SeriesCollection data = GenerateRandomWalk(800, 64, 7);
+  const Index index = Index::Build(SeriesCollection(data), SmallOptions(64));
+  const size_t w = static_cast<size_t>(index.config().segments());
   std::function<void(const TreeNode*)> visit = [&](const TreeNode* node) {
     if (node->is_leaf()) {
-      for (size_t i = 0; i < node->ids().size(); ++i) {
-        const uint32_t id = node->ids()[i];
-        EXPECT_FALSE(seen[id]);
-        seen[id] = true;
-        EXPECT_TRUE(node->word().Matches(index.sax(id), index.config()));
+      for (size_t row = node->begin(); row < node->end(); ++row) {
+        const uint8_t* sax = index.sax(static_cast<uint32_t>(row));
+        EXPECT_TRUE(node->word().Matches(sax, index.config())) << row;
+        std::vector<uint8_t> expected(w);
+        ComputeSax(index.data().data(row), index.config(), expected.data());
+        EXPECT_TRUE(std::equal(expected.begin(), expected.end(), sax)) << row;
       }
       return;
     }
@@ -132,17 +161,24 @@ TEST(TreeTest, EverySeriesLandsInAMatchingLeaf) {
   for (size_t r = 0; r < index.tree().root_count(); ++r) {
     visit(index.tree().root(r));
   }
-  for (bool s : seen) EXPECT_TRUE(s);
 }
 
-std::string TreeFingerprint(const TreeNode* node) {
-  if (node->is_leaf()) {
-    std::string out = "L(" + node->word().ToString() + ":";
-    for (uint32_t id : node->ids()) out += std::to_string(id) + ",";
-    return out + ")";
+// A standalone index maps each row back to the caller's collection: the
+// map is a permutation of [0, n) and row i holds series global_ids()[i].
+TEST(TreeTest, GlobalIdsOfAStandaloneIndexArePositionsInTheCollection) {
+  const SeriesCollection data = GenerateRandomWalk(800, 64, 7);
+  const Index index = Index::Build(SeriesCollection(data), SmallOptions(64));
+  const std::vector<uint32_t>& ids = index.chunk()->global_ids();
+  ASSERT_EQ(ids.size(), data.size());
+  std::vector<bool> seen(data.size(), false);
+  for (size_t row = 0; row < ids.size(); ++row) {
+    ASSERT_LT(ids[row], data.size());
+    EXPECT_FALSE(seen[ids[row]]);
+    seen[ids[row]] = true;
+    EXPECT_TRUE(std::equal(data.data(ids[row]), data.data(ids[row]) + 64,
+                           index.data().data(row)))
+        << row;
   }
-  return "I(" + node->word().ToString() + TreeFingerprint(node->left()) +
-         TreeFingerprint(node->right()) + ")";
 }
 
 TEST(TreeTest, ReplicaDeterminism) {
@@ -152,12 +188,8 @@ TEST(TreeTest, ReplicaDeterminism) {
   ThreadPool pool_a(1), pool_b(8);
   const Index a = Index::Build(SeriesCollection(data), SmallOptions(64), &pool_a);
   const Index b = Index::Build(SeriesCollection(data), SmallOptions(64), &pool_b);
-  ASSERT_EQ(a.tree().root_count(), b.tree().root_count());
-  for (size_t r = 0; r < a.tree().root_count(); ++r) {
-    ASSERT_EQ(a.tree().root_key(r), b.tree().root_key(r));
-    ASSERT_EQ(TreeFingerprint(a.tree().root(r)),
-              TreeFingerprint(b.tree().root(r)));
-  }
+  // Same tree, and the same rows in the same leaf order.
+  EXPECT_TRUE(testing_utils::IndexesIdentical(a, b));
 }
 
 TEST(TreeTest, FindRoot) {
@@ -192,10 +224,11 @@ TEST(ApproxSearchTest, ReturnsARealDistanceAboveExact) {
   for (size_t q = 0; q < queries.size(); ++q) {
     const PreparedQuery prepared =
         PreparedQuery::Prepare(queries.data(q), index.config());
-    uint32_t id = 0;
-    const float approx = ApproximateSearchSquared(index, prepared, &id);
-    const float actual =
-        SquaredEuclidean(queries.data(q), data.data(id), 64);
+    uint32_t row = 0;
+    const float approx = ApproximateSearchSquared(index, prepared, &row);
+    // The answer is a row of the index; its global id names the series.
+    const float actual = SquaredEuclidean(
+        queries.data(q), data.data(index.chunk()->global_ids()[row]), 64);
     EXPECT_TRUE(NearlyEqual(approx, actual));
     const float exact = BruteForceKnn(data, queries.data(q), 1)[0]
                             .squared_distance;
@@ -473,6 +506,78 @@ TEST(ExactSearchTest, DtwKnnMatchesBruteForce) {
     }
   }
 }
+
+// An answer id is a row of Index::data(), and chunk()->global_ids() maps it
+// to the caller's collection: the series it names sits at the reported
+// distance, and exact answers match brute force over the caller's series.
+struct AnswerIdCase {
+  const char* name;
+  bool use_dtw;
+  int k;
+  bool approximate;
+};
+
+class AnswerIdTest : public ::testing::TestWithParam<AnswerIdCase> {};
+
+TEST_P(AnswerIdTest, GlobalIdNamesTheSeriesAtTheReportedDistance) {
+  const AnswerIdCase param = GetParam();
+  const SeriesCollection data = GenerateSeismicLike(1500, 64, 49);
+  const Index index = Index::Build(SeriesCollection(data), SmallOptions(64));
+  const SeriesCollection queries = GenerateUniformQueries(data, 6, 1.0, 51);
+  const size_t window = WarpingWindowFromFraction(64, 0.05);
+  const std::vector<uint32_t>& ids = index.chunk()->global_ids();
+  ThreadPool pool(2);
+  for (size_t q = 0; q < queries.size(); ++q) {
+    QueryOptions options;
+    options.num_threads = 2;
+    options.k = param.k;
+    options.use_dtw = param.use_dtw;
+    options.dtw_window = param.use_dtw ? window : 0;
+    options.approximate = param.approximate;
+    const PreparedQuery prepared =
+        PrepareQuery(queries.data(q), index.config(), options);
+    QueryExecution exec(&index, prepared, options);
+    exec.SeedInitialBsf();
+    exec.Run(&pool);
+    const auto got = exec.results().SortedResults();
+    ASSERT_FALSE(got.empty()) << "query " << q;
+    for (const Neighbor& n : got) {
+      ASSERT_LT(n.id, index.data().size());
+      const uint32_t id = ids[n.id];
+      ASSERT_LT(id, data.size());
+      const float want =
+          param.use_dtw
+              ? SquaredDtw(queries.data(q), data.data(id), 64, window)
+              : SquaredEuclidean(queries.data(q), data.data(id), 64);
+      EXPECT_TRUE(NearlyEqual(n.squared_distance, want))
+          << "query " << q << " row " << n.id << " id " << id << ": "
+          << n.squared_distance << " vs " << want;
+    }
+    if (param.approximate) continue;
+    const auto expected =
+        param.use_dtw
+            ? BruteForceKnnDtw(data, queries.data(q), param.k, window)
+            : BruteForceKnn(data, queries.data(q), param.k);
+    ASSERT_EQ(got.size(), expected.size()) << "query " << q;
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_TRUE(NearlyEqual(got[i].squared_distance,
+                              expected[i].squared_distance))
+          << "query " << q << " rank " << i;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, AnswerIdTest,
+    ::testing::Values(AnswerIdCase{"ed_k1", false, 1, false},
+                      AnswerIdCase{"ed_k5", false, 5, false},
+                      AnswerIdCase{"dtw_k1", true, 1, false},
+                      AnswerIdCase{"dtw_k5", true, 5, false},
+                      AnswerIdCase{"ed_k1_approx", false, 1, true},
+                      AnswerIdCase{"ed_k5_approx", false, 5, true},
+                      AnswerIdCase{"dtw_k1_approx", true, 1, true},
+                      AnswerIdCase{"dtw_k5_approx", true, 5, true}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 TEST(ExactSearchTest, SharedBsfCellAcceleratesAndStaysExact) {
   const SeriesCollection data = GenerateRandomWalk(1500, 64, 33);

@@ -1,10 +1,11 @@
 // The build-path sharing contract (mirror of query_test's query-time
-// contract): one immutable {series, SAX, buffers} bundle and one Index per
-// replication group per chunk — never per node — with the shared tree
-// bit-identical to a private build, across FULL / PARTIAL-k /
-// EQUALLY-SPLIT, for both the in-memory and the streaming (double-buffered
-// overlap) build.
+// contract): one {series, ids, SAX} bundle and one Index per replication
+// group per chunk — never per node — with the group's index bit-identical
+// to a private build, rows in the same leaf order, across FULL / PARTIAL-k
+// / EQUALLY-SPLIT, for both the in-memory and the streaming
+// (double-buffered overlap) build.
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
@@ -13,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/rng.h"
 #include "src/common/summary_stats.h"
 #include "src/core/driver.h"
 #include "src/core/shared_chunk.h"
@@ -66,12 +68,6 @@ TEST(SharedChunkTest, BuildMatchesPerSeriesSummaries) {
       EXPECT_EQ(chunk->sax(i)[s], expected_sax[s]) << i << " seg " << s;
     }
   }
-  // The buffers cover every series exactly once.
-  size_t total = 0;
-  for (size_t b = 0; b < chunk->buffers().buffer_count(); ++b) {
-    total += chunk->buffers().series[b].size();
-  }
-  EXPECT_EQ(total, 300u);
   EXPECT_GT(chunk->MemoryBytes(), data.MemoryBytes());
 }
 
@@ -87,29 +83,58 @@ TEST(SharedChunkTest, AdoptReusesTablesWithoutResummarizing) {
   EXPECT_EQ(summary_stats::PaaCalls(), 0u);
   EXPECT_EQ(summary_stats::SaxCalls(), 0u);
   EXPECT_EQ(adopted->sax_table(), built->sax_table());
-  ASSERT_EQ(adopted->buffers().buffer_count(),
-            built->buffers().buffer_count());
-  EXPECT_EQ(adopted->buffers().keys, built->buffers().keys);
-  EXPECT_EQ(adopted->buffers().series, built->buffers().series);
 }
 
-TEST(SharedChunkTest, IndexBuiltFromSharedEqualsPrivateBuild) {
+// PermuteRows moves each row's series, SAX row and global id together, so
+// row i afterwards holds exactly what row order[i] held.
+TEST(SharedChunkTest, PermuteRowsMovesSeriesSaxAndIdsTogether) {
+  const IsaxConfig config(64, 16);
+  const SeriesCollection data = GenerateRandomWalk(257, 64, 14);
+  std::vector<uint32_t> ids(data.size());
+  for (uint32_t i = 0; i < ids.size(); ++i) ids[i] = 1000 + 3 * i;
+  const auto original = SharedChunk::Build(SeriesCollection(data), ids, config);
+  auto chunk = SharedChunk::Build(SeriesCollection(data), ids, config);
+  // A permutation with cycles of many lengths, fixed points included.
+  std::vector<uint32_t> order(data.size());
+  for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
+  Rng rng(15);
+  for (size_t i = order.size() - 1; i > 0; i -= 2) {
+    std::swap(order[i], order[rng.NextBounded(i + 1)]);
+  }
+  chunk->PermuteRows(order);
+  for (size_t row = 0; row < order.size(); ++row) {
+    const uint32_t from = order[row];
+    EXPECT_EQ(chunk->global_ids()[row], original->global_ids()[from]) << row;
+    EXPECT_TRUE(std::equal(chunk->sax(row), chunk->sax(row) + 16,
+                           original->sax(from)))
+        << row;
+    EXPECT_TRUE(std::equal(chunk->data().data(row),
+                           chunk->data().data(row) + 64,
+                           original->data().data(from)))
+        << row;
+  }
+}
+
+TEST(SharedChunkDeathTest, PermuteRowsRefusesANonPermutation) {
+  const IsaxConfig config(64, 16);
+  auto chunk =
+      SharedChunk::Build(GenerateRandomWalk(4, 64, 16), {}, config);
+  EXPECT_DEATH(chunk->PermuteRows({1, 1, 2, 3}), "no permutation");
+}
+
+// The group path (a bundle built first, the index built over it) and the
+// private path give the same index: same tree, and the same rows, SAX rows
+// and id map in the same leaf order.
+TEST(SharedChunkTest, BundleBuildEqualsPrivateBuild) {
   const SeriesCollection data = GenerateSeismicLike(400, 64, 13);
   const IndexOptions options = TestIndexOptions();
   const Index private_index =
       Index::Build(SeriesCollection(data), options);
-  const auto bundle =
-      SharedChunk::Build(SeriesCollection(data), {}, options.config);
-  const Index shared_a = Index::BuildFromShared(bundle, options);
-  const Index shared_b = Index::BuildFromShared(bundle, options);
-  // Both replicas reference the very same bundle...
-  EXPECT_EQ(shared_a.chunk().get(), shared_b.chunk().get());
-  EXPECT_EQ(shared_a.sax_table().data(), shared_b.sax_table().data());
-  // ...and all three trees agree node for node.
-  EXPECT_TRUE(testing_utils::TreesIdentical(private_index.tree(),
-                                            shared_a.tree()));
-  EXPECT_TRUE(testing_utils::TreesIdentical(shared_a.tree(),
-                                            shared_b.tree()));
+  const Index from_bundle = Index::BuildFromShared(
+      SharedChunk::Build(SeriesCollection(data), {}, options.config),
+      options);
+  EXPECT_TRUE(
+      testing_utils::IndexesIdentical(private_index, from_bundle));
 }
 
 // -------------------------------------------------- once-per-group counters
@@ -243,6 +268,19 @@ TEST_F(StreamingSharedTest, DensityAwarePartitioningReusesIngestSummaries) {
   // DENSITY-AWARE consumes the precomputed per-chunk table instead of
   // re-summarizing: still exactly one SAX word per series process-wide.
   EXPECT_EQ(summary_stats::SaxCalls(), 600u);
+}
+
+// The streaming build sizes a group's storage once from the archive's
+// series count: with one group the rows, ids and SAX rows fill their
+// allocations exactly, where growth by doubling left up to half unused.
+TEST_F(StreamingSharedTest, OneGroupStorageIsSizedExactly) {
+  auto cluster = Stream(ClusterOptions(2, 1));
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+  const Index& index = (*cluster)->node(0).index();
+  ASSERT_EQ(index.data().size(), 600u);
+  EXPECT_EQ(index.data().MemoryBytes(), 600u * 64u * sizeof(float));
+  EXPECT_EQ(index.chunk()->MemoryBytes(),
+            600u * (64u * sizeof(float) + sizeof(uint32_t) + 16u));
 }
 
 TEST_F(StreamingSharedTest, ReportsIngestTimeAndItsOverlappedPart) {

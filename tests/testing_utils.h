@@ -28,27 +28,17 @@ namespace odyssey {
 namespace testing_utils {
 
 /// Deep structural equality of two index subtrees: same words, same split
-/// segments, same leaf payloads (ids and SAX rows) in the same order. This
-/// is the replica bit-identity Odyssey's data-free work-stealing relies on,
-/// and what "a tree built from a shared bundle equals a private build"
-/// means.
+/// segments, same row ranges. This is the replica bit-identity Odyssey's
+/// data-free work-stealing relies on; IndexesIdentical adds the rows the
+/// ranges name.
 inline bool NodesIdentical(const TreeNode* a, const TreeNode* b) {
   if (a->word().symbols != b->word().symbols ||
       a->word().bits != b->word().bits ||
-      a->subtree_size() != b->subtree_size() ||
+      a->begin() != b->begin() || a->subtree_size() != b->subtree_size() ||
       a->is_leaf() != b->is_leaf()) {
     return false;
   }
-  if (a->is_leaf()) {
-    if (a->ids() != b->ids()) return false;
-    const size_t w = a->word().symbols.size();
-    for (size_t i = 0; i < a->ids().size(); ++i) {
-      for (size_t s = 0; s < w; ++s) {
-        if (a->leaf_sax(i)[s] != b->leaf_sax(i)[s]) return false;
-      }
-    }
-    return true;
-  }
+  if (a->is_leaf()) return true;
   return a->split_segment() == b->split_segment() &&
          NodesIdentical(a->left(), b->left()) &&
          NodesIdentical(a->right(), b->right());
@@ -59,6 +49,26 @@ inline bool TreesIdentical(const IndexTree& a, const IndexTree& b) {
   for (size_t r = 0; r < a.root_count(); ++r) {
     if (a.root_key(r) != b.root_key(r)) return false;
     if (!NodesIdentical(a.root(r), b.root(r))) return false;
+  }
+  return true;
+}
+
+/// Same tree, and the same bundle rows in the same order: series values,
+/// SAX rows and global ids. What "a bundle build equals a private build"
+/// and "a loaded index equals the saved one" mean.
+inline bool IndexesIdentical(const Index& a, const Index& b) {
+  if (!TreesIdentical(a.tree(), b.tree()) ||
+      a.data().size() != b.data().size() ||
+      a.data().length() != b.data().length() ||
+      a.chunk()->sax_table() != b.chunk()->sax_table() ||
+      a.chunk()->global_ids() != b.chunk()->global_ids()) {
+    return false;
+  }
+  for (size_t i = 0; i < a.data().size(); ++i) {
+    if (!std::equal(a.data().data(i), a.data().data(i) + a.data().length(),
+                    b.data().data(i))) {
+      return false;
+    }
   }
   return true;
 }
