@@ -2,7 +2,8 @@
 // (src/distance/simd.h): squared Euclidean, early-abandoning Euclidean,
 // LB_Keogh and PAA at each available ISA level on 256-point series (the
 // paper's standard series length), plus banded DTW through its public
-// entry point and the leaf scan's per-series SAX bound (src/isax/mindist.h).
+// entry point, the leaf scan's per-series SAX bound and the traversal's node
+// bound (src/isax/mindist.h).
 // The scalar/vector ratio here is the acceptance number for SIMD-touching
 // PRs.
 //
@@ -13,6 +14,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <functional>
 #include <limits>
 #include <string>
 #include <vector>
@@ -22,6 +24,7 @@
 #include "src/distance/dtw.h"
 #include "src/distance/lb_keogh.h"
 #include "src/distance/simd.h"
+#include "src/index/builder.h"
 #include "src/isax/isax_word.h"
 #include "src/isax/mindist.h"
 #include "src/isax/paa.h"
@@ -424,6 +427,71 @@ void BM_SeriesBoundTable256(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(kSeries));
 }
 BENCHMARK(BM_SeriesBoundTable256)->Unit(benchmark::kMicrosecond);
+
+// ------------------------------------------------------- node word bound
+//
+// The traversal's bound for every node it reaches: both panels score every
+// node word of one index built over the walk pool (16 segments, leaf
+// capacity 16, so words reach several bit depths) against one query: the
+// reference MindistPaaToWord, and SaxBoundTable::WordBound, which the
+// query engine reads instead. CI gates Table against Mindist on a fresh
+// run, together with the per-series pair above.
+
+const std::vector<IsaxWord>& WalkPoolNodeWords() {
+  static const std::vector<IsaxWord>& words = *new std::vector<IsaxWord>([] {
+    SeriesCollection pool(kLength);
+    for (size_t i = 0; i < kSeries; ++i) {
+      pool.Append(WalkPool().data() + i * kLength);
+    }
+    IndexOptions options;
+    options.config = BoundConfig();
+    options.leaf_capacity = 16;
+    const Index index = Index::Build(std::move(pool), options);
+    std::vector<IsaxWord> out;
+    std::function<void(const TreeNode*)> visit = [&](const TreeNode* node) {
+      out.push_back(node->word());
+      if (node->is_leaf()) return;
+      visit(node->left());
+      visit(node->right());
+    };
+    for (size_t r = 0; r < index.tree().root_count(); ++r) {
+      visit(index.tree().root(r));
+    }
+    return out;
+  }());
+  return words;
+}
+
+void BM_WordBoundMindist(benchmark::State& state) {
+  const IsaxConfig& config = BoundConfig();
+  const std::vector<IsaxWord>& words = WalkPoolNodeWords();
+  const std::vector<double> paa = ComputePaa(WalkPool().data(), config.paa);
+  float checksum = 0.0f;
+  for (auto _ : state) {
+    for (const IsaxWord& word : words) {
+      checksum += MindistPaaToWord(paa.data(), word, config);
+    }
+  }
+  benchmark::DoNotOptimize(checksum);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(words.size()));
+}
+BENCHMARK(BM_WordBoundMindist)->Unit(benchmark::kMicrosecond);
+
+void BM_WordBoundTable(benchmark::State& state) {
+  const IsaxConfig& config = BoundConfig();
+  const std::vector<IsaxWord>& words = WalkPoolNodeWords();
+  const std::vector<double> paa = ComputePaa(WalkPool().data(), config.paa);
+  const SaxBoundTable table = SaxBoundTable::ForPaa(paa.data(), config);
+  float checksum = 0.0f;
+  for (auto _ : state) {
+    for (const IsaxWord& word : words) checksum += table.WordBound(word);
+  }
+  benchmark::DoNotOptimize(checksum);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(words.size()));
+}
+BENCHMARK(BM_WordBoundTable)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace odyssey

@@ -218,7 +218,8 @@ class QueryExecution {
   /// work-stealing thieves share one PreparedQuery instead of each
   /// re-deriving PAA/SAX/envelope. The constructor builds this execution's
   /// SaxBoundTable (32 KiB at 16 segments and 8 bits) from the query's PAA
-  /// or envelope PAA, so the scan's per-series filter is a table lookup.
+  /// or envelope PAA, so the traversal's node bound and the scan's
+  /// per-series filter are table lookups.
   /// `shared_bsf` (optional) is the node's BSF book-keeping cell for this
   /// query: it is read for pruning and lowered on improvement;
   /// `on_bsf_improve` (optional) fires after each lowering with the new
@@ -292,6 +293,14 @@ class QueryExecution {
   /// Worker-thread-local bounded-queue builder for one batch.
   struct QueueBuilder;
 
+  /// Leaves scanned and real distances computed by one worker in one
+  /// phase, added to the shared counters when the phase ends rather than
+  /// once per leaf and once per distance.
+  struct ScanCounts {
+    size_t leaves = 0;
+    size_t distances = 0;
+  };
+
   /// Every RS-batch id of this execution, in order (what Run arms).
   std::vector<int> AllBatchIds() const;
   void RunWorkers(const std::vector<int>& batch_ids, ThreadPool* pool)
@@ -315,8 +324,12 @@ class QueryExecution {
       ODYSSEY_HOT_ALLOWS("lock: one steal_mu_ snapshot at phase entry");
   ODYSSEY_HOT void TraverseBatch(RsBatch* batch);
   ODYSSEY_HOT void TraverseNode(const TreeNode* node, QueueBuilder* builder);
-  ODYSSEY_HOT void ProcessQueue(BoundedPq* queue);
-  ODYSSEY_HOT void ScanLeaf(const TreeNode* leaf);
+  ODYSSEY_HOT void ProcessQueue(BoundedPq* queue, ScanCounts* counts);
+  /// Scans one leaf in blocks of kScanBlock rows: pass 1 filters the
+  /// block's rows by their SAX bound, pass 2 scores the survivors,
+  /// prefetching each survivor's row kPrefetchAhead survivors ahead.
+  ODYSSEY_HOT void ScanLeaf(const TreeNode* leaf, ScanCounts* counts);
+  void AddScanCounts(const ScanCounts& counts);
   ODYSSEY_HOT void OfferCandidate(float squared_distance, uint32_t id)
       ODYSSEY_HOT_ALLOWS(
           "indirect: on_bsf_improve_ is the sanctioned BSF-broadcast "
@@ -329,12 +342,12 @@ class QueryExecution {
   const Index* index_;
   const PreparedQuery* prepared_;
   const float* query_;  // prepared_->series(), cached for the scan loop
-  // DTW-only views into *prepared_, resolved once in the constructor so the
-  // per-series bound checks pay no precondition re-validation.
+  // DTW-only view into *prepared_, resolved once in the constructor so the
+  // LB_Keogh checks pay no precondition re-validation.
   const Envelope* envelope_ = nullptr;
-  const EnvelopePaa* envelope_paa_ = nullptr;
-  /// The per-series SAX bound's terms for this query (ED or DTW), built in
-  /// the constructor: SeriesLowerBound is a lookup per segment.
+  /// The SAX bound terms for this query (ED or DTW), built in the
+  /// constructor: LeafLowerBound and SeriesLowerBound are a lookup per
+  /// segment.
   SaxBoundTable sax_bounds_;
   QueryOptions options_;
   /// Dispatched distance kernels, resolved once per execution so the scan
@@ -367,7 +380,9 @@ class QueryExecution {
   std::atomic<int> phase_{static_cast<int>(Phase::kInit)};
 
   KnnSet knn_;
-  // Stats (relaxed atomics; read after Run).
+  // Stats (relaxed atomics; read after Run). Workers count locally and add
+  // once per RS-batch they traverse (leaves inserted) or once per phase
+  // (the scan counts).
   std::atomic<size_t> stat_leaves_inserted_{0};
   std::atomic<size_t> stat_leaves_processed_{0};
   std::atomic<size_t> stat_real_distances_{0};

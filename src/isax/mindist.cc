@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <limits>
 
+#include "src/common/check.h"
+
 namespace odyssey {
 namespace {
 
@@ -98,21 +100,32 @@ float MindistEnvelopeToSax(const EnvelopePaa& env_paa, const uint8_t* sax,
 
 template <typename Term>
 SaxBoundTable::SaxBoundTable(const IsaxConfig& config, Term term)
-    : segments_(config.segments()), symbols_(size_t{1} << config.max_bits) {
+    : segments_(config.segments()),
+      max_bits_(config.max_bits),
+      symbols_(size_t{1} << config.max_bits) {
   // Region edges come straight from the breakpoint row: the same doubles
   // RegionLower and RegionUpper return, without their per-call checks.
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const std::vector<double>& bps =
       BreakpointTable::Get().ForBits(config.max_bits);
   terms_.resize(static_cast<size_t>(segments_) * symbols_);
+  zeros_.resize(static_cast<size_t>(segments_));
   double* out = terms_.data();
   for (int i = 0; i < segments_; ++i) {
     const size_t count = config.paa.SegmentCount(i);
+    double* row = out;
     for (size_t s = 0; s < symbols_; ++s) {
       const double lo = s == 0 ? -kInf : bps[s - 1];
       const double hi = s + 1 == symbols_ ? kInf : bps[s];
       *out++ = term(i, lo, hi, count);
     }
+    // WordBound clamps this symbol into a word's range. A query value lies
+    // in some region and a band with lower <= upper meets one, so the row
+    // has a zero; an inverted band might not.
+    const double* zero = std::find(row, out, 0.0);
+    ODYSSEY_CHECK_MSG(zero != out,
+                      "SAX bound row without a zero term (inverted band?)");
+    zeros_[i] = static_cast<uint8_t>(zero - row);
   }
 }
 

@@ -29,9 +29,7 @@
 namespace odyssey {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/odyssey_io_" + name;
-}
+using testing_utils::TempPath;
 
 /// Mode::kAuto is expected to map the file — unless the environment turned
 /// mapping off (ODYSSEY_NO_MMAP=1 exercises the buffered fallback
@@ -543,7 +541,7 @@ TEST(FileBackedRegistryTest, DataDirSelectsRealFilesOverGenerators) {
   // test repoints the variable at its own directory and must restore it.
   const char* outer_env = std::getenv("ODYSSEY_DATA_DIR");
   const std::string outer = outer_env != nullptr ? outer_env : "";
-  const std::string dir = ::testing::TempDir() + "/odyssey_data_dir";
+  const std::string dir = TempPath("data_dir");
   ASSERT_EQ(::mkdir(dir.c_str(), 0755) == 0 || errno == EEXIST, true);
   // 300 un-normalized series: enough to cover the minimum repro count at
   // the smallest scale (128), so Load caps at spec.count.
@@ -589,6 +587,7 @@ TEST(FileBackedRegistryTest, DataDirSelectsRealFilesOverGenerators) {
                 .code(),
             StatusCode::kFailedPrecondition);
   std::remove(file.c_str());
+  ::rmdir(dir.c_str());
   if (!outer.empty()) {
     ASSERT_EQ(::setenv("ODYSSEY_DATA_DIR", outer.c_str(), 1), 0);
   }

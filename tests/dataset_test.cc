@@ -10,6 +10,7 @@
 #include "src/dataset/registry.h"
 #include "src/dataset/series_collection.h"
 #include "src/dataset/workload.h"
+#include "tests/testing_utils.h"
 
 namespace odyssey {
 namespace {
@@ -176,7 +177,7 @@ TEST(WorkloadTest, UnrelatedFractionProducesQueries) {
 
 TEST(FileIoTest, RoundTrip) {
   const SeriesCollection data = GenerateRandomWalk(20, 32, 5);
-  const std::string path = ::testing::TempDir() + "/odyssey_roundtrip.bin";
+  const std::string path = testing_utils::TempPath("roundtrip.bin");
   ASSERT_TRUE(WriteCollection(data, path).ok());
   StatusOr<SeriesCollection> loaded = ReadCollection(path);
   ASSERT_TRUE(loaded.ok());
@@ -198,7 +199,7 @@ TEST(FileIoTest, ReadMissingFileFails) {
 }
 
 TEST(FileIoTest, ReadRejectsBadMagic) {
-  const std::string path = ::testing::TempDir() + "/odyssey_badmagic.bin";
+  const std::string path = testing_utils::TempPath("badmagic.bin");
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
   const char garbage[16] = {'n', 'o', 'p', 'e'};
@@ -212,7 +213,7 @@ TEST(FileIoTest, ReadRejectsBadMagic) {
 
 TEST(FileIoTest, RawFloatsRoundTrip) {
   const SeriesCollection data = GenerateRandomWalk(6, 16, 5);
-  const std::string path = ::testing::TempDir() + "/odyssey_raw.bin";
+  const std::string path = testing_utils::TempPath("raw.bin");
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
   for (size_t i = 0; i < data.size(); ++i) {

@@ -32,6 +32,7 @@ namespace {
 using testing_utils::BruteForceKnn;
 using testing_utils::BruteForceKnnDtw;
 using testing_utils::NearlyEqual;
+using testing_utils::TempPath;
 
 IndexOptions TestIndexOptions(size_t length = 64) {
   IndexOptions options;
@@ -325,7 +326,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzExactnessTest,
 TEST(SerializeTest, RoundTripIsBitIdentical) {
   const SeriesCollection data = GenerateSeismicLike(1500, 64, 141);
   const Index built = Index::Build(SeriesCollection(data), TestIndexOptions());
-  const std::string path = ::testing::TempDir() + "/odyssey_index.odix";
+  const std::string path = TempPath("index.odix");
   ASSERT_TRUE(SaveIndexToFile(built, path).ok());
   StatusOr<Index> loaded = LoadIndexFromFile(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -357,7 +358,7 @@ TEST(SerializeTest, LoadedIndexIsAValidStealReplica) {
   // a node that built the same chunk from scratch.
   const SeriesCollection data = GenerateSeismicLike(1200, 64, 145);
   const Index built = Index::Build(SeriesCollection(data), TestIndexOptions());
-  const std::string path = ::testing::TempDir() + "/odyssey_replica.odix";
+  const std::string path = TempPath("replica.odix");
   ASSERT_TRUE(SaveIndexToFile(built, path).ok());
   StatusOr<Index> loaded = LoadIndexFromFile(path);
   ASSERT_TRUE(loaded.ok());
@@ -394,7 +395,7 @@ TEST(SerializeTest, LoadedIndexIsAValidStealReplica) {
 
 TEST(SerializeTest, RejectsMissingAndCorruptFiles) {
   EXPECT_FALSE(LoadIndexFromFile("/nonexistent/index.odix").ok());
-  const std::string path = ::testing::TempDir() + "/odyssey_corrupt.odix";
+  const std::string path = TempPath("corrupt.odix");
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
   const char garbage[32] = {'X'};
@@ -408,7 +409,7 @@ TEST(SerializeTest, RejectsMissingAndCorruptFiles) {
 TEST(SerializeTest, TruncatedFileFailsCleanly) {
   const SeriesCollection data = GenerateRandomWalk(400, 64, 149);
   const Index built = Index::Build(SeriesCollection(data), TestIndexOptions());
-  const std::string path = ::testing::TempDir() + "/odyssey_trunc.odix";
+  const std::string path = TempPath("trunc.odix");
   ASSERT_TRUE(SaveIndexToFile(built, path).ok());
   // Truncate to 60% and expect a clean error (no crash, no partial index).
   std::FILE* f = std::fopen(path.c_str(), "rb");
@@ -448,7 +449,7 @@ void PutU32(std::vector<uint8_t>* bytes, size_t offset, uint32_t v) {
 // bytes the file has left before anything is sized from it, so a corrupt
 // count is a Status — never a std::bad_alloc or a multi-gigabyte zero-fill.
 TEST(SerializeTest, CorruptCountsNeverSizeAnAllocation) {
-  const std::string path = ::testing::TempDir() + "/odyssey_counts.odix";
+  const std::string path = TempPath("counts.odix");
   // A valid 28-byte header (magic, version, length 256, 16 segments, 8
   // bits, leaf capacity 32) declaring 2^32-1 series: ~4 TB of rows.
   std::vector<uint8_t> bytes = {'O', 'D', 'I', 'X'};
@@ -497,7 +498,7 @@ TEST(SerializeTest, CorruptCountsNeverSizeAnAllocation) {
 // a segment count that turns negative as an int, or one past the 32 bits a
 // root key holds, is a Status, not an abort or an index with wrapped keys.
 TEST(SerializeTest, CorruptGeometryIsInvalidArgument) {
-  const std::string path = ::testing::TempDir() + "/odyssey_geometry.odix";
+  const std::string path = TempPath("geometry.odix");
   struct Header {
     uint32_t length;
     uint32_t segments;
@@ -596,7 +597,7 @@ void ExpectInvalidArgument(const std::string& path) {
 // rows to summarize their series. A genuine version-1 file — one series of
 // length 4, 2 segments, one root leaf — is refused, not misread.
 TEST(SerializeTest, Version1FileIsInvalidArgument) {
-  const std::string path = ::testing::TempDir() + "/odyssey_v1.odix";
+  const std::string path = TempPath("v1.odix");
   std::vector<uint8_t> bytes = {'O', 'D', 'I', 'X'};
   for (uint32_t v : {1u, 4u, 2u, 8u, 32u, 1u}) PutU32(&bytes, bytes.size(), v);
   for (float value : {1.0f, 1.0f, -1.0f, -1.0f}) {
@@ -625,7 +626,7 @@ TEST(SerializeTest, Version1FileIsInvalidArgument) {
 // rewriting one row to a constant on the other side of segment 0's first
 // breakpoint moves its root bit out of its leaf's word.
 TEST(SerializeTest, RowOutsideItsLeafWordIsInvalidArgument) {
-  const std::string path = ::testing::TempDir() + "/odyssey_rows.odix";
+  const std::string path = TempPath("rows.odix");
   constexpr uint32_t kCount = 2000;
   const IndexOptions options = SmallLeafOptions();
   const Index built =
@@ -650,7 +651,7 @@ TEST(SerializeTest, RowOutsideItsLeafWordIsInvalidArgument) {
 // claiming a row more (the last leaf then runs past the rows) and an id
 // map repeating an id are all rejected.
 TEST(SerializeTest, SeriesInNoLeafOrTwoIsInvalidArgument) {
-  const std::string path = ::testing::TempDir() + "/odyssey_ids.odix";
+  const std::string path = TempPath("ids.odix");
   constexpr uint32_t kCount = 500;
   const IsaxConfig config = TestIndexOptions().config;
   const std::vector<uint8_t> saved = SavedIndexBytes(kCount, 167, path);
@@ -676,7 +677,7 @@ TEST(SerializeTest, SeriesInNoLeafOrTwoIsInvalidArgument) {
 // A build creates a root only for a series it holds. A root that is an
 // empty leaf would send approximate search to a leaf with no series.
 TEST(SerializeTest, EmptyRootIsInvalidArgument) {
-  const std::string path = ::testing::TempDir() + "/odyssey_empty_root.odix";
+  const std::string path = TempPath("empty_root.odix");
   constexpr uint32_t kCount = 500;
   const IsaxConfig config = TestIndexOptions().config;
   std::vector<uint8_t> bytes = SavedIndexBytes(kCount, 169, path);
@@ -712,7 +713,7 @@ TEST(SerializeTest, EmptyRootIsInvalidArgument) {
 // its own rows finds — a row whose summary did not bound it would break
 // that. Both outcomes must occur, or the mutations missed the parser.
 TEST(SerializeTest, SeededMutationsLoadOrFailCleanly) {
-  const std::string path = ::testing::TempDir() + "/odyssey_mutated.odix";
+  const std::string path = TempPath("mutated.odix");
   IndexOptions options = TestIndexOptions();
   options.config = IsaxConfig(64, 8, 4);
   const Index built = Index::Build(GenerateRandomWalk(48, 64, 161), options);

@@ -4,9 +4,11 @@
 #include <atomic>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/common/thread_pool.h"
 #include "src/dataset/generators.h"
 #include "src/dataset/workload.h"
@@ -18,6 +20,7 @@
 #include "src/index/query_engine.h"
 #include "src/index/rs_batch.h"
 #include "src/index/threshold_model.h"
+#include "src/isax/mindist.h"
 #include "tests/testing_utils.h"
 
 namespace odyssey {
@@ -622,6 +625,166 @@ TEST(ExactSearchTest, StatsArePopulated) {
   EXPECT_GT(stats.real_distances, 0u);
   EXPECT_GE(stats.leaves_inserted, stats.leaves_processed > 0 ? 1u : 0u);
   EXPECT_GT(stats.elapsed_seconds, 0.0);
+}
+
+// A leaf is scanned in blocks of 64 rows. Leaves of up to 300 rows, plus
+// one fully refined leaf of 500 near-copies of a series (7 blocks and 52
+// rows), are not whole blocks; the near-copy queries make that leaf hold
+// their 5 nearest neighbours, so the scan must cross its block edges.
+TEST(ScanBlockTest, LeavesThatAreNotWholeBlocksMatchBruteForce) {
+  const size_t kLength = 64;
+  SeriesCollection data = GenerateRandomWalk(6000, kLength, 71);
+  const IsaxConfig config(kLength, 8);
+  std::vector<float> base(data.data(0), data.data(0) + kLength);
+  std::vector<uint8_t> base_sax(8);
+  std::vector<uint8_t> sax(8);
+  ComputeSax(base.data(), config, base_sax.data());
+  Rng rng(73);
+  std::vector<float> copy(kLength);
+  for (size_t copies = 0; copies < 500;) {
+    for (size_t t = 0; t < kLength; ++t) {
+      copy[t] = base[t] + static_cast<float>(1e-4 * rng.NextGaussian());
+    }
+    ComputeSax(copy.data(), config, sax.data());
+    if (sax != base_sax) continue;  // keep the copies in one leaf
+    data.Append(copy.data());
+    ++copies;
+  }
+  IndexOptions options;
+  options.config = config;
+  options.leaf_capacity = 300;
+  const Index index = Index::Build(SeriesCollection(data), options);
+  size_t largest = 0;
+  std::function<void(const TreeNode*)> visit = [&](const TreeNode* node) {
+    if (node->is_leaf()) {
+      largest = std::max(largest, node->subtree_size());
+      return;
+    }
+    visit(node->left());
+    visit(node->right());
+  };
+  for (size_t r = 0; r < index.tree().root_count(); ++r) {
+    visit(index.tree().root(r));
+  }
+  ASSERT_GE(largest, 501u);
+
+  SeriesCollection queries = GenerateUniformQueries(data, 3, 1.0, 75);
+  for (int q = 0; q < 3; ++q) {
+    for (size_t t = 0; t < kLength; ++t) {
+      copy[t] = base[t] + static_cast<float>(0.01 * rng.NextGaussian());
+    }
+    queries.Append(copy.data());
+  }
+  const size_t window = WarpingWindowFromFraction(kLength, 0.05);
+  ThreadPool pool(4);
+  for (bool use_dtw : {false, true}) {
+    for (int k : {1, 5}) {
+      for (ThreadPool* run_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        for (size_t q = 0; q < queries.size(); ++q) {
+          QueryOptions qo;
+          qo.num_threads = 4;
+          qo.k = k;
+          qo.use_dtw = use_dtw;
+          qo.dtw_window = use_dtw ? window : 0;
+          const PreparedQuery prepared =
+              PrepareQuery(queries.data(q), index.config(), qo);
+          QueryExecution exec(&index, prepared, qo);
+          exec.SeedInitialBsf();
+          exec.Run(run_pool);
+          const auto got = exec.results().SortedResults();
+          const auto want =
+              use_dtw ? BruteForceKnnDtw(data, queries.data(q), k, window)
+                      : BruteForceKnn(data, queries.data(q), k);
+          ASSERT_EQ(got.size(), want.size());
+          for (size_t i = 0; i < got.size(); ++i) {
+            EXPECT_TRUE(NearlyEqual(got[i].squared_distance,
+                                    want[i].squared_distance))
+                << (use_dtw ? "DTW" : "ED") << " k=" << k
+                << (run_pool != nullptr ? " pool" : " no pool") << " query "
+                << q << " rank " << i << ": got " << got[i].squared_distance
+                << " want " << want[i].squared_distance;
+          }
+        }
+      }
+    }
+  }
+}
+
+// With the node's BSF cell preset below the true 1-NN distance, no
+// candidate can lower the pruning threshold, so which nodes the traversal
+// keeps and which rows the scan scores no longer depend on timing. The
+// counters must then equal a recount from the reference bounds: the leaves
+// a walk reaches when it skips every node whose word bound is not below
+// the (one-ulp padded) threshold, all of them scanned, and the rows of
+// those leaves whose SAX bound is below it.
+TEST(QueryStatsTest, CountsAreExactUnderAFixedThreshold) {
+  const SeriesCollection data = GenerateRandomWalk(4000, 64, 81);
+  const Index index = Index::Build(SeriesCollection(data), SmallOptions(64));
+  const IsaxConfig& config = index.config();
+  const SeriesCollection queries = GenerateUniformQueries(data, 4, 0.5, 83);
+  const size_t window = WarpingWindowFromFraction(64, 0.05);
+  ThreadPool pool(4);
+  for (bool use_dtw : {false, true}) {
+    for (size_t q = 0; q < queries.size(); ++q) {
+      QueryOptions options;
+      options.num_threads = 4;
+      options.use_dtw = use_dtw;
+      options.dtw_window = use_dtw ? window : 0;
+      const PreparedQuery prepared =
+          PrepareQuery(queries.data(q), config, options);
+      const float nearest =
+          use_dtw ? BruteForceKnnDtw(data, queries.data(q), 1, window)[0]
+                        .squared_distance
+                  : BruteForceKnn(data, queries.data(q), 1)[0]
+                        .squared_distance;
+      const float preset = 0.9f * nearest;
+      const float threshold =
+          std::nextafter(preset, std::numeric_limits<float>::infinity());
+      size_t leaves = 0;
+      size_t distances = 0;
+      std::function<void(const TreeNode*)> walk = [&](const TreeNode* node) {
+        if (node->subtree_size() == 0) return;
+        const float node_bound =
+            use_dtw ? MindistEnvelopeToWord(prepared.envelope_paa(),
+                                            node->word(), config)
+                    : MindistPaaToWord(prepared.paa(), node->word(), config);
+        if (node_bound >= threshold) return;
+        if (!node->is_leaf()) {
+          walk(node->left());
+          walk(node->right());
+          return;
+        }
+        ++leaves;
+        for (uint32_t row = node->begin(); row < node->end(); ++row) {
+          const float row_bound =
+              use_dtw ? MindistEnvelopeToSax(prepared.envelope_paa(),
+                                             index.sax(row), config)
+                      : MindistPaaToSax(prepared.paa(), index.sax(row),
+                                        config);
+          if (row_bound < threshold) ++distances;
+        }
+      };
+      for (size_t r = 0; r < index.tree().root_count(); ++r) {
+        walk(index.tree().root(r));
+      }
+      ASSERT_GT(leaves, 0u);
+      ASSERT_GT(distances, 0u);
+      for (ThreadPool* run_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        std::atomic<float> cell{preset};
+        QueryExecution exec(&index, prepared, options, &cell);
+        exec.SeedInitialBsf();
+        exec.Run(run_pool);
+        const QueryStats stats = exec.stats();
+        const std::string where =
+            std::string(use_dtw ? "DTW" : "ED") + " query " +
+            std::to_string(q) + (run_pool != nullptr ? " pool" : " no pool");
+        EXPECT_EQ(stats.leaves_inserted, leaves) << where;
+        EXPECT_EQ(stats.leaves_processed, leaves) << where;
+        EXPECT_EQ(stats.real_distances, distances) << where;
+        EXPECT_EQ(cell.load(), preset) << where;
+      }
+    }
+  }
 }
 
 TEST(ExactSearchTest, StealBatchesOutsideProcessingIsEmpty) {

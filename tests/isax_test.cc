@@ -3,12 +3,15 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <vector>
 
 #include "src/common/rng.h"
 #include "src/dataset/generators.h"
 #include "src/distance/dtw.h"
 #include "src/distance/euclidean.h"
+#include "src/distance/lb_keogh.h"
+#include "src/index/builder.h"
 #include "src/isax/breakpoints.h"
 #include "src/isax/isax_word.h"
 #include "src/isax/mindist.h"
@@ -389,6 +392,138 @@ TEST(SaxBoundTableTest, BoundIsTheReferenceBitForBit) {
     }
   }
   EXPECT_GT(compared, 10000u);
+}
+
+// The traversal's node bound reads SaxBoundTable::WordBound instead of
+// calling MindistPaaToWord / MindistEnvelopeToWord, so every node the
+// traversal keeps or prunes stays the same only if the two agree to the
+// bit. This compares the floats' bytes for words at every bit depth 1..
+// max_bits with every symbol, for query values on the breakpoints, between
+// them and beyond +-4, for DTW bands from windows 0, 5% and the full
+// length, and for every node of a built index.
+TEST(SaxBoundTableTest, WordBoundIsTheReferenceBitForBit) {
+  const std::vector<double>& bps8 = BreakpointTable::Get().ForBits(8);
+  // Query values: every 8-bit breakpoint, the midpoint of every pair of
+  // neighbours, and values past the outermost ones.
+  std::vector<double> values(bps8.begin(), bps8.end());
+  for (size_t j = 1; j < bps8.size(); ++j) {
+    values.push_back(0.5 * (bps8[j - 1] + bps8[j]));
+  }
+  for (double far : {4.0, 4.5, 7.0, 1e6}) {
+    values.push_back(far);
+    values.push_back(-far);
+  }
+  Rng rng(0x3057);
+  auto draw = [&] { return values[rng.NextBounded(values.size())]; };
+  size_t compared = 0;
+  auto expect_same = [&compared](float want, float got, const char* what,
+                                 const IsaxWord& word) {
+    ASSERT_EQ(std::memcmp(&want, &got, sizeof(float)), 0)
+        << what << " word " << word.ToString() << ": " << want << " vs "
+        << got;
+    ++compared;
+  };
+  for (size_t length : {64u, 100u, 256u}) {
+    for (int segments : {1, 3, 8, 16}) {
+      for (int max_bits : {1, 2, 5, 8}) {
+        const IsaxConfig config(length, segments, max_bits);
+        // DTW bands: the envelopes of a random walk, scaled by 3 so that
+        // some segment means leave +-4, at windows 0, 5% and the full
+        // length; then a band whose edges are drawn values.
+        const SeriesCollection walk = GenerateRandomWalk(1, length, 7);
+        std::vector<float> series(walk.data(0), walk.data(0) + length);
+        for (float& x : series) x *= 3.0f;
+        std::vector<EnvelopePaa> bands;
+        for (size_t window : {size_t{0},
+                              WarpingWindowFromFraction(length, 0.05),
+                              length}) {
+          bands.push_back(ComputeEnvelopePaa(
+              BuildEnvelope(series.data(), length, window), config));
+        }
+        EnvelopePaa drawn;
+        for (int i = 0; i < segments; ++i) {
+          const double a = draw();
+          const double b = draw();
+          drawn.lower.push_back(std::min(a, b));
+          drawn.upper.push_back(std::max(a, b));
+        }
+        bands.push_back(drawn);
+        for (size_t query = 0; query < bands.size(); ++query) {
+          std::vector<double> paa(segments);
+          for (double& v : paa) v = draw();
+          const SaxBoundTable ed = SaxBoundTable::ForPaa(paa.data(), config);
+          const SaxBoundTable dtw =
+              SaxBoundTable::ForEnvelope(bands[query], config);
+          auto check = [&](const IsaxWord& word) {
+            expect_same(MindistPaaToWord(paa.data(), word, config),
+                        ed.WordBound(word), "ED", word);
+            expect_same(MindistEnvelopeToWord(bands[query], word, config),
+                        dtw.WordBound(word), "DTW", word);
+          };
+          IsaxWord word;
+          word.symbols.resize(segments);
+          word.bits.resize(segments);
+          // Every symbol at every depth: word r puts symbol (r + 7i) mod
+          // 2^bits at segment i.
+          for (int bits = 1; bits <= max_bits; ++bits) {
+            const uint32_t symbols = 1u << bits;
+            word.bits.assign(segments, static_cast<uint8_t>(bits));
+            for (uint32_t r = 0; r < symbols; ++r) {
+              for (int i = 0; i < segments; ++i) {
+                word.symbols[i] = static_cast<uint8_t>((r + 7u * i) % symbols);
+              }
+              check(word);
+              if (::testing::Test::HasFatalFailure()) return;
+            }
+          }
+          // Mixed depths, as tree nodes have them.
+          for (int w = 0; w < 64; ++w) {
+            for (int i = 0; i < segments; ++i) {
+              word.bits[i] =
+                  static_cast<uint8_t>(1 + rng.NextBounded(max_bits));
+              word.symbols[i] =
+                  static_cast<uint8_t>(rng.NextBounded(1u << word.bits[i]));
+            }
+            check(word);
+            if (::testing::Test::HasFatalFailure()) return;
+          }
+        }
+      }
+    }
+  }
+  // Every node of a built index, against random-walk queries.
+  IndexOptions options;
+  options.config = IsaxConfig(64, 8);
+  options.leaf_capacity = 8;
+  const SeriesCollection data = GenerateRandomWalk(3000, 64, 0x3058);
+  const Index index = Index::Build(SeriesCollection(data), options);
+  const SeriesCollection queries = GenerateRandomWalk(3, 64, 0x3059);
+  for (size_t q = 0; q < queries.size(); ++q) {
+    const std::vector<double> paa =
+        ComputePaa(queries.data(q), options.config.paa);
+    const SaxBoundTable ed = SaxBoundTable::ForPaa(paa.data(), options.config);
+    for (size_t window : {size_t{0}, WarpingWindowFromFraction(64, 0.05),
+                          size_t{64}}) {
+      const EnvelopePaa band = ComputeEnvelopePaa(
+          BuildEnvelope(queries.data(q), 64, window), options.config);
+      const SaxBoundTable dtw = SaxBoundTable::ForEnvelope(band, options.config);
+      std::function<void(const TreeNode*)> visit = [&](const TreeNode* node) {
+        const IsaxWord& word = node->word();
+        expect_same(MindistPaaToWord(paa.data(), word, options.config),
+                    ed.WordBound(word), "index ED", word);
+        expect_same(MindistEnvelopeToWord(band, word, options.config),
+                    dtw.WordBound(word), "index DTW", word);
+        if (::testing::Test::HasFatalFailure() || node->is_leaf()) return;
+        visit(node->left());
+        visit(node->right());
+      };
+      for (size_t r = 0; r < index.tree().root_count(); ++r) {
+        visit(index.tree().root(r));
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+  EXPECT_GT(compared, 100000u);
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include "src/dataset/file_io.h"
 #include "src/dataset/generators.h"
 #include "src/dataset/ingest.h"
+#include "tests/testing_utils.h"
 
 namespace odyssey {
 namespace {
@@ -187,8 +188,7 @@ TEST(SyncTest, MoveTransfersOwnershipWithoutRecount) {
 // streaming build's thread cost by one per prefetcher. CountedThread now
 // makes the spawn visible by construction.
 TEST(SyncTest, ChunkPrefetcherSpawnIsCounted) {
-  const std::string path =
-      testing::TempDir() + "/sync_test_prefetch.raw";
+  const std::string path = testing_utils::TempPath("sync_prefetch.raw");
   const SeriesCollection data = GenerateRandomWalk(64, 32, /*seed=*/7);
   ASSERT_TRUE(WriteRawFloats(data, path).ok());
 

@@ -27,6 +27,15 @@
 namespace odyssey {
 namespace testing_utils {
 
+/// A path under ::testing::TempDir() for a fixture file or directory named
+/// `name`, with this process's id in it: two runs of one suite at the same
+/// time (a sanitizer build's ctest beside a normal build's, say) then never
+/// rewrite each other's fixtures.
+inline std::string TempPath(const std::string& name) {
+  return ::testing::TempDir() + "/odyssey_" + std::to_string(::getpid()) +
+         "_" + name;
+}
+
 /// Deep structural equality of two index subtrees: same words, same split
 /// segments, same row ranges. This is the replica bit-identity Odyssey's
 /// data-free work-stealing relies on; IndexesIdentical adds the rows the
