@@ -8,13 +8,13 @@
 //          FULL/PARTIAL-k replicas share one immutable bundle and one
 //          index per group, so both stay flat as replication_degree()
 //          grows.
-//  (f)     streaming build from disk through the double-buffered overlap
-//          pipeline: pull of chunk i+1 hidden behind the
-//          summarize+partition of chunk i (overlap_s counter). The win
-//          tracks how IO-bound the pulls are — on a page-cache-warm
-//          archive (CI), the pull is mostly z-normalization CPU and the
-//          overlap_s counter is the interesting output; on cold spinning
-//          storage the hidden seconds come off the wall clock.
+//  (f)     streaming build from disk in two parallel passes over the
+//          archive: ingest_s is pass 1 (read, z-normalize and summarize
+//          every row), and build_s adds stage 1 and the groups' builds,
+//          whose tree time includes pass 2 (each row copied from the
+//          archive straight into its leaf-order slot). On a
+//          page-cache-warm archive (CI) both passes are memory copies and
+//          z-normalization CPU; on cold storage pass 1 pays the disk read.
 
 #include <benchmark/benchmark.h>
 #include <unistd.h>
@@ -59,7 +59,10 @@ void RunReplication(benchmark::State& state, int nodes, int groups,
     if (include_index_time) {
       OdysseyCluster cluster(data, options);
       const BatchReport report = cluster.AnswerBatch(batch);
-      state.counters["index_s"] = cluster.index_seconds();
+      // Pass 1 summarizes every series: the first half of the paper's
+      // buffer time.
+      state.counters["index_s"] =
+          cluster.ingest_seconds() + cluster.index_seconds();
       state.counters["query_s"] = report.query_seconds;
     } else {
       state.PauseTiming();
@@ -83,8 +86,9 @@ void RunBuild(benchmark::State& state, int nodes, int groups) {
   for (auto _ : state) {
     build_stats::Reset();
     OdysseyCluster cluster(data, options);
-    state.counters["build_s"] =
-        cluster.partition_seconds() + cluster.index_seconds();
+    state.counters["build_s"] = cluster.ingest_seconds() +
+                                cluster.partition_seconds() +
+                                cluster.index_seconds();
     state.counters["transient_chunk_bytes"] =
         static_cast<double>(build_stats::ChunkBytes());
     state.counters["summaries"] =
@@ -94,9 +98,9 @@ void RunBuild(benchmark::State& state, int nodes, int groups) {
   state.counters["nodes"] = nodes;
 }
 
-// (f): streaming IngestAndBuild from an on-disk archive through the
-// double-buffered ingest overlap. The archive is the bench dataset dumped
-// once to a temp file, so the pulls are real disk reads.
+// (f): streaming IngestAndBuild from an on-disk archive in two passes. The
+// archive is the bench dataset dumped once to a temp file, so both passes
+// are real file reads (served by the page cache once it is warm).
 void RunStreamingBuild(benchmark::State& state, int nodes, int groups) {
   // Per-process name (two users / concurrent runners must not collide on a
   // shared /tmp), written once and removed at exit.
@@ -142,9 +146,9 @@ void RunStreamingBuild(benchmark::State& state, int nodes, int groups) {
       return;
     }
     state.counters["ingest_s"] = (*cluster)->ingest_seconds();
-    state.counters["overlap_s"] = (*cluster)->overlap_seconds();
-    state.counters["build_s"] =
-        (*cluster)->partition_seconds() + (*cluster)->index_seconds();
+    state.counters["build_s"] = (*cluster)->ingest_seconds() +
+                                (*cluster)->partition_seconds() +
+                                (*cluster)->index_seconds();
   }
   state.counters["nodes"] = nodes;
 }
@@ -202,10 +206,10 @@ void RegisterAll() {
           ->UseRealTime();
     }
   }
-  // (f) streaming build with the double-buffered ingest overlap (FULL over
-  // 4 nodes — the shape whose build the sharing helps most).
+  // (f) streaming build in two passes over the archive (FULL over 4 nodes
+  // — the shape whose build the sharing helps most).
   benchmark::RegisterBenchmark(
-      "BM_Fig15f_StreamingBuild/FULL/nodes:4/overlap:on",
+      "BM_Fig15f_StreamingBuild/FULL/nodes:4",
       [](benchmark::State& s) { RunStreamingBuild(s, 4, 1); })
       ->Unit(benchmark::kMillisecond)
       ->Iterations(1)

@@ -3,9 +3,9 @@
 //   1. open the archive through the memory-mapped ingestion layer
 //      (MappedFile + SeriesIngestor: format detection, header validation,
 //      z-normalization on ingest),
-//   2. stream it into a cluster with OdysseyCluster::IngestAndBuild — the
-//      coordinator's transient heap is one bounded chunk at a time, never
-//      the whole archive,
+//   2. build a cluster from it with OdysseyCluster::IngestAndBuild — two
+//      parallel passes over the archive; between them the coordinator
+//      holds only each series' SAX row and group, never the whole archive,
 //   3. answer a query batch against the built index.
 //
 // Usage:
@@ -126,20 +126,17 @@ int main(int argc, char** argv) {
 
   IngestOptions options;
   options.length = length;       // required for raw floats, validated else
-  options.chunk_size = 2048;     // bounded transient heap per pull
+  options.chunk_size = 2048;     // the block IngestAndBuild partitions
   options.znormalize = true;     // iSAX assumes N(0,1) input
 
   StatusOr<SeriesIngestor> probe = SeriesIngestor::Open(path, options);
   ODYSSEY_CHECK_MSG(probe.ok(), probe.status().ToString().c_str());
   std::printf(
       "archive: %s\n  format=%s length=%zu series=%zu io=%s chunk=%zu "
-      "(max %.1f MiB of series heap per pull)\n",
+      "(the block stage 1 partitions at a time)\n",
       path.c_str(), DataFormatToString(probe->format()), probe->length(),
       probe->total_series(), probe->using_mmap() ? "mmap" : "buffered",
-      options.chunk_size,
-      static_cast<double>(options.chunk_size * probe->length() *
-                          sizeof(float)) /
-          (1024.0 * 1024.0));
+      options.chunk_size);
 
   OdysseyOptions cluster_options;
   cluster_options.num_nodes = 4;
@@ -153,12 +150,15 @@ int main(int argc, char** argv) {
   StatusOr<std::unique_ptr<OdysseyCluster>> cluster =
       OdysseyCluster::IngestAndBuild(*probe, cluster_options);
   ODYSSEY_CHECK_MSG(cluster.ok(), cluster.status().ToString().c_str());
+  // Pass 1 reads, z-normalizes and summarizes every row; stage 1 cuts the
+  // series into groups; each group then builds its buffers and tree, and
+  // pass 2 copies its rows from the archive straight into leaf order.
   std::printf(
-      "built a %d-node cluster in %.3f s (ingest %.3f s, partition %.3f s, "
-      "index %.3f s)\n",
+      "built a %d-node cluster in %.3f s (pass 1 %.3f s, partition %.3f s, "
+      "buffers %.3f s, tree + pass 2 %.3f s)\n",
       (*cluster)->num_nodes(), watch.ElapsedSeconds(),
       (*cluster)->ingest_seconds(), (*cluster)->partition_seconds(),
-      (*cluster)->index_seconds());
+      (*cluster)->max_buffer_seconds(), (*cluster)->max_tree_seconds());
 
   // Queries come from a fresh (bit-identical) pass over the same archive:
   // on a real deployment the query series arrive from clients, but reusing

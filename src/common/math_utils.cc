@@ -12,9 +12,12 @@ double Mean(const float* values, size_t n) {
   return sum / static_cast<double>(n);
 }
 
-double StdDev(const float* values, size_t n) {
-  if (n == 0) return 0.0;
-  const double mean = Mean(values, n);
+namespace {
+
+/// StdDev around a mean the caller already summed: the one place both
+/// StdDev and ZNormalize add the squared deviations, so they agree bit for
+/// bit.
+double StdDevAbout(const float* values, size_t n, double mean) {
   double ssq = 0.0;
   for (size_t i = 0; i < n; ++i) {
     const double d = values[i] - mean;
@@ -23,10 +26,17 @@ double StdDev(const float* values, size_t n) {
   return std::sqrt(ssq / static_cast<double>(n));
 }
 
+}  // namespace
+
+double StdDev(const float* values, size_t n) {
+  if (n == 0) return 0.0;
+  return StdDevAbout(values, n, Mean(values, n));
+}
+
 void ZNormalize(float* values, size_t n) {
   if (n == 0) return;
   const double mean = Mean(values, n);
-  const double sd = StdDev(values, n);
+  const double sd = StdDevAbout(values, n, mean);
   if (sd < 1e-12) {
     for (size_t i = 0; i < n; ++i) values[i] = 0.0f;
     return;

@@ -44,8 +44,6 @@ namespace {
 alignas(64) std::atomic<uint64_t> g_chunks_built{0};
 alignas(64) std::atomic<uint64_t> g_chunk_bytes{0};
 alignas(64) std::atomic<uint64_t> g_summaries_built{0};
-// Stored as nanoseconds so the accumulator stays a lock-free integer.
-alignas(64) std::atomic<uint64_t> g_overlap_nanos{0};
 
 }  // namespace
 
@@ -58,28 +56,16 @@ uint64_t ChunkBytes() {
 uint64_t SummariesBuilt() {
   return g_summaries_built.load(std::memory_order_relaxed);
 }
-double OverlapSeconds() {
-  return static_cast<double>(g_overlap_nanos.load(std::memory_order_relaxed)) *
-         1e-9;
-}
-
 void Reset() {
   g_chunks_built.store(0, std::memory_order_relaxed);
   g_chunk_bytes.store(0, std::memory_order_relaxed);
   g_summaries_built.store(0, std::memory_order_relaxed);
-  g_overlap_nanos.store(0, std::memory_order_relaxed);
 }
 
 void CountChunk(uint64_t bytes, uint64_t summaries) {
   g_chunks_built.fetch_add(1, std::memory_order_relaxed);
   g_chunk_bytes.fetch_add(bytes, std::memory_order_relaxed);
   g_summaries_built.fetch_add(summaries, std::memory_order_relaxed);
-}
-
-void AddOverlapSeconds(double seconds) {
-  if (seconds <= 0.0) return;
-  g_overlap_nanos.fetch_add(static_cast<uint64_t>(seconds * 1e9),
-                            std::memory_order_relaxed);
 }
 
 }  // namespace build_stats

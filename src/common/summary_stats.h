@@ -53,17 +53,13 @@ uint64_t ChunkBytes();
 /// build summarizes each dataset series once, whatever the replication
 /// degree.
 uint64_t SummariesBuilt();
-/// Seconds the streaming build spent pulling chunk i+1 concurrently with
-/// summarizing/partitioning chunk i (the double-buffered overlap pipeline).
-double OverlapSeconds();
 
 /// Zeroes all counters (test setup).
 void Reset();
 
-/// Increment hooks, called by the index build (Index::BuildFromShared) and
-/// the streaming driver.
+/// Increment hook, called once per bundle by the index build
+/// (Index::BuildFromSource).
 void CountChunk(uint64_t bytes, uint64_t summaries);
-void AddOverlapSeconds(double seconds);
 
 }  // namespace build_stats
 
@@ -75,9 +71,8 @@ namespace executor_stats {
 /// spawns zero threads: every thread the process creates goes through
 /// CountedThread (src/common/sync.h), whose constructor is the repo's
 /// single sanctioned spawn site and increments ThreadsSpawned() — pool
-/// workers, the persistent comms/main threads, the stream prep thread,
-/// build/adopt workers and the ingest prefetcher all count by
-/// construction, so tests can assert the count stays constant across
+/// workers, the persistent comms/main threads, the stream prep thread
+/// and the per-group build threads all count by construction, so tests can assert the count stays constant across
 /// batches regardless of query count. QueriesInFlightHwm() is the
 /// high-water mark of queries one node ran concurrently on its pool
 /// (AnswerStream's partitioned-pool admission); PrepOverlapSeconds() is

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -14,6 +16,7 @@
 #include "src/common/summary_stats.h"
 #include "src/common/sync.h"
 #include "src/common/thread_pool.h"
+#include "src/index/buffers.h"
 
 namespace odyssey {
 namespace {
@@ -204,6 +207,13 @@ class CoordinatorRecovery {
   int rr_ = 0;  // round-robin cursor over survivors
 };
 
+/// Width of the pool that runs pass 1 and stage 1: the total width the
+/// groups' builds get in BuildNodes.
+size_t SourcePassWidth(const OdysseyOptions& options) {
+  return static_cast<size_t>(options.num_nodes) *
+         static_cast<size_t>(std::max(1, options.build_threads_per_node));
+}
+
 }  // namespace
 
 QueryAnswer MergeAnswers(const std::vector<Neighbor>& candidates, int k) {
@@ -231,50 +241,7 @@ QueryAnswer MergeAnswers(const std::vector<Neighbor>& candidates, int k) {
   return merged;
 }
 
-OdysseyCluster::OdysseyCluster(const SeriesCollection& dataset,
-                               const OdysseyOptions& options)
-    : options_(options),
-      layout_([&] {
-        auto layout = ReplicationLayout::Make(options.num_nodes,
-                                              options.num_groups);
-        ODYSSEY_CHECK_MSG(layout.ok(), layout.status().ToString().c_str());
-        return *layout;
-      }()) {
-  ODYSSEY_CHECK(dataset.length() == options.index_options.config.series_length());
-  driver_pool_ = std::make_unique<ThreadPool>(
-      static_cast<size_t>(std::max(1, options_.build_threads_per_node)));
-
-  // Stage 1: the coordinator partitions the collection into num_groups
-  // chunks.
-  Stopwatch watch;
-  std::vector<std::vector<uint32_t>> chunks;
-  if (!options_.custom_chunks.empty()) {
-    ODYSSEY_CHECK(static_cast<int>(options_.custom_chunks.size()) ==
-                  layout_.num_groups());
-    chunks = options_.custom_chunks;
-  } else {
-    chunks = PartitionSeries(dataset, layout_.num_groups(),
-                             options_.partitioning,
-                             options_.index_options.config, options_.seed,
-                             driver_pool_.get(), options_.density_options);
-  }
-  partition_seconds_ = watch.ElapsedSeconds();
-
-  // Stage 2: each group materializes, summarizes and indexes its chunk
-  // exactly once (Section 3.3: a group's members hold identical data), and
-  // every member serves that one index. Under FULL replication this is 1
-  // copy, 1 summarization and 1 tree instead of Nsn of each.
-  BuildNodes([&](int g, ThreadPool* pool) {
-    return SharedChunk::Build(dataset.Subset(chunks[g]), chunks[g],
-                              options_.index_options.config, pool);
-  });
-}
-
-OdysseyCluster::OdysseyCluster(GroupChunks groups,
-                               const OdysseyOptions& options,
-                               double partition_seconds,
-                               double ingest_seconds,
-                               double overlap_seconds)
+OdysseyCluster::OdysseyCluster(const OdysseyOptions& options)
     : options_(options),
       layout_([&] {
         auto layout = ReplicationLayout::Make(options.num_nodes,
@@ -282,21 +249,46 @@ OdysseyCluster::OdysseyCluster(GroupChunks groups,
         ODYSSEY_CHECK_MSG(layout.ok(), layout.status().ToString().c_str());
         return *layout;
       }()),
-      partition_seconds_(partition_seconds),
-      ingest_seconds_(ingest_seconds),
-      overlap_seconds_(overlap_seconds) {
-  driver_pool_ = std::make_unique<ThreadPool>(
-      static_cast<size_t>(std::max(1, options_.build_threads_per_node)));
-  // Each group adopts its accumulated series + SAX table (computed once per
-  // ingest chunk, never recomputed here) as one bundle — the only per-group
-  // work left is grouping the buffers, building the tree and reordering the
-  // rows into leaf order.
-  BuildNodes([&](int g, ThreadPool*) {
-    return SharedChunk::Adopt(std::move(groups.data[g]),
-                              std::move(groups.ids[g]),
-                              std::move(groups.sax[g]),
-                              options_.index_options.config);
-  });
+      driver_pool_(std::make_unique<ThreadPool>(static_cast<size_t>(
+          std::max(1, options.build_threads_per_node)))) {}
+
+OdysseyCluster::OdysseyCluster(const SeriesCollection& dataset,
+                               const OdysseyOptions& options)
+    : OdysseyCluster(options) {
+  const IsaxConfig& config = options_.index_options.config;
+  ODYSSEY_CHECK(dataset.length() == config.series_length());
+  // Pass 1 summarizes every series once; stage 1 cuts the collection into
+  // num_groups chunks from those rows, and each group's build reuses them.
+  std::vector<uint8_t> sax;
+  std::vector<std::vector<uint32_t>> chunks;
+  {
+    ThreadPool pool(SourcePassWidth(options_));
+    Stopwatch watch;
+    sax = ComputeSaxTable(dataset, config, &pool);
+    ingest_seconds_ = watch.ElapsedSeconds();
+    watch.Restart();
+    if (!options_.custom_chunks.empty()) {
+      ODYSSEY_CHECK(static_cast<int>(options_.custom_chunks.size()) ==
+                    layout_.num_groups());
+      chunks = options_.custom_chunks;
+    } else {
+      chunks = PartitionSeries(dataset.size(), sax.data(),
+                               layout_.num_groups(), options_.partitioning,
+                               config, options_.seed, &pool,
+                               options_.density_options);
+    }
+    partition_seconds_ = watch.ElapsedSeconds();
+  }
+  // Stage 2 and pass 2: each group indexes its chunk exactly once (Section
+  // 3.3: a group's members hold identical data), copying its rows out of
+  // `dataset` into leaf order, and every member serves that one index.
+  const size_t row_bytes = dataset.length() * sizeof(float);
+  const Status built = BuildNodes(
+      std::move(chunks), sax, [&dataset, row_bytes](uint32_t id, float* dst) {
+        std::memcpy(dst, dataset.data(id), row_bytes);
+        return Status::Ok();
+      });
+  ODYSSEY_CHECK_MSG(built.ok(), built.ToString().c_str());
 }
 
 StatusOr<std::unique_ptr<OdysseyCluster>> OdysseyCluster::IngestAndBuild(
@@ -314,128 +306,140 @@ StatusOr<std::unique_ptr<OdysseyCluster>> OdysseyCluster::IngestAndBuild(
         "custom_chunks index into a whole collection and cannot drive a "
         "streaming build");
   }
+  const size_t first = source.series_read();
+  const size_t n = source.total_series() - first;
+  if (n == 0) {
+    return Status::InvalidArgument("archive is empty: " + source.path());
+  }
+  if (n > std::numeric_limits<uint32_t>::max()) {
+    return Status::InvalidArgument(
+        "archive holds " + std::to_string(n) +
+        " series, more than 32-bit ids can name: " + source.path());
+  }
 
-  // Stage 0+1 interleaved: pull one bounded chunk at a time and partition
-  // it on arrival, appending each group's share directly into the group's
-  // storage. Peak transient heap is two ingest chunks (the one being
-  // processed + the one in flight); the full archive only ever exists
-  // distributed across the groups (as on a real cluster). Each arriving
-  // chunk is summarized exactly once — before partitioning, so
-  // DENSITY-AWARE reuses the same table — and the SAX rows are scattered
-  // into per-group tables alongside the series; the group bundles are then
-  // adopted at build time with zero re-summarization, and the next chunk's
-  // disk read runs concurrently with all of this.
+  std::unique_ptr<OdysseyCluster> cluster(new OdysseyCluster(options));
   const IsaxConfig& config = options.index_options.config;
   const size_t w = static_cast<size_t>(config.segments());
   const int num_groups = layout->num_groups();
-  GroupChunks groups;
-  groups.data.resize(num_groups, SeriesCollection(source.length()));
-  groups.ids.resize(num_groups);
-  groups.sax.resize(num_groups);
-  // Size each group's storage once: exact for one group, an even share
-  // otherwise, so only a group an uneven split overflows grows (and copies).
-  const size_t share =
-      (source.total_series() + static_cast<size_t>(num_groups) - 1) /
-      static_cast<size_t>(num_groups);
-  for (int g = 0; g < num_groups; ++g) {
-    groups.data[g].Reserve(share);
-    groups.ids[g].reserve(share);
-    groups.sax[g].reserve(share * w);
-  }
-  double partition_seconds = 0.0;
-  ThreadPool pool(
-      static_cast<size_t>(std::max(1, options.build_threads_per_node)));
-  ChunkPrefetcher prefetcher(&source);
-  Stopwatch watch;
-  uint64_t chunk_index = 0;
-  uint32_t base = 0;  // global id of the current chunk's first series
-  std::vector<uint8_t> chunk_sax;
-  for (;; ++chunk_index) {
-    StatusOr<SeriesCollection> chunk = prefetcher.Next();
-    if (!chunk.ok()) return chunk.status();
-    if (chunk->empty()) break;
-    const size_t n = chunk->size();
-    watch.Restart();
-    chunk_sax.resize(n * w);
+  std::vector<uint8_t> sax(n * w);
+  std::vector<std::vector<uint32_t>> ids(num_groups);
+  // One record of read failures for both passes: whichever rows fail, the
+  // Status names the lowest, as the sequential reader did.
+  LowestRowFailure failure;
+  {
+    ThreadPool pool(SourcePassWidth(options));
+    // Pass 1: each row is read into the worker's buffer, z-normalized there
+    // and summarized; only its SAX row is kept.
+    Stopwatch watch;
     pool.ParallelFor(n, [&](size_t begin, size_t end) {
+      std::vector<float> row(source.length());
       double paa[kMaxSegments];
       for (size_t i = begin; i < end; ++i) {
-        ComputePaa(chunk->data(i), config.paa, paa);
-        ComputeSaxFromPaa(paa, config, chunk_sax.data() + i * w);
+        Status read = source.ReadRange(first + i, 1, row.data());
+        if (!read.ok()) {
+          failure.Record(i, std::move(read));
+          return;  // later rows of this range cannot be lower
+        }
+        ComputePaa(row.data(), config.paa, paa);
+        ComputeSaxFromPaa(paa, config, sax.data() + i * w);
       }
     });
-    // A tail chunk with fewer series than groups is cut into one part per
-    // series, for the first n groups. Per-chunk seed: kRandomShuffle must
-    // not deal every chunk the same permutation.
-    const std::vector<std::vector<uint32_t>> local = PartitionSeries(
-        *chunk, static_cast<int>(std::min<size_t>(num_groups, n)),
-        options.partitioning, config, options.seed + chunk_index, &pool,
-        options.density_options, &chunk_sax);
-    for (size_t g = 0; g < local.size(); ++g) {
-      for (uint32_t id : local[g]) {
-        groups.data[g].Append(chunk->data(id));
-        groups.ids[g].push_back(base + id);
-        groups.sax[g].insert(groups.sax[g].end(), chunk_sax.data() + id * w,
-                             chunk_sax.data() + (id + 1) * w);
+    cluster->ingest_seconds_ = watch.ElapsedSeconds();
+    Status read = failure.status();
+    if (!read.ok()) return read;
+
+    // Stage 1, one chunk_size block at a time. A last block with fewer
+    // series than groups is cut into one part per series, for the first n
+    // groups. Per-block seed: kRandomShuffle must not deal every block the
+    // same permutation.
+    watch.Restart();
+    const size_t block = source.options().chunk_size;
+    uint64_t block_index = 0;
+    for (size_t base = 0; base < n; base += block, ++block_index) {
+      const size_t count = std::min(block, n - base);
+      const std::vector<std::vector<uint32_t>> local = PartitionSeries(
+          count, sax.data() + base * w,
+          static_cast<int>(std::min<size_t>(num_groups, count)),
+          options.partitioning, config, options.seed + block_index, &pool,
+          options.density_options);
+      for (size_t g = 0; g < local.size(); ++g) {
+        for (uint32_t id : local[g]) {
+          ids[g].push_back(static_cast<uint32_t>(base + id));
+        }
       }
     }
-    base += static_cast<uint32_t>(n);
-    partition_seconds += watch.ElapsedSeconds();
+    cluster->partition_seconds_ = watch.ElapsedSeconds();
   }
-  const double ingest_seconds = prefetcher.pull_seconds();
-  const double overlap_seconds = prefetcher.overlap_seconds();
-  build_stats::AddOverlapSeconds(overlap_seconds);
-  if (chunk_index == 0) {
-    return Status::InvalidArgument("archive is empty: " + source.path());
-  }
-  if (std::any_of(groups.data.begin(), groups.data.end(),
-                  [](const SeriesCollection& d) { return d.empty(); })) {
+  if (std::any_of(ids.begin(), ids.end(),
+                  [](const std::vector<uint32_t>& g) { return g.empty(); })) {
     return Status::InvalidArgument(
-        "archive holds " + std::to_string(base) + " series, too few for " +
+        "archive holds " + std::to_string(n) + " series, too few for " +
         std::to_string(num_groups) + " replication groups: " + source.path());
   }
-  // A short group's id and SAX slack would outlive the build; trimming them
-  // copies little. The series rows are never copied.
-  for (int g = 0; g < num_groups; ++g) {
-    groups.ids[g].shrink_to_fit();
-    groups.sax[g].shrink_to_fit();
-  }
-  return std::unique_ptr<OdysseyCluster>(
-      new OdysseyCluster(std::move(groups), options, partition_seconds,
-                         ingest_seconds, overlap_seconds));
+
+  // Stage 2 and pass 2: every group reads its rows out of the archive again,
+  // straight into leaf order.
+  const Status built = cluster->BuildNodes(
+      std::move(ids), sax,
+      [&source, &failure, first](uint32_t id, float* dst) {
+        Status read = source.ReadRange(first + id, 1, dst);
+        if (!read.ok()) failure.Record(id, read);
+        return read;
+      });
+  if (!built.ok()) return failure.status();
+  return cluster;
 }
 
-void OdysseyCluster::BuildNodes(
-    const std::function<std::unique_ptr<SharedChunk>(int, ThreadPool*)>&
-        make_bundle) {
+Status OdysseyCluster::BuildNodes(std::vector<std::vector<uint32_t>> ids,
+                                  const std::vector<uint8_t>& sax,
+                                  const RowSource& copy_row) {
   const int num_groups = layout_.num_groups();
+  const size_t w = static_cast<size_t>(options_.index_options.config.segments());
   std::vector<std::shared_ptr<const Index>> indexes(num_groups);
+  std::vector<Status> statuses(num_groups, Status::Ok());
   group_timings_.resize(num_groups);
   {
     std::vector<CountedThread> groups;
     groups.reserve(num_groups);
     for (int g = 0; g < num_groups; ++g) {
       groups.emplace_back([&, g] {
+        std::vector<uint32_t>& group = ids[g];
+        ODYSSEY_CHECK_MSG(!group.empty(), "node received an empty chunk");
         // The group's members would each have built with
         // build_threads_per_node workers; the one build gets all of them.
         ThreadPool pool(layout_.GroupMembers(g).size() *
                         static_cast<size_t>(
                             std::max(1, options_.build_threads_per_node)));
-        std::unique_ptr<SharedChunk> bundle = make_bundle(g, &pool);
-        ODYSSEY_CHECK_MSG(!bundle->data().empty(),
-                          "node received an empty chunk");
-        indexes[g] = std::make_shared<const Index>(Index::BuildFromShared(
-            std::move(bundle), options_.index_options, &pool,
-            &group_timings_[g]));
+        Stopwatch watch;
+        std::vector<uint8_t> rows(group.size() * w);
+        for (size_t j = 0; j < group.size(); ++j) {
+          ODYSSEY_CHECK(static_cast<size_t>(group[j]) * w < sax.size());
+          std::memcpy(rows.data() + j * w,
+                      sax.data() + static_cast<size_t>(group[j]) * w, w);
+        }
+        const double gather_seconds = watch.ElapsedSeconds();
+        StatusOr<Index> index = Index::BuildFromSource(
+            std::move(group), std::move(rows), copy_row,
+            options_.index_options, &pool, &group_timings_[g]);
+        if (!index.ok()) {
+          statuses[g] = index.status();
+          return;
+        }
+        group_timings_[g].buffer_seconds += gather_seconds;
+        indexes[g] = std::make_shared<const Index>(std::move(index).value());
       });
     }
     for (auto& t : groups) t.Join();
+  }
+  for (const Status& status : statuses) {
+    if (!status.ok()) return status;
   }
   nodes_.reserve(layout_.num_nodes());
   for (int n = 0; n < layout_.num_nodes(); ++n) {
     nodes_.push_back(std::make_unique<NodeRuntime>(
         n, layout_, indexes[layout_.GroupOf(n)]));
   }
+  return Status::Ok();
 }
 
 OdysseyCluster::~OdysseyCluster() = default;

@@ -6,11 +6,24 @@
 /// distributed index construction over replication groups (Section 3.3,
 /// here via one shared immutable chunk bundle per group), stage 3
 /// predictive scheduling (Sections 2 and 3.1), stage 4 query execution on
-/// the nodes, and stage 5 answer merging. IngestAndBuild is the streaming
-/// variant: bounded chunks are pulled (double-buffered, overlapping pulls
-/// with summarization), partitioned and summarized on arrival.
+/// the nodes, and stage 5 answer merging.
+///
+/// Both constructors build in two parallel passes over the source (the
+/// caller's collection, or an archive for IngestAndBuild), so each row is
+/// written once, already in its group's leaf order:
+///   pass 1  every source row is read (and z-normalized, for an archive)
+///           into a worker's buffer and summarized; only its SAX row is
+///           kept. Stage 1 then cuts the series into groups from those rows.
+///   build   each group groups its SAX rows into buffers and builds its
+///           tree from them alone (src/index/builder.h).
+///   pass 2  each group copies its rows from the source straight into
+///           their leaf-order slots, in parallel.
+/// Between the passes the coordinator holds only the SAX rows and each
+/// series' group, about 20 bytes a series at 16 segments. The price is that
+/// an archive is read twice. The benchmark's archive sits in the page
+/// cache; a cold read was not measured, because dropping the page cache
+/// changes the whole machine, not just this process.
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -18,8 +31,8 @@
 #include "src/core/cost_model.h"
 #include "src/core/node_runtime.h"
 #include "src/core/partitioning.h"
-#include "src/core/shared_chunk.h"
 #include "src/dataset/ingest.h"
+#include "src/index/builder.h"
 #include "src/net/fault_plan.h"
 
 namespace odyssey {
@@ -132,23 +145,28 @@ struct BatchReport {
 /// nodes are NodeRuntime instances communicating over a SimCluster.
 class OdysseyCluster {
  public:
-  /// Partitions `dataset` and builds every node's index. Aborts on invalid
-  /// layout (use ReplicationLayout::Make to validate beforehand).
+  /// Partitions `dataset` and builds every node's index in the two passes
+  /// above, on a pool of num_nodes x max(1, build_threads_per_node)
+  /// workers. Aborts on invalid layout (use ReplicationLayout::Make to
+  /// validate beforehand).
   OdysseyCluster(const SeriesCollection& dataset, const OdysseyOptions& options);
   ~OdysseyCluster();
 
-  /// Streaming build from an on-disk archive: pulls fixed-size chunks from
-  /// `source` and partitions each chunk as it arrives, appending every
-  /// group's share straight into that group's node storage. The coordinator
-  /// therefore never materializes the whole archive in one collection — its
-  /// transient heap is one ingest chunk at a time — which is how the real
-  /// system feeds billion-scale archives whose ingest bandwidth, not tree
-  /// build, dominates wall-clock. kDensityAware partitioning is applied per
-  /// chunk (a streaming approximation of the global buffer histogram).
-  /// A last chunk holding n < num_groups series goes to the first n
-  /// groups. Errors (I/O failures, length mismatch with the index config,
-  /// invalid layout, an archive too small to give every group a series)
-  /// come back as Status instead of aborting.
+  /// Streaming build from an on-disk archive: the two passes above read
+  /// series [source.series_read(), source.total_series()) with
+  /// SeriesIngestor::ReadRange, on a pool of num_nodes x
+  /// max(1, build_threads_per_node) workers, and leave the cursor where it
+  /// is. The coordinator never materializes the archive in one collection:
+  /// the rows only ever exist in the groups' storage (as on a real
+  /// cluster), which billion-scale archives need. Stage 1 cuts each
+  /// chunk_size block of the archive on its own (IngestOptions::chunk_size),
+  /// with seed + the block's index, so kDensityAware is a streaming
+  /// approximation of the global buffer histogram. A last block holding
+  /// n < num_groups series goes to the first n groups. Errors (I/O
+  /// failures, length mismatch with the index config, invalid layout, an
+  /// archive too small to give every group a series) come back as Status
+  /// instead of aborting, and no partial cluster is left; of several bad
+  /// rows, the Status names the lowest, as a sequential reader would.
   static StatusOr<std::unique_ptr<OdysseyCluster>> IngestAndBuild(
       SeriesIngestor& source, const OdysseyOptions& options);
 
@@ -179,17 +197,17 @@ class OdysseyCluster {
     options_.liveness_timeout_seconds = seconds;
   }
 
-  /// Stage-1 cost: partitioning the raw collection.
-  double partition_seconds() const { return partition_seconds_; }
-  /// Time IngestAndBuild spent pulling chunks off disk (0 for the in-memory
-  /// constructor).
+  /// Build timers, one per step; no two of them overlap.
+  /// Pass 1: reading every source row (z-normalizing archive rows) and
+  /// summarizing it into its SAX row.
   double ingest_seconds() const { return ingest_seconds_; }
-  /// Of ingest_seconds(), the part that ran concurrently with
-  /// summarization/partitioning (the double-buffered pipeline's win; 0 for
-  /// the in-memory constructor).
-  double overlap_seconds() const { return overlap_seconds_; }
+  /// Stage 1: cutting the series into groups from their SAX rows.
+  double partition_seconds() const { return partition_seconds_; }
   /// Paper's index-time measures: the maximum across replication groups
-  /// (each group builds one index, which all of its members serve).
+  /// (each group builds one index, which all of its members serve). Buffer
+  /// time gathers the group's SAX rows and groups them by root key; tree
+  /// time builds the tree and runs pass 2, which copies the group's rows
+  /// into leaf order (src/index/builder.h).
   double max_buffer_seconds() const;
   double max_tree_seconds() const;
   double index_seconds() const {
@@ -205,32 +223,20 @@ class OdysseyCluster {
   const NodeRuntime& node(int i) const { return *nodes_[i]; }
 
  private:
-  /// Per-group raw data + global ids, accumulated by the streaming build
-  /// as chunks are partitioned on arrival, in storage reserved once from
-  /// the archive's series count. The per-chunk SAX rows (computed once per
-  /// ingest chunk, before partitioning) are scattered alongside, so the
-  /// group bundles are adopted at build time without ever re-summarizing.
-  struct GroupChunks {
-    std::vector<SeriesCollection> data;
-    std::vector<std::vector<uint32_t>> ids;
-    std::vector<std::vector<uint8_t>> sax;
-  };
+  /// The shape both constructors share: the layout and the coordinator's
+  /// pool, with no node built yet.
+  explicit OdysseyCluster(const OdysseyOptions& options);
 
-  /// Streaming-build constructor body: every group's chunk and summaries
-  /// are already materialized; just adopt them and build the indexes.
-  OdysseyCluster(GroupChunks groups, const OdysseyOptions& options,
-                 double partition_seconds, double ingest_seconds,
-                 double overlap_seconds);
-
-  /// Stage 2: one thread per group, so the groups build concurrently. Each
-  /// runs `make_bundle(g, pool)` to produce group g's bundle, then builds
-  /// the group's one Index from it (which reorders the bundle into leaf
-  /// order and owns it), both on one pool of members x
-  /// build_threads_per_node workers. Every member's NodeRuntime then holds
-  /// that Index.
-  void BuildNodes(
-      const std::function<std::unique_ptr<SharedChunk>(int, ThreadPool*)>&
-          make_bundle);
+  /// Stage 2: one thread per group, so the groups build concurrently.
+  /// Group g builds its one Index with Index::BuildFromSource from
+  /// `ids[g]` (source ids, in the order the partitioner listed them), the
+  /// rows of `sax` they name (the SAX table of every source series) and
+  /// `copy_row`, on one pool of members x build_threads_per_node workers.
+  /// Every member's NodeRuntime then holds that Index. If a group's build
+  /// fails, returns the first failing group's Status and creates no node.
+  Status BuildNodes(std::vector<std::vector<uint32_t>> ids,
+                    const std::vector<uint8_t>& sax,
+                    const RowSource& copy_row);
 
   /// Builds the batch's PreparedQuery artifacts across a driver-side
   /// thread pool and reports the elapsed preparation time.
@@ -248,7 +254,6 @@ class OdysseyCluster {
   ReplicationLayout layout_;
   double partition_seconds_ = 0.0;
   double ingest_seconds_ = 0.0;
-  double overlap_seconds_ = 0.0;
   /// Persistent coordinator-side pool (partitioning, batch preparation,
   /// scheduling estimates): like the node executors, it is created once
   /// per cluster so answering batches spawns no coordinator threads.

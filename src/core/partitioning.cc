@@ -46,18 +46,12 @@ size_t SmallestChunk(const std::vector<std::vector<uint32_t>>& chunks) {
 /// series land on *different* nodes and no node becomes the sole owner of a
 /// query's neighborhood.
 std::vector<std::vector<uint32_t>> DensityAwarePartition(
-    const SeriesCollection& data, int num_chunks, const IsaxConfig& config,
-    ThreadPool* pool, const DensityAwareOptions& options,
-    const std::vector<uint8_t>* precomputed_sax) {
-  // Steps 1-2: compute iSAX summaries (unless the caller already has them),
-  // group into summarization buffers.
-  std::vector<uint8_t> owned_table;
-  if (precomputed_sax == nullptr) {
-    owned_table = ComputeSaxTable(data, config, pool);
-    precomputed_sax = &owned_table;
-  }
-  SummarizationBuffers buffers = BuildBuffers(
-      precomputed_sax->data(), data.size(), config, pool);
+    size_t series_count, const uint8_t* sax_table, int num_chunks,
+    const IsaxConfig& config, ThreadPool* pool,
+    const DensityAwareOptions& options) {
+  // Steps 1-2: group the iSAX summaries into summarization buffers.
+  SummarizationBuffers buffers =
+      BuildBuffers(sax_table, series_count, config, pool);
 
   // Step 3: order buffers by Gray-code rank of their root key.
   std::vector<size_t> order(buffers.buffer_count());
@@ -144,19 +138,13 @@ const char* PartitioningSchemeToString(PartitioningScheme scheme) {
 }
 
 std::vector<std::vector<uint32_t>> PartitionSeries(
-    const SeriesCollection& data, int num_chunks, PartitioningScheme scheme,
-    const IsaxConfig& config, uint64_t seed, ThreadPool* pool,
-    const DensityAwareOptions& density_options,
-    const std::vector<uint8_t>* precomputed_sax) {
+    size_t series_count, const uint8_t* sax_table, int num_chunks,
+    PartitioningScheme scheme, const IsaxConfig& config, uint64_t seed,
+    ThreadPool* pool, const DensityAwareOptions& density_options) {
   ODYSSEY_CHECK(num_chunks >= 1);
-  ODYSSEY_CHECK_MSG(data.size() >= static_cast<size_t>(num_chunks),
+  ODYSSEY_CHECK_MSG(series_count >= static_cast<size_t>(num_chunks),
                     "fewer series than chunks");
-  // A table sized for a different collection or iSAX geometry must fail
-  // here, not read out of bounds inside the buffer grouping.
-  ODYSSEY_CHECK(precomputed_sax == nullptr ||
-                precomputed_sax->size() ==
-                    data.size() * static_cast<size_t>(config.segments()));
-  std::vector<uint32_t> ids(data.size());
+  std::vector<uint32_t> ids(series_count);
   std::iota(ids.begin(), ids.end(), 0u);
 
   std::vector<std::vector<uint32_t>> chunks;
@@ -175,11 +163,26 @@ std::vector<std::vector<uint32_t>> PartitionSeries(
       break;
     }
     case PartitioningScheme::kDensityAware:
-      chunks = DensityAwarePartition(data, num_chunks, config, pool,
-                                     density_options, precomputed_sax);
+      ODYSSEY_CHECK_MSG(sax_table != nullptr,
+                        "DENSITY-AWARE partitioning needs the SAX table");
+      chunks = DensityAwarePartition(series_count, sax_table, num_chunks,
+                                     config, pool, density_options);
       break;
   }
   return chunks;
+}
+
+std::vector<std::vector<uint32_t>> PartitionSeries(
+    const SeriesCollection& data, int num_chunks, PartitioningScheme scheme,
+    const IsaxConfig& config, uint64_t seed, ThreadPool* pool,
+    const DensityAwareOptions& density_options) {
+  const std::vector<uint8_t> sax =
+      scheme == PartitioningScheme::kDensityAware
+          ? ComputeSaxTable(data, config, pool)
+          : std::vector<uint8_t>();
+  return PartitionSeries(data.size(), sax.empty() ? nullptr : sax.data(),
+                         num_chunks, scheme, config, seed, pool,
+                         density_options);
 }
 
 }  // namespace odyssey

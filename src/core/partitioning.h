@@ -46,21 +46,27 @@ struct DensityAwareOptions {
   int max_rebalance_rounds = 64;
 };
 
-/// Cuts `data` into `num_chunks` disjoint, exhaustive chunks of series ids.
-/// Every returned chunk is sorted ascending (determinism: replicas loading
-/// the same chunk must build identical indexes). `config` is needed only by
-/// kDensityAware (it summarizes the collection); `pool` parallelizes that
-/// summarization and may be null. When the caller already summarized `data`
-/// (the SharedChunk streaming build computes every chunk's SAX table once,
-/// before partitioning), pass the table as `precomputed_sax`
-/// (data.size() * config.segments() bytes — checked) and kDensityAware
-/// consumes it instead of re-summarizing — partitioning then never
-/// recomputes a summary the index build will reuse.
+/// Cuts series [0, series_count) into `num_chunks` disjoint, exhaustive
+/// chunks of series ids. Every returned chunk is sorted ascending
+/// (determinism: replicas loading the same chunk must build identical
+/// indexes). `sax_table` holds the series' full-cardinality SAX rows
+/// (series_count rows of config.segments() bytes, e.g. from
+/// ComputeSaxTable); only kDensityAware reads it, and the other schemes
+/// accept null. `pool` parallelizes the buffer grouping and may be null.
+/// The cluster builds summarize every series once and pass that table
+/// here, so partitioning never recomputes a summary the index build reuses.
+std::vector<std::vector<uint32_t>> PartitionSeries(
+    size_t series_count, const uint8_t* sax_table, int num_chunks,
+    PartitioningScheme scheme, const IsaxConfig& config, uint64_t seed,
+    ThreadPool* pool = nullptr,
+    const DensityAwareOptions& density_options = {});
+
+/// The same cut of a collection: kDensityAware summarizes `data` first
+/// (on `pool`), then the call forwards to the form above.
 std::vector<std::vector<uint32_t>> PartitionSeries(
     const SeriesCollection& data, int num_chunks, PartitioningScheme scheme,
     const IsaxConfig& config, uint64_t seed, ThreadPool* pool = nullptr,
-    const DensityAwareOptions& density_options = {},
-    const std::vector<uint8_t>* precomputed_sax = nullptr);
+    const DensityAwareOptions& density_options = {});
 
 }  // namespace odyssey
 

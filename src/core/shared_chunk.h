@@ -20,27 +20,26 @@ namespace odyssey {
 /// summarization and k× tree builds for bit-identical data (the same design
 /// MESSI uses for its shared in-memory summary array).
 ///
-/// The index build reorders the bundle once, in place, into its tree's
-/// leaf order (PermuteRows): row i of data(), sax() and global_ids() then
+/// The index build writes an Index's bundle directly in its tree's leaf
+/// order and wraps it with Adopt: row i of data(), sax() and global_ids()
 /// belongs to the i-th series of that order, and every leaf is a
-/// contiguous range of rows. The Index holds the bundle const from then on;
-/// that immutability is the thread-safety contract that lets any number of
+/// contiguous range of rows. The Index holds the bundle const; that
+/// immutability is the thread-safety contract that lets any number of
 /// concurrent query executions read it without synchronization.
 class SharedChunk {
  public:
   /// Summarizes `data` (one SAX row per series, quantized from a PAA that
-  /// ComputePaa's dispatched kernel writes to a stack buffer). `global_ids`
-  /// may be empty for standalone indexes; PermuteRows then fills it with
-  /// each row's position in `data`. `pool` parallelizes summarization; may
-  /// be null.
+  /// ComputePaa's dispatched kernel writes to a stack buffer), keeping the
+  /// rows in the order given. `global_ids` may be empty. `pool`
+  /// parallelizes summarization; may be null.
   static std::unique_ptr<SharedChunk> Build(SeriesCollection data,
                                             std::vector<uint32_t> global_ids,
                                             const IsaxConfig& config,
                                             ThreadPool* pool = nullptr);
 
-  /// Wraps a pre-computed SAX table without re-summarizing — the streaming
-  /// build scatters per-ingest-chunk rows into per-group tables and adopts
-  /// them here. `sax_table` must hold data.size() * config.segments() bytes.
+  /// Wraps a pre-computed SAX table without re-summarizing — the index
+  /// build adopts the leaf-ordered rows it wrote here. `sax_table` must
+  /// hold data.size() * config.segments() bytes.
   static std::unique_ptr<SharedChunk> Adopt(SeriesCollection data,
                                             std::vector<uint32_t> global_ids,
                                             std::vector<uint8_t> sax_table,
@@ -53,7 +52,7 @@ class SharedChunk {
   const SeriesCollection& data() const { return data_; }
   /// The caller's id of row i: its global dataset id in a cluster, its
   /// position in the collection passed to Index::Build for a standalone
-  /// index. Empty only before PermuteRows when no ids were given.
+  /// index. Empty only for a Build or Adopt given no ids.
   const std::vector<uint32_t>& global_ids() const { return global_ids_; }
   size_t size() const { return data_.size(); }
 
@@ -63,18 +62,6 @@ class SharedChunk {
            static_cast<size_t>(row) * static_cast<size_t>(config_.segments());
   }
   const std::vector<uint8_t>& sax_table() const { return sax_table_; }
-
-  /// Reorders the bundle in place so that row i holds what row order[i]
-  /// held: series, SAX row and global id move together. `order` must be a
-  /// permutation of [0, size()). Follows each cycle of the permutation with
-  /// one row of scratch, so the series block is never copied whole.
-  void PermuteRows(const std::vector<uint32_t>& order);
-
-  /// Wall seconds Build spent summarizing — the first half of the paper's
-  /// "buffer time", paid once per group. 0 for Adopt: the adopted SAX rows
-  /// were computed upstream (on the streaming ingest path) and are timed
-  /// there.
-  double summarize_seconds() const { return summarize_seconds_; }
 
   /// Heap bytes of the whole bundle (series + ids + SAX): what one group
   /// materializes once for all of its replicas.
@@ -91,7 +78,6 @@ class SharedChunk {
   SeriesCollection data_;
   std::vector<uint32_t> global_ids_;
   std::vector<uint8_t> sax_table_;   // size() * segments
-  double summarize_seconds_ = 0.0;
 };
 
 }  // namespace odyssey

@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "src/common/math_utils.h"
-#include "src/common/stopwatch.h"
 
 namespace odyssey {
 namespace {
@@ -119,7 +118,6 @@ Status SeriesIngestor::Validate() {
             "file size is not a multiple of the vector record size: " + path);
       }
       total_in_file = static_cast<size_t>(size / record_bytes_);
-      if (format_ == DataFormat::kBvecs) scratch_.resize(length_);
       break;
     }
     case DataFormat::kOdyssey: {
@@ -183,34 +181,30 @@ Status SeriesIngestor::Validate() {
   return Status::Ok();
 }
 
-Status SeriesIngestor::FillChunk(size_t begin, size_t count, float* dst) {
+Status SeriesIngestor::ReadRange(size_t begin, size_t count,
+                                 float* dst) const {
+  if (begin > total_ || count > total_ - begin) {
+    return Status::OutOfRange(
+        "series [" + std::to_string(begin) + ", " +
+        std::to_string(begin + count) + ") past the " +
+        std::to_string(total_) + " this ingestor yields: " + file_.path());
+  }
   const uint64_t abs = first_ + begin;
   switch (format_) {
     case DataFormat::kRawFloat:
-    case DataFormat::kOdyssey:
+    case DataFormat::kOdyssey: {
       // Contiguous on disk: one straight copy (a single memcpy out of the
       // map, or one pread run in the buffered fallback).
-      return file_.ReadAt(data_offset_ + abs * record_bytes_, dst,
-                          count * static_cast<size_t>(record_bytes_));
-    case DataFormat::kFvecs: {
-      for (size_t i = 0; i < count; ++i) {
-        const uint64_t off = (abs + i) * record_bytes_;
-        uint32_t dim = 0;
-        Status read = file_.ReadAt(off, &dim, sizeof(dim));
-        if (!read.ok()) return read;
-        if (dim != length_) {
-          return Status::InvalidArgument(
-              "vector " + std::to_string(abs + i) +
-              " has dimension " + std::to_string(dim) + ", expected " +
-              std::to_string(length_) + ": " + file_.path());
-        }
-        read = file_.ReadAt(off + sizeof(dim), dst + i * length_,
-                            length_ * sizeof(float));
-        if (!read.ok()) return read;
-      }
-      return Status::Ok();
+      Status read = file_.ReadAt(data_offset_ + abs * record_bytes_, dst,
+                                 count * static_cast<size_t>(record_bytes_));
+      if (!read.ok()) return read;
+      break;
     }
+    case DataFormat::kFvecs:
     case DataFormat::kBvecs: {
+      // bvecs components are widened through a byte buffer of this call's
+      // own, so concurrent calls share nothing.
+      std::vector<uint8_t> bytes(format_ == DataFormat::kBvecs ? length_ : 0);
       for (size_t i = 0; i < count; ++i) {
         const uint64_t off = (abs + i) * record_bytes_;
         uint32_t dim = 0;
@@ -222,51 +216,44 @@ Status SeriesIngestor::FillChunk(size_t begin, size_t count, float* dst) {
               " has dimension " + std::to_string(dim) + ", expected " +
               std::to_string(length_) + ": " + file_.path());
         }
-        read = file_.ReadAt(off + sizeof(dim), scratch_.data(), length_);
-        if (!read.ok()) return read;
         float* row = dst + i * length_;
-        for (size_t t = 0; t < length_; ++t) {
-          row[t] = static_cast<float>(scratch_[t]);
+        if (format_ == DataFormat::kFvecs) {
+          read = file_.ReadAt(off + sizeof(dim), row, length_ * sizeof(float));
+        } else {
+          read = file_.ReadAt(off + sizeof(dim), bytes.data(), length_);
+          if (read.ok()) std::copy(bytes.begin(), bytes.end(), row);
         }
+        if (!read.ok()) return read;
       }
-      return Status::Ok();
+      break;
     }
     case DataFormat::kAuto:
-      break;
+      return Status::Internal("unresolved format");
   }
-  return Status::Internal("unresolved format");
+  if (options_.znormalize) {
+    for (size_t i = 0; i < count; ++i) ZNormalize(dst + i * length_, length_);
+  }
+  return Status::Ok();
+}
+
+StatusOr<SeriesCollection> SeriesIngestor::Pull(size_t count) {
+  SeriesCollection out(length_);
+  if (count == 0) return out;  // empty collection = end of archive
+  out.Reserve(count);
+  Status read = ReadRange(next_, count, out.AppendUninitialized(count));
+  if (!read.ok()) return read;
+  next_ += count;
+  return out;
 }
 
 StatusOr<SeriesCollection> SeriesIngestor::NextChunk() {
-  SeriesCollection out(length_);
-  const size_t n = std::min(options_.chunk_size, total_ - next_);
-  if (n == 0) return out;  // empty collection = end of archive
-  out.Reserve(n);
-  float* dst = out.AppendUninitialized(n);
-  Status filled = FillChunk(next_, n, dst);
-  if (!filled.ok()) return filled;
-  if (options_.znormalize) {
-    for (size_t i = 0; i < n; ++i) ZNormalize(dst + i * length_, length_);
-  }
-  next_ += n;
-  return out;
+  return Pull(std::min(options_.chunk_size, total_ - next_));
 }
 
 StatusOr<SeriesCollection> SeriesIngestor::ReadAll() {
   // Single allocation of the full remainder: this is the explicit
   // fits-in-RAM convenience; bounded-memory callers pull NextChunk.
-  SeriesCollection out(length_);
-  const size_t n = total_ - next_;
-  if (n == 0) return out;
-  out.Reserve(n);
-  float* dst = out.AppendUninitialized(n);
-  Status filled = FillChunk(next_, n, dst);
-  if (!filled.ok()) return filled;
-  if (options_.znormalize) {
-    for (size_t i = 0; i < n; ++i) ZNormalize(dst + i * length_, length_);
-  }
-  next_ = total_;
-  return out;
+  return Pull(total_ - next_);
 }
 
 StatusOr<SeriesCollection> IngestFile(const std::string& path,
@@ -274,83 +261,6 @@ StatusOr<SeriesCollection> IngestFile(const std::string& path,
   StatusOr<SeriesIngestor> ingestor = SeriesIngestor::Open(path, options);
   if (!ingestor.ok()) return ingestor.status();
   return ingestor->ReadAll();
-}
-
-ChunkPrefetcher::ChunkPrefetcher(SeriesIngestor* source) : source_(source) {
-  ODYSSEY_CHECK(source != nullptr);
-  // CountedThread folds the puller into executor_stats::ThreadsSpawned —
-  // this spawn used to be invisible to the accounting, understating the
-  // streaming build's thread cost by one per prefetcher.
-  puller_ = CountedThread([this] { PullLoop(); });
-}
-
-ChunkPrefetcher::~ChunkPrefetcher() {
-  // Cancel rather than drain: at most the pull already in flight finishes;
-  // an early-aborting consumer must not pay for reading the whole archive.
-  {
-    MutexLock lock(&mu_);
-    cancelled_ = true;
-    slot_emptied_.SignalAll();
-  }
-  if (puller_.joinable()) puller_.Join();
-}
-
-void ChunkPrefetcher::PullLoop() {
-  Stopwatch watch;
-  for (;;) {
-    {
-      MutexLock lock(&mu_);
-      if (cancelled_) {
-        finished_ = true;
-        return;
-      }
-    }
-    watch.Restart();
-    StatusOr<SeriesCollection> chunk = source_->NextChunk();
-    const double pulled = watch.ElapsedSeconds();
-    const bool terminal = !chunk.ok() || chunk->empty();
-    MutexLock lock(&mu_);
-    pull_seconds_ += pulled;
-    while (has_chunk_ && !cancelled_) slot_emptied_.Wait(&mu_);
-    if (cancelled_) {
-      finished_ = true;
-      return;
-    }
-    if (!chunk.ok()) terminal_error_ = chunk.status();
-    slot_ = std::move(chunk);
-    has_chunk_ = true;
-    if (terminal) finished_ = true;
-    slot_filled_.SignalAll();
-    if (terminal) return;
-  }
-}
-
-StatusOr<SeriesCollection> ChunkPrefetcher::Next() {
-  Stopwatch watch;
-  MutexLock lock(&mu_);
-  while (!has_chunk_ && !finished_) slot_filled_.Wait(&mu_);
-  wait_seconds_ += watch.ElapsedSeconds();
-  if (!has_chunk_) {
-    // The terminal chunk was already consumed: keep mirroring NextChunk,
-    // which re-reports an error (next_ never advanced past it) and reports
-    // end-of-archive again after a clean EOF.
-    if (!terminal_error_.ok()) return terminal_error_;
-    return SeriesCollection(source_->length());
-  }
-  StatusOr<SeriesCollection> chunk = std::move(slot_);
-  has_chunk_ = false;
-  slot_emptied_.SignalAll();
-  return chunk;
-}
-
-double ChunkPrefetcher::pull_seconds() const {
-  MutexLock lock(&mu_);
-  return pull_seconds_;
-}
-
-double ChunkPrefetcher::overlap_seconds() const {
-  MutexLock lock(&mu_);
-  return pull_seconds_ > wait_seconds_ ? pull_seconds_ - wait_seconds_ : 0.0;
 }
 
 }  // namespace odyssey

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "src/common/status.h"
-#include "src/common/sync.h"
 #include "src/dataset/mapped_file.h"
 #include "src/dataset/series_collection.h"
 
@@ -50,7 +49,9 @@ struct IngestOptions {
   bool znormalize = true;
   /// Series per NextChunk() pull. Bounds the ingestion pipeline's heap:
   /// a chunk never allocates more than chunk_size * length * sizeof(float)
-  /// bytes of series storage.
+  /// bytes of series storage. It is also the block
+  /// OdysseyCluster::IngestAndBuild partitions at a time (DENSITY-AWARE
+  /// groups each block's summaries on their own).
   size_t chunk_size = 1 << 16;
   /// kBuffered forces the pread fallback (tests cover both paths with it).
   MappedFile::Mode io_mode = MappedFile::Mode::kAuto;
@@ -61,13 +62,13 @@ struct IngestOptions {
   size_t max_series = 0;
 };
 
-/// Pull-based, bounded-memory reader over one on-disk archive. Validates
-/// the file geometry at Open — header counts are checked against the actual
-/// fstat size before any allocation, so a corrupt header can never trigger
-/// an unbounded allocation; per-vector dimension headers are re-validated
-/// as each chunk is read. Yields fixed-size SeriesCollection chunks so
-/// collections larger than RAM can feed partitioning and index build chunk
-/// by chunk.
+/// Bounded-memory reader over one on-disk archive. Validates the file
+/// geometry at Open — header counts are checked against the actual fstat
+/// size before any allocation, so a corrupt header can never trigger an
+/// unbounded allocation; per-vector dimension headers are re-validated as
+/// each row is read. Every read goes through ReadRange, which any number of
+/// threads may call at once; NextChunk and ReadAll are cursor-driven
+/// wrappers over it.
 class SeriesIngestor {
  public:
   /// Opens and validates `path`. Errors: IoError for missing/unreadable
@@ -89,14 +90,25 @@ class SeriesIngestor {
   bool using_mmap() const { return file_.mapped(); }
   DataFormat format() const { return format_; }
   const std::string& path() const { return file_.path(); }
+  const IngestOptions& options() const { return options_; }
+
+  /// Copies series [begin, begin + count) — numbered from the first
+  /// post-skip series, like series_read() — into `dst` (count * length()
+  /// floats), z-normalized when the options say so. Leaves the cursor where
+  /// it is and shares no state between calls, so concurrent calls are safe,
+  /// on the memory map and on the pread fallback alike. Errors: OutOfRange
+  /// past total_series(), InvalidArgument naming the first record in the
+  /// range whose dimension header is wrong, IoError from the fallback.
+  Status ReadRange(size_t begin, size_t count, float* dst) const;
 
   /// Pulls the next at-most-chunk_size series. An empty collection signals
   /// end of archive. The returned chunk owns exactly
-  /// min(chunk_size, remaining) * length floats of series heap.
+  /// min(chunk_size, remaining) * length floats of series heap. After an
+  /// error the cursor stays put, so the next pull re-reports it.
   StatusOr<SeriesCollection> NextChunk();
 
-  /// Convenience for archives that fit in RAM: concatenates every remaining
-  /// chunk into one collection.
+  /// Convenience for archives that fit in RAM: every remaining series in
+  /// one collection.
   StatusOr<SeriesCollection> ReadAll();
 
   /// Rewinds to the first (post-skip) series.
@@ -106,7 +118,8 @@ class SeriesIngestor {
   SeriesIngestor(MappedFile file, const IngestOptions& options);
 
   Status Validate();
-  Status FillChunk(size_t begin, size_t count, float* dst);
+  /// Reads the next `count` series at the cursor and advances past them.
+  StatusOr<SeriesCollection> Pull(size_t count);
 
   MappedFile file_;
   IngestOptions options_;
@@ -117,72 +130,11 @@ class SeriesIngestor {
   size_t next_ = 0;        ///< relative cursor in [0, total_]
   uint64_t data_offset_ = 0;   ///< bytes before series 0 (ODSY header)
   uint64_t record_bytes_ = 0;  ///< on-disk stride of one series
-  std::vector<uint8_t> scratch_;  ///< bvecs byte buffer (one record)
 };
 
 /// One-call ingest of a whole archive (Open + ReadAll).
 StatusOr<SeriesCollection> IngestFile(const std::string& path,
                                       const IngestOptions& options);
-
-/// Double-buffered pull pipeline over one SeriesIngestor: a background
-/// thread keeps exactly one chunk in flight, so the consumer's processing
-/// of chunk i (partitioning + summarization in the streaming index build)
-/// overlaps with the disk read of chunk i+1. Peak heap therefore stays at
-/// two chunks (the one being processed + the one being pulled) — still
-/// bounded, unlike read-ahead queues that can outrun a slow consumer.
-///
-/// Single-consumer: Next() must be called from one thread. The wrapped
-/// ingestor must outlive the prefetcher and must not be touched by anyone
-/// else while the prefetcher is alive (the background thread owns it).
-class ChunkPrefetcher {
- public:
-  explicit ChunkPrefetcher(SeriesIngestor* source);
-  /// Joins the background thread. At most the one in-flight pull completes
-  /// first — remaining chunks are left unread (early abort of a streaming
-  /// consumer must not cost a full archive scan).
-  ~ChunkPrefetcher();
-
-  ChunkPrefetcher(const ChunkPrefetcher&) = delete;
-  ChunkPrefetcher& operator=(const ChunkPrefetcher&) = delete;
-
-  /// The next chunk, in archive order — blocking only for whatever part of
-  /// its pull has not already overlapped the caller's processing. Mirrors
-  /// SeriesIngestor::NextChunk: an empty collection signals end of archive,
-  /// and after an error every further Next() re-reports that error (a
-  /// partially read archive never masquerades as a complete one).
-  StatusOr<SeriesCollection> Next() ODYSSEY_EXCLUDES(mu_);
-
-  /// Total wall seconds the background thread spent inside NextChunk — the
-  /// streaming build's ingest_seconds when prefetching.
-  double pull_seconds() const ODYSSEY_EXCLUDES(mu_);
-  /// Seconds of pulling that overlapped the consumer (pull time the
-  /// consumer never waited for): pull_seconds() minus the time Next()
-  /// spent blocked.
-  double overlap_seconds() const ODYSSEY_EXCLUDES(mu_);
-
- private:
-  void PullLoop() ODYSSEY_EXCLUDES(mu_);
-
-  SeriesIngestor* const source_;
-  CountedThread puller_;
-
-  // One mutex guards the whole slot protocol; the two condvars split the
-  // wake directions (producer waits on slot_emptied_, consumer on
-  // slot_filled_) so neither side's Signal wakes the wrong party.
-  mutable Mutex mu_;
-  CondVar slot_filled_;
-  CondVar slot_emptied_;
-  bool has_chunk_ ODYSSEY_GUARDED_BY(mu_) = false;  // slot_ unconsumed
-  bool finished_ ODYSSEY_GUARDED_BY(mu_) = false;   // puller exited
-  bool cancelled_ ODYSSEY_GUARDED_BY(mu_) = false;  // dtor ran: stop pulling
-  StatusOr<SeriesCollection> slot_ ODYSSEY_GUARDED_BY(mu_) =
-      SeriesCollection(1);
-  /// Sticky error for re-reporting after a failed pull.
-  Status terminal_error_ ODYSSEY_GUARDED_BY(mu_) = Status::Ok();
-  double pull_seconds_ ODYSSEY_GUARDED_BY(mu_) = 0.0;
-  /// Time Next() spent blocked on the slot.
-  double wait_seconds_ ODYSSEY_GUARDED_BY(mu_) = 0.0;
-};
 
 }  // namespace odyssey
 

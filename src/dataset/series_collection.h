@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <new>
+#include <utility>
 #include <vector>
 
 #include "src/common/check.h"
@@ -54,7 +55,10 @@ class SeriesCollection {
   }
 
   /// Appends `count` uninitialized series and returns a pointer to the first
-  /// new value, for generator-style bulk filling.
+  /// new value, for generator-style bulk filling. The new values are never
+  /// written here (the allocator default-initializes), so a caller that
+  /// overwrites them pays no memset, and the pages of a fresh allocation are
+  /// first touched by whichever threads fill them.
   float* AppendUninitialized(size_t count) {
     const size_t old = data_.size();
     data_.resize(old + count * length_);
@@ -85,7 +89,9 @@ class SeriesCollection {
   // 64-byte-aligned allocator so SIMD kernels may assume aligned collection
   // bases. Uses posix_memalign rather than aligned operator new: the
   // sanitizer runtimes intercept the former reliably, keeping TSAN/ASAN
-  // reports on this hot allocation trustworthy.
+  // reports on this hot allocation trustworthy. Its construct()
+  // default-initializes, so std::vector::resize leaves new floats
+  // unwritten instead of zeroing them (AppendUninitialized).
   template <typename T>
   struct AlignedAllocator {
     using value_type = T;
@@ -98,6 +104,14 @@ class SeriesCollection {
       return static_cast<T*>(p);
     }
     void deallocate(T* p, size_t) { std::free(p); }
+    template <typename U>
+    void construct(U* p) noexcept {
+      ::new (static_cast<void*>(p)) U;
+    }
+    template <typename U, typename... Args>
+    void construct(U* p, Args&&... args) {
+      ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+    }
     bool operator==(const AlignedAllocator&) const { return true; }
   };
 

@@ -2,11 +2,14 @@
 #define ODYSSEY_INDEX_BUILDER_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/status.h"
+#include "src/common/sync.h"
 #include "src/common/thread_pool.h"
 #include "src/core/shared_chunk.h"
 #include "src/dataset/series_collection.h"
@@ -24,19 +27,47 @@ struct IndexOptions {
 
 /// Timing breakdown of index construction, matching the paper's evaluation
 /// measures: "buffer time" (summaries + summarization buffers) and
-/// "tree time" (building the subtrees, then reordering the bundle's rows
-/// into leaf order). Their sum is the index time. A cluster builds one
+/// "tree time" (building the subtrees, then copying the rows into the
+/// bundle in leaf order). Their sum is the index time. A cluster builds one
 /// index per replication group, so it keeps one BuildTimings per group.
-/// Note the streaming caveat: an Adopt-ed bundle's buffer time covers only
-/// the buffer grouping — its SAX rows were computed on the ingest path and
-/// are charged to OdysseyCluster::partition_seconds(), so compare streaming
-/// and in-memory builds on partition + index totals, not on buffer_seconds
-/// alone.
+/// Note the cluster caveat: a cluster summarizes every series before
+/// partitioning and charges that to OdysseyCluster::ingest_seconds(), so a
+/// group's buffer time covers only the grouping — compare cluster and
+/// standalone builds on ingest + partition + index totals, not on
+/// buffer_seconds alone.
 struct BuildTimings {
   double buffer_seconds = 0.0;
   double tree_seconds = 0.0;
 
   double index_seconds() const { return buffer_seconds + tree_seconds; }
+};
+
+/// Copies the series whose source id is `id` into `dst` (series_length()
+/// floats). The index build calls it from every pool worker at once, so it
+/// must be thread-safe. A non-Ok Status fails the build.
+using RowSource = std::function<Status(uint32_t id, float* dst)>;
+
+/// The failure of the lowest row among any number of concurrent reports:
+/// the row a sequential reader would have stopped at. Thread-safe.
+class LowestRowFailure {
+ public:
+  void Record(size_t row, Status status) ODYSSEY_EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
+    if (row < row_) {
+      row_ = row;
+      status_ = std::move(status);
+    }
+  }
+  /// Ok until a failure is recorded.
+  Status status() const ODYSSEY_EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
+    return status_;
+  }
+
+ private:
+  mutable Mutex mu_;
+  size_t row_ ODYSSEY_GUARDED_BY(mu_) = SIZE_MAX;
+  Status status_ ODYSSEY_GUARDED_BY(mu_) = Status::Ok();
 };
 
 /// A complete single-node index over one data chunk: the chunk bundle (raw
@@ -51,25 +82,32 @@ struct BuildTimings {
 /// chunk()->global_ids() maps it to the caller's id.
 class Index {
  public:
-  /// Builds a private index over `chunk` (taking ownership): the series are
-  /// summarized into a bundle of this index's own. global_ids() then maps
-  /// each row to the series' position in `chunk`. `pool` may be null for
-  /// single-threaded construction; `timings` (optional) receives the
-  /// buffer/tree breakdown.
+  /// Builds a private index over `chunk`: summarizes it (on `pool`, which
+  /// may be null) and builds through BuildFromSource, so global_ids() maps
+  /// each row to the series' position in `chunk`. The rows are copied into
+  /// fresh leaf-ordered storage before `chunk` is freed, so the build's
+  /// transient peak is two copies of them. `timings` (optional) receives
+  /// the buffer/tree breakdown, summaries included.
   static Index Build(SeriesCollection chunk, const IndexOptions& options,
                      ThreadPool* pool = nullptr,
                      BuildTimings* timings = nullptr);
 
-  /// Builds an index over an existing bundle without copying or
-  /// re-summarizing anything: it groups the SAX rows by root key, builds
-  /// the tree and reorders the bundle's rows in place into leaf order.
-  /// This is the cluster path — each replication group calls this once on
-  /// its one SharedChunk. The bundle's geometry must match
-  /// `options.config`.
-  static Index BuildFromShared(std::unique_ptr<SharedChunk> chunk,
-                               const IndexOptions& options,
-                               ThreadPool* pool = nullptr,
-                               BuildTimings* timings = nullptr);
+  /// The one build path, for standalone indexes and every replication
+  /// group. `ids[i]` is the source id of the i-th series and `sax_rows`
+  /// holds their SAX rows in that order (ids.size() * config.segments()
+  /// bytes); the order decides how ties group, so the same ids in the same
+  /// order always give the same index. It groups the SAX rows by root key
+  /// and builds the tree from them alone, then fills the bundle in leaf
+  /// order in one ParallelFor over `pool`: `copy_row` writes each series
+  /// once, straight into its slot of storage that was never zero-filled,
+  /// beside its SAX row and id. Every row is attempted even after a copy
+  /// fails; the build then returns the Status of the lowest failing id.
+  static StatusOr<Index> BuildFromSource(std::vector<uint32_t> ids,
+                                         std::vector<uint8_t> sax_rows,
+                                         const RowSource& copy_row,
+                                         const IndexOptions& options,
+                                         ThreadPool* pool = nullptr,
+                                         BuildTimings* timings = nullptr);
 
   Index(Index&&) = default;
   Index& operator=(Index&&) = default;

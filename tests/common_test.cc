@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <set>
 #include <vector>
 
@@ -139,6 +140,42 @@ TEST(MathUtilsTest, ZNormalizeConstantSeriesBecomesZero) {
   std::vector<float> v(16, 3.5f);
   ZNormalize(v.data(), v.size());
   for (float x : v) EXPECT_EQ(x, 0.0f);
+}
+
+// ZNormalize sums the mean once, yet writes exactly what the public Mean
+// and StdDev give: (v - mean) * (1 / sd), or 0 for a constant row.
+TEST(MathUtilsTest, ZNormalizeEqualsMeanAndStdDevBitForBit) {
+  auto expect_reference = [](std::vector<float> row, const char* what) {
+    const double mean = Mean(row.data(), row.size());
+    const double sd = StdDev(row.data(), row.size());
+    std::vector<float> want(row.size());
+    for (size_t i = 0; i < row.size(); ++i) {
+      want[i] = sd < 1e-12 ? 0.0f
+                           : static_cast<float>((row[i] - mean) * (1.0 / sd));
+    }
+    ZNormalize(row.data(), row.size());
+    for (size_t i = 0; i < row.size(); ++i) {
+      ASSERT_EQ(std::memcmp(&row[i], &want[i], sizeof(float)), 0)
+          << what << " point " << i << ": " << row[i] << " vs " << want[i];
+    }
+  };
+  Rng rng(77);
+  for (int trial = 0; trial < 50; ++trial) {
+    const size_t n = 1 + rng.NextBounded(300);
+    std::vector<float> walk(n);
+    std::vector<float> shifted(n);
+    double x = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+      x += rng.NextGaussian();
+      walk[i] = static_cast<float>(x);
+      shifted[i] = static_cast<float>(1e6 + 1e3 * x);
+    }
+    expect_reference(walk, "random walk");
+    expect_reference(shifted, "large offset");
+  }
+  expect_reference({42.0f}, "length 1");
+  expect_reference(std::vector<float>(64, -3.25f), "constant");
+  expect_reference(std::vector<float>(7, 1e9f), "constant, large");
 }
 
 TEST(MathUtilsTest, MedianOddAndEven) {

@@ -1,7 +1,8 @@
 // The dataset ingestion subsystem: MappedFile (mmap + buffered fallback),
 // the fvecs/bvecs/raw/ODSY format readers, z-normalize-on-ingest, the
-// bounded-memory chunked pull API, ODYSSEY_DATA_DIR file-backed registry
-// specs, and the driver's streaming IngestAndBuild path.
+// bounded-memory chunked pull API and the thread-safe ranged read under
+// it, ODYSSEY_DATA_DIR file-backed registry specs, and the driver's
+// streaming IngestAndBuild path.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/common/math_utils.h"
@@ -412,6 +415,80 @@ TEST_P(IngestPathTest, SeededMutationsReadOrFailCleanly) {
   EXPECT_GT(outcome.failed, 0);
 }
 
+// The ranged read is the one read path: any range of it equals the same
+// rows of ReadAll, for every format, io mode and skip/max slice, also while
+// four threads read interleaved ranges of one ingestor at once — and it
+// never moves the cursor.
+TEST_P(IngestPathTest, RangedReadEqualsReadAllAlsoConcurrently) {
+  const SeriesCollection data = GenerateAstroLike(40, 64, 17);
+  SeriesCollection raw(64);
+  for (size_t i = 0; i < data.size(); ++i) {
+    float row[64];
+    for (size_t t = 0; t < 64; ++t) row[t] = 50.0f - 9.0f * data.data(i)[t];
+    raw.Append(row);
+  }
+  IngestOptions options;
+  const std::string path = WriteFixture(GetParam(), raw, "ranged", &options);
+  ASSERT_FALSE(path.empty());
+  const struct {
+    size_t skip, max;
+  } kSlices[] = {{0, 0}, {7, 0}, {3, 20}, {0, 11}};
+  for (const MappedFile::Mode mode :
+       {MappedFile::Mode::kAuto, MappedFile::Mode::kBuffered}) {
+    for (const auto& slice : kSlices) {
+      SCOPED_TRACE("skip=" + std::to_string(slice.skip) +
+                   " max=" + std::to_string(slice.max) +
+                   (mode == MappedFile::Mode::kBuffered ? " buffered" : ""));
+      options.io_mode = mode;
+      options.skip_series = slice.skip;
+      options.max_series = slice.max;
+      StatusOr<SeriesIngestor> whole = SeriesIngestor::Open(path, options);
+      ASSERT_TRUE(whole.ok()) << whole.status().ToString();
+      const StatusOr<SeriesCollection> want = whole->ReadAll();
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      const size_t total = want->size();
+
+      const StatusOr<SeriesIngestor> ranged =
+          SeriesIngestor::Open(path, options);
+      ASSERT_TRUE(ranged.ok()) << ranged.status().ToString();
+      ASSERT_EQ(ranged->total_series(), total);
+      SeriesCollection got(64);
+      float* dst = got.AppendUninitialized(total);
+      // Thread t reads ranges t, t + 4, ...; range r covers 1 + r % 3 rows.
+      std::vector<std::pair<size_t, size_t>> ranges;
+      for (size_t begin = 0; begin < total;) {
+        const size_t count = std::min<size_t>(1 + ranges.size() % 3,
+                                              total - begin);
+        ranges.emplace_back(begin, count);
+        begin += count;
+      }
+      std::vector<Status> failures(4, Status::Ok());
+      std::vector<std::thread> readers;
+      for (size_t t = 0; t < 4; ++t) {
+        readers.emplace_back([&, t] {
+          for (size_t r = t; r < ranges.size(); r += 4) {
+            const auto [begin, count] = ranges[r];
+            Status read = ranged->ReadRange(begin, count, dst + begin * 64);
+            if (!read.ok()) failures[t] = read;
+          }
+        });
+      }
+      for (std::thread& reader : readers) reader.join();
+      for (const Status& failure : failures) {
+        EXPECT_TRUE(failure.ok()) << failure.ToString();
+      }
+      ExpectBitIdentical(got, *want);
+      EXPECT_EQ(ranged->series_read(), 0u);
+      // Past the end is a Status, not a read out of bounds.
+      float row[64];
+      EXPECT_EQ(ranged->ReadRange(total, 1, row).code(),
+                StatusCode::kOutOfRange);
+      EXPECT_TRUE(ranged->ReadRange(total, 0, row).ok());
+    }
+  }
+  std::remove(path.c_str());
+}
+
 INSTANTIATE_TEST_SUITE_P(AllFormats, IngestPathTest,
                          ::testing::Values(DataFormat::kRawFloat,
                                            DataFormat::kFvecs,
@@ -661,6 +738,69 @@ TEST(IngestAndBuildTest, StreamingBuildAnswersMatchInMemoryBuild) {
       }
     }
     std::remove(path.c_str());
+  }
+}
+
+// A bad per-record dimension header fails the streaming build with the
+// sequential reader's InvalidArgument naming that record, on the map and on
+// the pread fallback, wherever the record sits: the second record, the
+// middle of a chunk, the last record. Of two bad records the lower is
+// named, although the parallel readers may meet the higher first.
+TEST(IngestAndBuildTest, BadRecordHeaderIsTheReadersStatus) {
+  constexpr size_t kRecords = 50;
+  const SeriesCollection data = GenerateRandomWalk(kRecords, 16, 19);
+  OdysseyOptions cluster_options;
+  cluster_options.num_nodes = 4;
+  cluster_options.num_groups = 2;
+  cluster_options.index_options.config = IsaxConfig(16, 4);
+  cluster_options.build_threads_per_node = 2;
+  for (const DataFormat format : {DataFormat::kFvecs, DataFormat::kBvecs}) {
+    const bool fvecs = format == DataFormat::kFvecs;
+    const long record = 4 + 16 * (fvecs ? 4 : 1);
+    for (const std::vector<size_t>& bad :
+         std::vector<std::vector<size_t>>{{1}, {20}, {49}, {20, 49}}) {
+      const std::string path =
+          TempPath(std::string("bad_header.") + (fvecs ? "fvecs" : "bvecs"));
+      ASSERT_TRUE((fvecs ? WriteFvecs(data, path) : WriteBvecs(data, path))
+                      .ok());
+      {
+        std::FILE* f = std::fopen(path.c_str(), "r+b");
+        ASSERT_NE(f, nullptr);
+        for (const size_t r : bad) {
+          ASSERT_EQ(std::fseek(f, static_cast<long>(r) * record, SEEK_SET), 0);
+          const int32_t bad_dim = 17;
+          ASSERT_EQ(std::fwrite(&bad_dim, sizeof(bad_dim), 1, f), 1u);
+        }
+        ASSERT_EQ(std::fclose(f), 0);
+      }
+      for (const MappedFile::Mode mode :
+           {MappedFile::Mode::kAuto, MappedFile::Mode::kBuffered}) {
+        SCOPED_TRACE(std::string(fvecs ? "fvecs" : "bvecs") + " record " +
+                     std::to_string(bad[0]) +
+                     (mode == MappedFile::Mode::kBuffered ? " buffered" : ""));
+        IngestOptions options;
+        options.format = format;
+        options.chunk_size = 8;  // record 20 sits inside the third chunk
+        options.io_mode = mode;
+        StatusOr<SeriesIngestor> sequential =
+            SeriesIngestor::Open(path, options);
+        ASSERT_TRUE(sequential.ok()) << sequential.status().ToString();
+        const Status want = sequential->ReadAll().status();
+        ASSERT_EQ(want.code(), StatusCode::kInvalidArgument);
+        EXPECT_NE(want.message().find("vector " + std::to_string(bad[0]) +
+                                      " has dimension 17"),
+                  std::string::npos)
+            << want.ToString();
+
+        StatusOr<SeriesIngestor> source = SeriesIngestor::Open(path, options);
+        ASSERT_TRUE(source.ok()) << source.status().ToString();
+        const StatusOr<std::unique_ptr<OdysseyCluster>> cluster =
+            OdysseyCluster::IngestAndBuild(*source, cluster_options);
+        ASSERT_FALSE(cluster.ok());
+        EXPECT_EQ(cluster.status().ToString(), want.ToString());
+      }
+      std::remove(path.c_str());
+    }
   }
 }
 

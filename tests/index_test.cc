@@ -6,6 +6,7 @@
 #include <functional>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -51,30 +52,64 @@ TEST(BuffersTest, SaxTableHasOneRowPerSeries) {
   EXPECT_EQ(table, serial);
 }
 
+// The grouping equals a std::stable_sort of the ids by root key, with the
+// keys and buffer starts that sort implies, for every digit layout of the
+// radix sort (one and two 16-bit passes, partial digits) and for empty,
+// single-row and all-equal inputs.
 TEST(BuffersTest, GroupsCoverAllSeriesByKey) {
-  const IsaxConfig config(64, 8);
-  const SeriesCollection data = GenerateRandomWalk(500, 64, 2);
-  const std::vector<uint8_t> table = ComputeSaxTable(data, config, nullptr);
-  const SummarizationBuffers buffers =
-      BuildBuffers(table.data(), data.size(), config, nullptr);
-  size_t total = 0;
-  for (size_t b = 0; b < buffers.buffer_count(); ++b) {
-    if (b > 0) {
-      EXPECT_LT(buffers.keys[b - 1], buffers.keys[b]);
+  for (const int segments : {1, 3, 8, 16, 17, 32}) {
+    const IsaxConfig config(64, segments);
+    const size_t w = static_cast<size_t>(segments);
+    Rng rng(static_cast<uint64_t>(segments));
+    std::vector<uint8_t> random_rows(700 * w);
+    for (uint8_t& symbol : random_rows) {
+      symbol = static_cast<uint8_t>(rng.NextBounded(256));
     }
-    uint32_t prev = 0;
-    bool first = true;
-    for (uint32_t id : buffers.series(b)) {
-      EXPECT_EQ(RootKey(table.data() + id * 8, config), buffers.keys[b]);
-      if (!first) {
-        EXPECT_LT(prev, id);  // ascending ids (determinism)
+    std::vector<uint8_t> equal_rows(90 * w);
+    for (size_t i = 0; i < equal_rows.size(); ++i) {
+      equal_rows[i] = static_cast<uint8_t>(i % w * 37);
+    }
+    const std::vector<uint8_t> one_row(random_rows.begin(),
+                                       random_rows.begin() + w);
+    const std::vector<uint8_t> no_rows;
+    using Input = std::pair<const char*, const std::vector<uint8_t>*>;
+    for (const auto& [what, table] :
+         {Input{"random", &random_rows}, Input{"all-equal", &equal_rows},
+          Input{"one row", &one_row}, Input{"no rows", &no_rows}}) {
+      SCOPED_TRACE(std::string(what) + ", segments=" +
+                   std::to_string(segments));
+      const size_t count = table->size() / w;
+      std::vector<uint32_t> keys(count);
+      for (size_t i = 0; i < count; ++i) {
+        keys[i] = RootKey(table->data() + i * w, config);
       }
-      prev = id;
-      first = false;
-      ++total;
+      std::vector<uint32_t> want_ids(count);
+      for (size_t i = 0; i < count; ++i) {
+        want_ids[i] = static_cast<uint32_t>(i);
+      }
+      std::stable_sort(
+          want_ids.begin(), want_ids.end(),
+          [&](uint32_t a, uint32_t b) { return keys[a] < keys[b]; });
+      std::vector<uint32_t> want_keys;
+      std::vector<size_t> want_starts;
+      for (size_t i = 0; i < count; ++i) {
+        if (want_keys.empty() || want_keys.back() != keys[want_ids[i]]) {
+          want_keys.push_back(keys[want_ids[i]]);
+          want_starts.push_back(i);
+        }
+      }
+      want_starts.push_back(count);
+
+      ThreadPool pool(3);
+      for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        const SummarizationBuffers buffers =
+            BuildBuffers(table->data(), count, config, p);
+        EXPECT_EQ(buffers.keys, want_keys);
+        EXPECT_EQ(buffers.starts, want_starts);
+        EXPECT_EQ(buffers.ids, want_ids);
+      }
     }
   }
-  EXPECT_EQ(total, data.size());
 }
 
 // ----------------------------------------------------------------- Tree

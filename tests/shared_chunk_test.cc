@@ -1,20 +1,19 @@
 // The build-path sharing contract (mirror of query_test's query-time
 // contract): one {series, ids, SAX} bundle and one Index per replication
-// group per chunk — never per node — with the group's index bit-identical
-// to a private build, rows in the same leaf order, across FULL / PARTIAL-k
-// / EQUALLY-SPLIT, for both the in-memory and the streaming
-// (double-buffered overlap) build.
+// group per chunk — never per node — with every group's index equal to a
+// private build over the group's rows, in the same leaf order, across FULL
+// / PARTIAL-k / EQUALLY-SPLIT, for both the in-memory and the streaming
+// build.
 
 #include <algorithm>
 #include <cstdio>
-#include <filesystem>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "src/common/rng.h"
 #include "src/common/summary_stats.h"
 #include "src/core/driver.h"
 #include "src/core/shared_chunk.h"
@@ -46,9 +45,7 @@ OdysseyOptions ClusterOptions(int nodes, int groups) {
 }
 
 std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() /
-          ("odyssey_shared_chunk_" + name))
-      .string();
+  return testing_utils::TempPath("shared_chunk_" + name);
 }
 
 // ---------------------------------------------------- SharedChunk bundle
@@ -85,58 +82,6 @@ TEST(SharedChunkTest, AdoptReusesTablesWithoutResummarizing) {
   EXPECT_EQ(adopted->sax_table(), built->sax_table());
 }
 
-// PermuteRows moves each row's series, SAX row and global id together, so
-// row i afterwards holds exactly what row order[i] held.
-TEST(SharedChunkTest, PermuteRowsMovesSeriesSaxAndIdsTogether) {
-  const IsaxConfig config(64, 16);
-  const SeriesCollection data = GenerateRandomWalk(257, 64, 14);
-  std::vector<uint32_t> ids(data.size());
-  for (uint32_t i = 0; i < ids.size(); ++i) ids[i] = 1000 + 3 * i;
-  const auto original = SharedChunk::Build(SeriesCollection(data), ids, config);
-  auto chunk = SharedChunk::Build(SeriesCollection(data), ids, config);
-  // A permutation with cycles of many lengths, fixed points included.
-  std::vector<uint32_t> order(data.size());
-  for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
-  Rng rng(15);
-  for (size_t i = order.size() - 1; i > 0; i -= 2) {
-    std::swap(order[i], order[rng.NextBounded(i + 1)]);
-  }
-  chunk->PermuteRows(order);
-  for (size_t row = 0; row < order.size(); ++row) {
-    const uint32_t from = order[row];
-    EXPECT_EQ(chunk->global_ids()[row], original->global_ids()[from]) << row;
-    EXPECT_TRUE(std::equal(chunk->sax(row), chunk->sax(row) + 16,
-                           original->sax(from)))
-        << row;
-    EXPECT_TRUE(std::equal(chunk->data().data(row),
-                           chunk->data().data(row) + 64,
-                           original->data().data(from)))
-        << row;
-  }
-}
-
-TEST(SharedChunkDeathTest, PermuteRowsRefusesANonPermutation) {
-  const IsaxConfig config(64, 16);
-  auto chunk =
-      SharedChunk::Build(GenerateRandomWalk(4, 64, 16), {}, config);
-  EXPECT_DEATH(chunk->PermuteRows({1, 1, 2, 3}), "no permutation");
-}
-
-// The group path (a bundle built first, the index built over it) and the
-// private path give the same index: same tree, and the same rows, SAX rows
-// and id map in the same leaf order.
-TEST(SharedChunkTest, BundleBuildEqualsPrivateBuild) {
-  const SeriesCollection data = GenerateSeismicLike(400, 64, 13);
-  const IndexOptions options = TestIndexOptions();
-  const Index private_index =
-      Index::Build(SeriesCollection(data), options);
-  const Index from_bundle = Index::BuildFromShared(
-      SharedChunk::Build(SeriesCollection(data), {}, options.config),
-      options);
-  EXPECT_TRUE(
-      testing_utils::IndexesIdentical(private_index, from_bundle));
-}
-
 // -------------------------------------------------- once-per-group counters
 
 TEST(BuildStatsTest, SharedBuildSummarizesOncePerGroupNotPerNode) {
@@ -161,6 +106,21 @@ TEST(BuildStatsTest, SharedBuildSummarizesOncePerGroupNotPerNode) {
         << cluster.layout().ToString();
     EXPECT_GT(build_stats::ChunkBytes(), 0u);
   }
+}
+
+// The in-memory constructor summarizes the collection once and hands the
+// table to both the partitioner and the group builds, so DENSITY-AWARE
+// costs no second summary of any series.
+TEST(BuildStatsTest, InMemoryDensityAwareBuildSummarizesEachSeriesOnce) {
+  const SeriesCollection data = GenerateRandomWalk(480, 64, 22);
+  OdysseyOptions options = ClusterOptions(4, 2);
+  options.partitioning = PartitioningScheme::kDensityAware;
+  summary_stats::Reset();
+  build_stats::Reset();
+  OdysseyCluster cluster(data, options);
+  EXPECT_EQ(summary_stats::PaaCalls(), data.size());
+  EXPECT_EQ(summary_stats::SaxCalls(), data.size());
+  EXPECT_EQ(build_stats::SummariesBuilt(), data.size());
 }
 
 TEST(BuildStatsTest, SharedFullReplicationStoresOneBundle) {
@@ -214,7 +174,129 @@ TEST(SharedChunkTest, ReplicasOfAGroupShareOneIndex) {
   std::remove(path.c_str());
 }
 
-// ----------------------------------------------- streaming + overlap build
+/// Checks that every group's index equals Index::Build over the group's rows
+/// of `data`, taken in the order `chunks[g]` lists them, with each row's id
+/// mapped through chunks[g]: same tree, rows, SAX rows and ids in the same
+/// leaf order. Its rows, ids and SAX rows must also fill their allocations
+/// exactly.
+void ExpectGroupsEqualPrivateBuilds(
+    const OdysseyCluster& cluster, const SeriesCollection& data,
+    const std::vector<std::vector<uint32_t>>& chunks) {
+  const ReplicationLayout& layout = cluster.layout();
+  const IndexOptions& options = cluster.options().index_options;
+  ASSERT_EQ(chunks.size(), static_cast<size_t>(layout.num_groups()));
+  for (int g = 0; g < layout.num_groups(); ++g) {
+    SCOPED_TRACE("group " + std::to_string(g));
+    const Index& index =
+        cluster.node(layout.GroupCoordinator(g)).index();
+    const Index reference =
+        Index::Build(data.Subset(chunks[g]), options);
+    const size_t n = chunks[g].size();
+    ASSERT_EQ(index.data().size(), n);
+    EXPECT_TRUE(testing_utils::TreesIdentical(index.tree(), reference.tree()));
+    EXPECT_EQ(index.chunk()->sax_table(), reference.chunk()->sax_table());
+    std::vector<uint32_t> mapped(n);
+    for (size_t row = 0; row < n; ++row) {
+      mapped[row] = chunks[g][reference.chunk()->global_ids()[row]];
+      ASSERT_TRUE(std::equal(index.data().data(row),
+                             index.data().data(row) + data.length(),
+                             reference.data().data(row)))
+          << "row " << row;
+    }
+    EXPECT_EQ(index.chunk()->global_ids(), mapped);
+    EXPECT_EQ(index.data().MemoryBytes(), n * data.length() * sizeof(float));
+    EXPECT_EQ(index.chunk()->MemoryBytes(),
+              n * (data.length() * sizeof(float) + sizeof(uint32_t) +
+                   static_cast<size_t>(options.config.segments())));
+  }
+}
+
+// Both constructors build each group's index straight in leaf order, equal
+// to a private build of the group's rows, for every layout and partitioning
+// scheme. The streaming build is also run on the pread fallback, and with a
+// chunk_size whose last block (one series) is smaller than the group count.
+TEST(SharedChunkTest, GroupIndexesEqualPrivateBuildsInEveryLayout) {
+  constexpr size_t kSeries = 601;
+  const std::string path = TempPath("identity.raw");
+  {
+    const SeriesCollection base = GenerateSeismicLike(kSeries, 64, 61);
+    SeriesCollection raw(64);
+    for (size_t i = 0; i < base.size(); ++i) {
+      float row[64];
+      for (size_t t = 0; t < 64; ++t) row[t] = 5.0f - 3.0f * base.data(i)[t];
+      raw.Append(row);
+    }
+    ASSERT_TRUE(WriteRawFloats(raw, path).ok());
+  }
+  IngestOptions ingest;
+  ingest.length = 64;
+  // What both constructors index: the archive's z-normalized rows.
+  const StatusOr<SeriesCollection> data = IngestFile(path, ingest);
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+
+  const struct {
+    MappedFile::Mode io_mode;
+    size_t chunk_size;
+  } kStreams[] = {{MappedFile::Mode::kAuto, 128},
+                  {MappedFile::Mode::kBuffered, 128},
+                  {MappedFile::Mode::kAuto, 200}};
+  for (const auto& [nodes, groups] :
+       std::vector<std::pair<int, int>>{{4, 1}, {4, 2}, {4, 4}}) {
+    for (const PartitioningScheme scheme :
+         {PartitioningScheme::kEquallySplit, PartitioningScheme::kRandomShuffle,
+          PartitioningScheme::kDensityAware}) {
+      OdysseyOptions options = ClusterOptions(nodes, groups);
+      options.partitioning = scheme;
+      const IsaxConfig& config = options.index_options.config;
+      SCOPED_TRACE(std::to_string(nodes) + "x" + std::to_string(groups) +
+                   " " + PartitioningSchemeToString(scheme));
+      {
+        SCOPED_TRACE("in memory");
+        const OdysseyCluster cluster(*data, options);
+        ExpectGroupsEqualPrivateBuilds(
+            cluster, *data,
+            PartitionSeries(*data, groups, scheme, config, options.seed,
+                            nullptr, options.density_options));
+      }
+      for (const auto& stream : kStreams) {
+        SCOPED_TRACE("streamed, chunk_size " +
+                     std::to_string(stream.chunk_size) +
+                     (stream.io_mode == MappedFile::Mode::kBuffered
+                          ? ", buffered"
+                          : ""));
+        ingest.io_mode = stream.io_mode;
+        ingest.chunk_size = stream.chunk_size;
+        StatusOr<SeriesIngestor> source = SeriesIngestor::Open(path, ingest);
+        ASSERT_TRUE(source.ok()) << source.status().ToString();
+        auto cluster = OdysseyCluster::IngestAndBuild(*source, options);
+        ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+        // Each chunk_size block is cut on its own, with seed + its index; a
+        // block with fewer series than groups feeds the first groups only.
+        std::vector<std::vector<uint32_t>> chunks(groups);
+        for (size_t base = 0, block = 0; base < kSeries;
+             base += stream.chunk_size, ++block) {
+          const size_t count = std::min(stream.chunk_size, kSeries - base);
+          std::vector<uint32_t> rows(count);
+          for (size_t i = 0; i < count; ++i) {
+            rows[i] = static_cast<uint32_t>(base + i);
+          }
+          const auto local = PartitionSeries(
+              data->Subset(rows), static_cast<int>(std::min<size_t>(
+                                      static_cast<size_t>(groups), count)),
+              scheme, config, options.seed + block, nullptr,
+              options.density_options);
+          for (size_t g = 0; g < local.size(); ++g) {
+            for (uint32_t id : local[g]) chunks[g].push_back(rows[id]);
+          }
+        }
+        ExpectGroupsEqualPrivateBuilds(**cluster, *data, chunks);
+      }
+    }
+  }
+  std::remove(path.c_str());
+}
+
+// ------------------------------------------------------- streaming build
 
 class StreamingSharedTest : public ::testing::Test {
  protected:
@@ -270,115 +352,10 @@ TEST_F(StreamingSharedTest, DensityAwarePartitioningReusesIngestSummaries) {
   EXPECT_EQ(summary_stats::SaxCalls(), 600u);
 }
 
-// The streaming build sizes a group's storage once from the archive's
-// series count: with one group the rows, ids and SAX rows fill their
-// allocations exactly, where growth by doubling left up to half unused.
-TEST_F(StreamingSharedTest, OneGroupStorageIsSizedExactly) {
-  auto cluster = Stream(ClusterOptions(2, 1));
-  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
-  const Index& index = (*cluster)->node(0).index();
-  ASSERT_EQ(index.data().size(), 600u);
-  EXPECT_EQ(index.data().MemoryBytes(), 600u * 64u * sizeof(float));
-  EXPECT_EQ(index.chunk()->MemoryBytes(),
-            600u * (64u * sizeof(float) + sizeof(uint32_t) + 16u));
-}
-
-TEST_F(StreamingSharedTest, ReportsIngestTimeAndItsOverlappedPart) {
+TEST_F(StreamingSharedTest, ReportsIngestTime) {
   auto cluster = Stream(ClusterOptions(4, 2));
   ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
   EXPECT_GT((*cluster)->ingest_seconds(), 0.0);
-  EXPECT_GE((*cluster)->overlap_seconds(), 0.0);
-  EXPECT_LE((*cluster)->overlap_seconds(),
-            (*cluster)->ingest_seconds() + 1e-9);
-}
-
-// ------------------------------------------------------- ChunkPrefetcher
-
-TEST(ChunkPrefetcherTest, YieldsIdenticalChunksInOrder) {
-  const std::string path = TempPath("prefetch.raw");
-  const SeriesCollection data = GenerateRandomWalk(333, 32, 51);
-  ASSERT_TRUE(WriteRawFloats(data, path).ok());
-  IngestOptions options;
-  options.length = 32;
-  options.chunk_size = 100;  // 4 chunks: 100+100+100+33
-
-  StatusOr<SeriesIngestor> direct = SeriesIngestor::Open(path, options);
-  ASSERT_TRUE(direct.ok());
-  StatusOr<SeriesIngestor> prefetched = SeriesIngestor::Open(path, options);
-  ASSERT_TRUE(prefetched.ok());
-  ChunkPrefetcher prefetcher(&*prefetched);
-
-  for (;;) {
-    StatusOr<SeriesCollection> want = direct->NextChunk();
-    StatusOr<SeriesCollection> got = prefetcher.Next();
-    ASSERT_TRUE(want.ok());
-    ASSERT_TRUE(got.ok());
-    ASSERT_EQ(want->size(), got->size());
-    for (size_t i = 0; i < want->size(); ++i) {
-      for (size_t t = 0; t < 32; ++t) {
-        ASSERT_EQ(want->data(i)[t], got->data(i)[t]);
-      }
-    }
-    if (want->empty()) break;
-  }
-  // Mirrors SeriesIngestor: pulls after the end keep reporting end.
-  StatusOr<SeriesCollection> again = prefetcher.Next();
-  ASSERT_TRUE(again.ok());
-  EXPECT_TRUE(again->empty());
-  EXPECT_GT(prefetcher.pull_seconds(), 0.0);
-  std::remove(path.c_str());
-}
-
-TEST(ChunkPrefetcherTest, ReReportsAnErrorInsteadOfFakingEof) {
-  // 12 fvecs vectors; vector 9's per-record dimension header is corrupted
-  // after writing, so the third pull (chunk_size 4) fails mid-archive.
-  const std::string path = TempPath("prefetch_err.fvecs");
-  const SeriesCollection data = GenerateRandomWalk(12, 16, 53);
-  ASSERT_TRUE(WriteFvecs(data, path).ok());
-  {
-    std::FILE* f = std::fopen(path.c_str(), "r+b");
-    ASSERT_NE(f, nullptr);
-    const long record = 4 + 16 * 4;
-    ASSERT_EQ(std::fseek(f, 9 * record, SEEK_SET), 0);
-    const int32_t bad_dim = 17;
-    ASSERT_EQ(std::fwrite(&bad_dim, sizeof(bad_dim), 1, f), 1u);
-    ASSERT_EQ(std::fclose(f), 0);
-  }
-  IngestOptions options;
-  options.format = DataFormat::kFvecs;
-  options.chunk_size = 4;
-  StatusOr<SeriesIngestor> source = SeriesIngestor::Open(path, options);
-  ASSERT_TRUE(source.ok()) << source.status().ToString();
-  ChunkPrefetcher prefetcher(&*source);
-  ASSERT_TRUE(prefetcher.Next().ok());
-  ASSERT_TRUE(prefetcher.Next().ok());
-  const StatusOr<SeriesCollection> failed = prefetcher.Next();
-  ASSERT_FALSE(failed.ok());
-  // The error is sticky, exactly like NextChunk re-reporting it — a
-  // partially read archive must never look like a cleanly finished one.
-  const StatusOr<SeriesCollection> again = prefetcher.Next();
-  ASSERT_FALSE(again.ok());
-  EXPECT_EQ(again.status().ToString(), failed.status().ToString());
-  std::remove(path.c_str());
-}
-
-TEST(ChunkPrefetcherTest, DestructorDrainsUnconsumedChunks) {
-  const std::string path = TempPath("prefetch_drop.raw");
-  const SeriesCollection data = GenerateRandomWalk(400, 32, 52);
-  ASSERT_TRUE(WriteRawFloats(data, path).ok());
-  IngestOptions options;
-  options.length = 32;
-  options.chunk_size = 64;
-  StatusOr<SeriesIngestor> source = SeriesIngestor::Open(path, options);
-  ASSERT_TRUE(source.ok());
-  {
-    ChunkPrefetcher prefetcher(&*source);
-    StatusOr<SeriesCollection> first = prefetcher.Next();
-    ASSERT_TRUE(first.ok());
-    EXPECT_EQ(first->size(), 64u);
-    // Destroyed with pulls still in flight: must not hang or leak.
-  }
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -1,25 +1,18 @@
 // Tests for the annotated locking layer (src/common/sync.h): the wrappers
 // must behave exactly like the std primitives they forward to (the
-// annotations are compile-time only), CountedThread must make
-// executor_stats::ThreadsSpawned honest by construction, and the
-// ChunkPrefetcher accounting regression must stay fixed.
+// annotations are compile-time only), and CountedThread must make
+// executor_stats::ThreadsSpawned honest by construction.
 
 #include "src/common/sync.h"
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <deque>
-#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/common/summary_stats.h"
-#include "src/dataset/file_io.h"
-#include "src/dataset/generators.h"
-#include "src/dataset/ingest.h"
-#include "tests/testing_utils.h"
 
 namespace odyssey {
 namespace {
@@ -181,40 +174,6 @@ TEST(SyncTest, MoveTransfersOwnershipWithoutRecount) {
   b.Join();
   // One spawn, one count — the move is not a second spawn.
   EXPECT_EQ(executor_stats::ThreadsSpawned(), 1u);
-}
-
-// Regression: the ChunkPrefetcher's background puller used to be spawned
-// with a raw std::thread, invisible to ThreadsSpawned — understating the
-// streaming build's thread cost by one per prefetcher. CountedThread now
-// makes the spawn visible by construction.
-TEST(SyncTest, ChunkPrefetcherSpawnIsCounted) {
-  const std::string path = testing_utils::TempPath("sync_prefetch.raw");
-  const SeriesCollection data = GenerateRandomWalk(64, 32, /*seed=*/7);
-  ASSERT_TRUE(WriteRawFloats(data, path).ok());
-
-  IngestOptions options;
-  options.format = DataFormat::kRawFloat;
-  options.length = 32;
-  options.chunk_size = 16;
-  StatusOr<SeriesIngestor> source = SeriesIngestor::Open(path, options);
-  ASSERT_TRUE(source.ok()) << source.status().ToString();
-
-  executor_stats::Reset();
-  {
-    ChunkPrefetcher prefetcher(&*source);
-    EXPECT_EQ(executor_stats::ThreadsSpawned(), 1u);
-    size_t series_seen = 0;
-    for (;;) {
-      StatusOr<SeriesCollection> chunk = prefetcher.Next();
-      ASSERT_TRUE(chunk.ok()) << chunk.status().ToString();
-      if (chunk->empty()) break;
-      series_seen += chunk->size();
-    }
-    EXPECT_EQ(series_seen, 64u);
-  }
-  // Destruction joins; no extra spawns appeared.
-  EXPECT_EQ(executor_stats::ThreadsSpawned(), 1u);
-  std::remove(path.c_str());
 }
 
 }  // namespace
