@@ -163,17 +163,15 @@ void BM_SquaredDtw256(benchmark::State& state) {
 }
 BENCHMARK(BM_SquaredDtw256)->Unit(benchmark::kMillisecond);
 
-// ------------------------------------------- batched multi-query kernels
+// ------------------------------------------- batched multi-query kernel
 //
-// The amortization benchmarks behind the batched-scoring path: score every
-// pool candidate against Q prepared queries, either as Q independent
-// per-query early-abandon scans — query-major, each query sweeping the
-// whole pool on its own, exactly like Q separate QueryExecutions scanning
-// the same leaves — or as one batched-kernel call per candidate (one
-// candidate load serving all Q). Same ISA table, same thresholds,
-// bit-identical outputs — the ratio is the amortization the grouped
-// leaf-scan path banks. The committed baseline records batched beating the
-// per-query scans from Q >= 4 on.
+// Score every pool candidate against Q prepared queries, either as Q
+// independent per-query early-abandon scans — query-major, each query
+// sweeping the whole pool on its own, exactly like Q separate
+// QueryExecutions scanning the same leaves — or as one batched-kernel call
+// per candidate (one candidate load serving all Q). Same ISA table, same
+// thresholds, bit-identical outputs. CI gates Batched against PerQuery at
+// Q >= 4 on a fresh run.
 
 // The multi-query cases run on z-normalized random walks, the paper's data
 // model, instead of the i.i.d. pool above. This matters: i.i.d. Gaussian
@@ -227,9 +225,7 @@ std::string BatchLabel(const simd::KernelTable* table, size_t q_count) {
 // a sampled eighth of the pool. Exact leaf scans only run after the
 // approximate phase has seeded a near-optimal BSF, so this — not a loose
 // random-pair distance — is the abandonment regime the leaf-scan kernels
-// actually see. (For the LB_Keogh cases the same squared-ED minimum stands
-// in for the DTW BSF; ED bounds DTW from above, so it is a valid if
-// slightly loose BSF.)
+// actually see.
 std::vector<float> BatchThresholds(const simd::KernelTable* table,
                                    size_t q_count) {
   const std::vector<float>& pool = WalkPool();
@@ -300,71 +296,6 @@ void BM_MultiQueryEuclideanBatched256(benchmark::State& state) {
   state.SetLabel(BatchLabel(table, q_count));
 }
 BENCHMARK(BM_MultiQueryEuclideanBatched256)
-    ->Apply(ApplyIsaAndQArgs)
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_MultiQueryLbKeoghPerQuery256(benchmark::State& state) {
-  const simd::KernelTable* table = TableForArg(state.range(0));
-  const size_t q_count = static_cast<size_t>(state.range(1));
-  const std::vector<float>& pool = WalkPool();
-  const std::vector<float> thresholds = BatchThresholds(table, q_count);
-  std::vector<Envelope> envelopes;
-  for (size_t q = 0; q < q_count; ++q) {
-    envelopes.push_back(BuildEnvelope(pool.data() + q * kLength, kLength, 13));
-  }
-  float checksum = 0.0f;
-  for (auto _ : state) {
-    for (size_t q = 0; q < q_count; ++q) {
-      const float* upper = envelopes[q].upper.data();
-      const float* lower = envelopes[q].lower.data();
-      for (size_t i = q_count + 1; i < kSeries; ++i) {
-        checksum += table->lb_keogh_early_abandon(
-            upper, lower, pool.data() + i * kLength, kLength, thresholds[q]);
-      }
-    }
-  }
-  benchmark::DoNotOptimize(checksum);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(kSeries - q_count - 1) *
-                          static_cast<int64_t>(q_count));
-  state.SetLabel(BatchLabel(table, q_count));
-}
-BENCHMARK(BM_MultiQueryLbKeoghPerQuery256)
-    ->Apply(ApplyIsaAndQArgs)
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_MultiQueryLbKeoghBatched256(benchmark::State& state) {
-  const simd::KernelTable* table = TableForArg(state.range(0));
-  const size_t q_count = static_cast<size_t>(state.range(1));
-  const size_t stride = simd::BatchStride(q_count);
-  const std::vector<float>& pool = WalkPool();
-  const std::vector<float> thresholds = BatchThresholds(table, q_count);
-  std::vector<float> upper_block(kLength * stride, 0.0f);
-  std::vector<float> lower_block(kLength * stride, 0.0f);
-  for (size_t q = 0; q < q_count; ++q) {
-    const Envelope env = BuildEnvelope(pool.data() + q * kLength, kLength, 13);
-    for (size_t i = 0; i < kLength; ++i) {
-      upper_block[i * stride + q] = env.upper[i];
-      lower_block[i * stride + q] = env.lower[i];
-    }
-  }
-  std::vector<float> out(q_count);
-  float checksum = 0.0f;
-  for (auto _ : state) {
-    for (size_t i = q_count + 1; i < kSeries; ++i) {
-      table->batched_lb_keogh_early_abandon(
-          pool.data() + i * kLength, upper_block.data(), lower_block.data(),
-          kLength, stride, q_count, thresholds.data(), out.data());
-      checksum += out[0];
-    }
-  }
-  benchmark::DoNotOptimize(checksum);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(kSeries - q_count - 1) *
-                          static_cast<int64_t>(q_count));
-  state.SetLabel(BatchLabel(table, q_count));
-}
-BENCHMARK(BM_MultiQueryLbKeoghBatched256)
     ->Apply(ApplyIsaAndQArgs)
     ->Unit(benchmark::kMicrosecond);
 

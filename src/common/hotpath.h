@@ -66,8 +66,8 @@ namespace hotpath {
 bool InHotRegion();
 
 /// RAII marker opened at the top of a processing-phase body
-/// (QueryExecution::ProcessingPhase, GroupedQueryExecution's claim loop).
-/// One thread-local increment per phase entry — zero per-candidate cost.
+/// (QueryExecution::ProcessingPhase). One thread-local increment per phase
+/// entry — zero per-candidate cost.
 class ScopedHotRegion {
  public:
   ScopedHotRegion();

@@ -101,51 +101,6 @@ void AddPrepOverlapSeconds(double seconds);
 
 }  // namespace executor_stats
 
-namespace scan_stats {
-
-/// Process-wide counters of *batched* leaf-scan work — the observability
-/// half of the batched multi-query kernels' amortization promise. When a
-/// GroupedQueryExecution scores one candidate series against Q >= 2 member
-/// queries with a single batched-kernel call, BatchedScoreCalls() counts
-/// that call and SeriesLoadsSaved() counts the Q - 1 candidate reloads the
-/// per-query path would have paid. Euclidean series with fewer than four
-/// survivors take the multi-candidate kernel instead (counted below), and
-/// DTW series with one survivor the scalar per-query kernel; neither counts
-/// here — the counters record genuine amortization events, not traffic
-/// through the grouped code path. Tests assert the counters move under a
-/// grouped execution and stay idle on a cluster, which runs the per-query
-/// engine only.
-///
-/// Same concurrency story as every group in this header: relaxed atomics on
-/// their own cache lines, exact only after the counted activity quiesced.
-
-uint64_t BatchedScoreCalls();
-uint64_t SeriesLoadsSaved();
-
-/// Multi-candidate scorer counters — the low-occupancy complement of the
-/// batched kernels. Euclidean series that fewer than four group members
-/// survive (the grouped scan's routing cut) are deferred into per-member
-/// lane queues and scored by MultiSquaredEuclideanEarlyAbandon
-/// (several candidates, one query, strict scalar point order per lane);
-/// MultiScoreCalls() counts the flush passes and MultiScoreLanes() the
-/// candidate lanes they scored. High lanes-per-call (near
-/// kMultiCandidateLanes) means the deferral queues filled before their
-/// flushes — the ILP the pass exists to harvest.
-uint64_t MultiScoreCalls();
-uint64_t MultiScoreLanes();
-
-/// Zeroes every scan_stats counter (test setup).
-void Reset();
-
-/// Increment hook, called once per batched-kernel call scoring `q_count`
-/// queries.
-void CountBatchedScore(uint64_t q_count);
-/// Increment hook, called once per multi-candidate flush pass scoring
-/// `lanes` deferred candidates.
-void CountMultiScore(uint64_t lanes);
-
-}  // namespace scan_stats
-
 namespace fault_stats {
 
 /// Process-wide counters of injected faults and the recovery work they

@@ -106,7 +106,7 @@ ODYSSEY_HOT void PaaScalarK(const float* series, size_t n, int segments, double*
   }
 }
 
-// Batched kernels, scalar tier: the per-lane reference semantics every
+// Batched kernel, scalar tier: the per-lane reference semantics every
 // vector tier must reproduce bit-for-bit. Each query lane accumulates in
 // point order with separate mul+add (this file pins -ffp-contract=off), is
 // checked against its threshold every 16 points, and freezes its output at
@@ -142,39 +142,6 @@ ODYSSEY_HOT void BatchedSquaredEuclideanEarlyAbandonScalarK(
   }
 }
 
-ODYSSEY_HOT void BatchedLbKeoghEarlyAbandonScalarK(const float* candidate,
-                                       const float* upper, const float* lower,
-                                       size_t n, size_t stride, size_t q_count,
-                                       const float* thresholds, float* out) {
-  for (size_t q = 0; q < q_count; ++q) {
-    const float threshold = thresholds[q];
-    float sum = 0.0f;
-    size_t i = 0;
-    bool frozen = false;
-    while (i + 16 <= n) {
-      for (size_t j = 0; j < 16; ++j) {
-        const size_t at = (i + j) * stride + q;
-        const float d =
-            LbKeoghPointGap(upper[at], lower[at], candidate[i + j]);
-        sum += d * d;
-      }
-      i += 16;
-      if (sum >= threshold) {
-        frozen = true;
-        break;
-      }
-    }
-    if (!frozen) {
-      for (; i < n; ++i) {
-        const size_t at = i * stride + q;
-        const float d = LbKeoghPointGap(upper[at], lower[at], candidate[i]);
-        sum += d * d;
-      }
-    }
-    out[q] = sum;
-  }
-}
-
 constexpr KernelTable kScalarTable = {
     Isa::kScalar,
     SquaredEuclideanScalarK,
@@ -182,7 +149,6 @@ constexpr KernelTable kScalarTable = {
     LbKeoghScalarK,
     LbKeoghEarlyAbandonScalarK,
     BatchedSquaredEuclideanEarlyAbandonScalarK,
-    BatchedLbKeoghEarlyAbandonScalarK,
     PaaScalarK,
 };
 
@@ -306,7 +272,7 @@ ODYSSEY_HOT void PaaSseK(const float* series, size_t n, int segments, double* ou
   }
 }
 
-// Batched kernels, vector tiers: one query per SIMD lane over the
+// Batched kernel, vector tiers: one query per SIMD lane over the
 // interleaved layout, so each lane's accumulation is point-sequential
 // mul+add — bit-identical to the scalar per-query kernel by construction
 // (no horizontal reduction ever happens; lanes never mix). Lane groups of
@@ -369,61 +335,6 @@ ODYSSEY_HOT void BatchedSquaredEuclideanEarlyAbandonSseK(
   }
 }
 
-ODYSSEY_HOT void BatchedLbKeoghEarlyAbandonSseK(const float* candidate, const float* upper,
-                                    const float* lower, size_t n,
-                                    size_t stride, size_t q_count,
-                                    const float* thresholds, float* out) {
-  for (size_t g = 0; g < q_count; g += 4) {
-    const size_t lanes = (q_count - g < 4) ? q_count - g : 4;
-    const unsigned full = (1u << lanes) - 1u;
-    alignas(16) float thr_pad[4] = {kInf, kInf, kInf, kInf};
-    for (size_t l = 0; l < lanes; ++l) thr_pad[l] = thresholds[g + l];
-    const __m128 thr = _mm_load_ps(thr_pad);
-    __m128 acc = _mm_setzero_ps();
-    unsigned frozen = 0;
-    size_t i = 0;
-    while (i + 16 <= n && frozen != full) {
-      for (size_t j = 0; j < 16; ++j) {
-        const size_t at = (i + j) * stride + g;
-        const __m128 c = _mm_set1_ps(candidate[i + j]);
-        const __m128 du = _mm_sub_ps(c, _mm_loadu_ps(upper + at));
-        const __m128 dl = _mm_sub_ps(_mm_loadu_ps(lower + at), c);
-        const __m128 d =
-            _mm_max_ps(_mm_max_ps(du, dl), _mm_setzero_ps());
-        acc = _mm_add_ps(acc, _mm_mul_ps(d, d));
-      }
-      i += 16;
-      const unsigned crossed =
-          static_cast<unsigned>(_mm_movemask_ps(_mm_cmpge_ps(acc, thr)));
-      const unsigned newly = crossed & full & ~frozen;
-      if (newly != 0) {
-        alignas(16) float sums[4];
-        _mm_store_ps(sums, acc);
-        for (size_t l = 0; l < lanes; ++l) {
-          if ((newly >> l) & 1u) out[g + l] = sums[l];
-        }
-        frozen |= newly;
-      }
-    }
-    if (frozen != full) {
-      for (; i < n; ++i) {
-        const size_t at = i * stride + g;
-        const __m128 c = _mm_set1_ps(candidate[i]);
-        const __m128 du = _mm_sub_ps(c, _mm_loadu_ps(upper + at));
-        const __m128 dl = _mm_sub_ps(_mm_loadu_ps(lower + at), c);
-        const __m128 d =
-            _mm_max_ps(_mm_max_ps(du, dl), _mm_setzero_ps());
-        acc = _mm_add_ps(acc, _mm_mul_ps(d, d));
-      }
-      alignas(16) float sums[4];
-      _mm_store_ps(sums, acc);
-      for (size_t l = 0; l < lanes; ++l) {
-        if (((frozen >> l) & 1u) == 0) out[g + l] = sums[l];
-      }
-    }
-  }
-}
-
 constexpr KernelTable kSseTable = {
     Isa::kSse,
     SquaredEuclideanSseK,
@@ -431,7 +342,6 @@ constexpr KernelTable kSseTable = {
     LbKeoghSseK,
     LbKeoghEarlyAbandonSseK,
     BatchedSquaredEuclideanEarlyAbandonSseK,
-    BatchedLbKeoghEarlyAbandonSseK,
     PaaSseK,
 };
 
@@ -631,8 +541,8 @@ ODYSSEY_HOT void PaaAvx2K(const float* series, size_t n, int segments, double* o
   }
 }
 
-// Batched kernels, AVX2 tier: 8 query lanes per group; see the SSE batched
-// kernels for the shared structure and bit-identity argument. mul+add (no
+// Batched kernel, AVX2 tier: 8 query lanes per group; see the SSE batched
+// kernel for the shared structure and bit-identity argument. mul+add (no
 // FMA) keeps each lane equal to the scalar per-query accumulation.
 
 ODYSSEY_TARGET_AVX2
@@ -685,63 +595,6 @@ ODYSSEY_HOT void BatchedSquaredEuclideanEarlyAbandonAvx2K(
   }
 }
 
-ODYSSEY_TARGET_AVX2
-ODYSSEY_HOT void BatchedLbKeoghEarlyAbandonAvx2K(const float* candidate,
-                                     const float* upper, const float* lower,
-                                     size_t n, size_t stride, size_t q_count,
-                                     const float* thresholds, float* out) {
-  for (size_t g = 0; g < q_count; g += 8) {
-    const size_t lanes = (q_count - g < 8) ? q_count - g : 8;
-    const unsigned full = (1u << lanes) - 1u;
-    alignas(32) float thr_pad[8] = {kInf, kInf, kInf, kInf,
-                                    kInf, kInf, kInf, kInf};
-    for (size_t l = 0; l < lanes; ++l) thr_pad[l] = thresholds[g + l];
-    const __m256 thr = _mm256_load_ps(thr_pad);
-    __m256 acc = _mm256_setzero_ps();
-    unsigned frozen = 0;
-    size_t i = 0;
-    while (i + 16 <= n && frozen != full) {
-      for (size_t j = 0; j < 16; ++j) {
-        const size_t at = (i + j) * stride + g;
-        const __m256 c = _mm256_set1_ps(candidate[i + j]);
-        const __m256 du = _mm256_sub_ps(c, _mm256_loadu_ps(upper + at));
-        const __m256 dl = _mm256_sub_ps(_mm256_loadu_ps(lower + at), c);
-        const __m256 d =
-            _mm256_max_ps(_mm256_max_ps(du, dl), _mm256_setzero_ps());
-        acc = _mm256_add_ps(acc, _mm256_mul_ps(d, d));
-      }
-      i += 16;
-      const unsigned crossed = static_cast<unsigned>(
-          _mm256_movemask_ps(_mm256_cmp_ps(acc, thr, _CMP_GE_OQ)));
-      const unsigned newly = crossed & full & ~frozen;
-      if (newly != 0) {
-        alignas(32) float sums[8];
-        _mm256_store_ps(sums, acc);
-        for (size_t l = 0; l < lanes; ++l) {
-          if ((newly >> l) & 1u) out[g + l] = sums[l];
-        }
-        frozen |= newly;
-      }
-    }
-    if (frozen != full) {
-      for (; i < n; ++i) {
-        const size_t at = i * stride + g;
-        const __m256 c = _mm256_set1_ps(candidate[i]);
-        const __m256 du = _mm256_sub_ps(c, _mm256_loadu_ps(upper + at));
-        const __m256 dl = _mm256_sub_ps(_mm256_loadu_ps(lower + at), c);
-        const __m256 d =
-            _mm256_max_ps(_mm256_max_ps(du, dl), _mm256_setzero_ps());
-        acc = _mm256_add_ps(acc, _mm256_mul_ps(d, d));
-      }
-      alignas(32) float sums[8];
-      _mm256_store_ps(sums, acc);
-      for (size_t l = 0; l < lanes; ++l) {
-        if (((frozen >> l) & 1u) == 0) out[g + l] = sums[l];
-      }
-    }
-  }
-}
-
 constexpr KernelTable kAvx2Table = {
     Isa::kAvx2,
     SquaredEuclideanAvx2K,
@@ -749,7 +602,6 @@ constexpr KernelTable kAvx2Table = {
     LbKeoghAvx2K,
     LbKeoghEarlyAbandonAvx2K,
     BatchedSquaredEuclideanEarlyAbandonAvx2K,
-    BatchedLbKeoghEarlyAbandonAvx2K,
     PaaAvx2K,
 };
 
@@ -821,342 +673,6 @@ const KernelTable* ResolveActiveTable() {
 }
 
 }  // namespace
-
-namespace {
-
-// Multi-candidate scoring backends. Each lane is one candidate's strict
-// sequential sub+mul+add chain in point order — bit-identical to the
-// per-query scalar kernel (this file pins -ffp-contract=off, and the SSE
-// paths only ever apply ELEMENT-wise ops across lanes, never horizontal
-// ones). Freeze-by-pointer-swap gives scalar-exact early abandonment: a
-// lane whose partial crosses the threshold at a 16-point boundary gets its
-// series pointer redirected to the query itself, so every later point
-// contributes (query - query)^2 == +0.0f — and adding +0.0f to a
-// non-negative float is the bit-exact identity. The lane's sum stays frozen
-// at exactly the boundary where the scalar kernel would have returned it,
-// with no extra per-point arithmetic.
-
-#if defined(ODYSSEY_X86)
-
-// Accumulates 4 points × 4 lanes into `acc` (lane l in element l): four
-// contiguous loads, an in-register 4x4 transpose, then element-wise
-// sub/mul/add per point. The transpose shuffles hide in the shadow of the
-// accumulator's loop-carried add latency, which is what bounds this loop.
-inline __m128 MultiStep4Sse(const float* query, size_t i, const float* s0,
-                            const float* s1, const float* s2, const float* s3,
-                            __m128 acc) {
-  __m128 r0 = _mm_loadu_ps(s0 + i);
-  __m128 r1 = _mm_loadu_ps(s1 + i);
-  __m128 r2 = _mm_loadu_ps(s2 + i);
-  __m128 r3 = _mm_loadu_ps(s3 + i);
-  _MM_TRANSPOSE4_PS(r0, r1, r2, r3);  // rk = all 4 lanes at point i + k
-  __m128 d = _mm_sub_ps(_mm_set1_ps(query[i]), r0);
-  acc = _mm_add_ps(acc, _mm_mul_ps(d, d));
-  d = _mm_sub_ps(_mm_set1_ps(query[i + 1]), r1);
-  acc = _mm_add_ps(acc, _mm_mul_ps(d, d));
-  d = _mm_sub_ps(_mm_set1_ps(query[i + 2]), r2);
-  acc = _mm_add_ps(acc, _mm_mul_ps(d, d));
-  d = _mm_sub_ps(_mm_set1_ps(query[i + 3]), r3);
-  acc = _mm_add_ps(acc, _mm_mul_ps(d, d));
-  return acc;
-}
-
-// One sub-16 tail point for 4 lanes (no abandon checks in the tail, like
-// the scalar kernel; frozen lanes read the query and add +0.0f).
-inline __m128 MultiTailSse(const float* query, size_t i, const float* s0,
-                           const float* s1, const float* s2, const float* s3,
-                           __m128 acc) {
-  const __m128 col = _mm_set_ps(s3[i], s2[i], s1[i], s0[i]);
-  const __m128 d = _mm_sub_ps(_mm_set1_ps(query[i]), col);
-  return _mm_add_ps(acc, _mm_mul_ps(d, d));
-}
-
-// 4 lanes, one accumulator chain. x86-64 baseline (SSE2) — always
-// available, so there is no dispatch and no scalar twin to keep in sync.
-ODYSSEY_HOT void MultiLanes4Sse(const float* query, const float* const* lanes,
-                                size_t n, float threshold, float* sums) {
-  const float* s0 = lanes[0];
-  const float* s1 = lanes[1];
-  const float* s2 = lanes[2];
-  const float* s3 = lanes[3];
-  __m128 acc = _mm_setzero_ps();
-  const __m128 thresh = _mm_set1_ps(threshold);
-  unsigned frozen = 0;  // bit l set = lane l frozen
-  size_t i = 0;
-  while (i + 16 <= n) {
-    acc = MultiStep4Sse(query, i, s0, s1, s2, s3, acc);
-    acc = MultiStep4Sse(query, i + 4, s0, s1, s2, s3, acc);
-    acc = MultiStep4Sse(query, i + 8, s0, s1, s2, s3, acc);
-    acc = MultiStep4Sse(query, i + 12, s0, s1, s2, s3, acc);
-    i += 16;
-    const unsigned crossed =
-        static_cast<unsigned>(_mm_movemask_ps(_mm_cmpge_ps(acc, thresh))) &
-        ~frozen;
-    if (crossed != 0) {
-      if ((crossed & 1u) != 0) s0 = query;
-      if ((crossed & 2u) != 0) s1 = query;
-      if ((crossed & 4u) != 0) s2 = query;
-      if ((crossed & 8u) != 0) s3 = query;
-      frozen |= crossed;
-      if (frozen == 0xFu) break;
-    }
-  }
-  if (frozen != 0xFu) {
-    for (; i < n; ++i) acc = MultiTailSse(query, i, s0, s1, s2, s3, acc);
-  }
-  _mm_storeu_ps(sums, acc);
-}
-
-// 8 lanes as two independent 4-lane chains: the second accumulator fills
-// the first chain's add-latency bubbles, roughly doubling lane throughput
-// over MultiLanes4Sse for full flushes.
-ODYSSEY_HOT void MultiLanes8Sse(const float* query, const float* const* lanes,
-                                size_t n, float threshold, float* sums) {
-  const float* s0 = lanes[0];
-  const float* s1 = lanes[1];
-  const float* s2 = lanes[2];
-  const float* s3 = lanes[3];
-  const float* s4 = lanes[4];
-  const float* s5 = lanes[5];
-  const float* s6 = lanes[6];
-  const float* s7 = lanes[7];
-  __m128 acc_a = _mm_setzero_ps();
-  __m128 acc_b = _mm_setzero_ps();
-  const __m128 thresh = _mm_set1_ps(threshold);
-  unsigned frozen = 0;  // bits 0-3: chain A lanes, bits 4-7: chain B lanes
-  size_t i = 0;
-  while (i + 16 <= n) {
-    for (size_t j = 0; j < 16; j += 4) {
-      acc_a = MultiStep4Sse(query, i + j, s0, s1, s2, s3, acc_a);
-      acc_b = MultiStep4Sse(query, i + j, s4, s5, s6, s7, acc_b);
-    }
-    i += 16;
-    const unsigned crossed =
-        (static_cast<unsigned>(_mm_movemask_ps(_mm_cmpge_ps(acc_a, thresh))) |
-         static_cast<unsigned>(_mm_movemask_ps(_mm_cmpge_ps(acc_b, thresh)))
-             << 4) &
-        ~frozen;
-    if (crossed != 0) {
-      if ((crossed & 0x01u) != 0) s0 = query;
-      if ((crossed & 0x02u) != 0) s1 = query;
-      if ((crossed & 0x04u) != 0) s2 = query;
-      if ((crossed & 0x08u) != 0) s3 = query;
-      if ((crossed & 0x10u) != 0) s4 = query;
-      if ((crossed & 0x20u) != 0) s5 = query;
-      if ((crossed & 0x40u) != 0) s6 = query;
-      if ((crossed & 0x80u) != 0) s7 = query;
-      frozen |= crossed;
-      if (frozen == 0xFFu) break;
-    }
-  }
-  if (frozen != 0xFFu) {
-    for (; i < n; ++i) {
-      acc_a = MultiTailSse(query, i, s0, s1, s2, s3, acc_a);
-      acc_b = MultiTailSse(query, i, s4, s5, s6, s7, acc_b);
-    }
-  }
-  _mm_storeu_ps(sums, acc_a);
-  _mm_storeu_ps(sums + 4, acc_b);
-}
-
-// 8 lanes in one 256-bit accumulator. The win over MultiLanes8Sse is port
-// pressure: baseline-SSE query broadcasts cost a shuffle each, and with two
-// 4x4 transposes per 4 points the single shuffle port becomes the bound;
-// here vbroadcastss is a pure load-port op and the full 8x8 transpose costs
-// 3 shuffle-port ops per point, which hides entirely under the
-// accumulator's add-latency chain. Element-wise ops only, so each lane's
-// sum is still the scalar kernel's — picking this path by CPUID can never
-// change a result, only its speed.
-ODYSSEY_TARGET_AVX2 ODYSSEY_HOT void MultiLanes8Avx2(
-    const float* query, const float* const* lanes, size_t n, float threshold,
-    float* sums) {
-  const float* s0 = lanes[0];
-  const float* s1 = lanes[1];
-  const float* s2 = lanes[2];
-  const float* s3 = lanes[3];
-  const float* s4 = lanes[4];
-  const float* s5 = lanes[5];
-  const float* s6 = lanes[6];
-  const float* s7 = lanes[7];
-  __m256 acc = _mm256_setzero_ps();
-  const __m256 thresh = _mm256_set1_ps(threshold);
-  unsigned frozen = 0;  // bit l set = lane l frozen
-  size_t i = 0;
-  while (i + 16 <= n) {
-    for (size_t h = 0; h < 16; h += 8) {
-      const __m256 r0 = _mm256_loadu_ps(s0 + i + h);
-      const __m256 r1 = _mm256_loadu_ps(s1 + i + h);
-      const __m256 r2 = _mm256_loadu_ps(s2 + i + h);
-      const __m256 r3 = _mm256_loadu_ps(s3 + i + h);
-      const __m256 r4 = _mm256_loadu_ps(s4 + i + h);
-      const __m256 r5 = _mm256_loadu_ps(s5 + i + h);
-      const __m256 r6 = _mm256_loadu_ps(s6 + i + h);
-      const __m256 r7 = _mm256_loadu_ps(s7 + i + h);
-      // 8x8 transpose, standard unpack/shuffle/permute ladder. u_k carries
-      // lanes 0-3 at points {k, k+4} in its two 128-bit halves, v_k lanes
-      // 4-7; the vperm2f128 pairs then assemble one full 8-lane column per
-      // point so the accumulate below runs in strict point order.
-      const __m256 t0 = _mm256_unpacklo_ps(r0, r1);
-      const __m256 t1 = _mm256_unpackhi_ps(r0, r1);
-      const __m256 t2 = _mm256_unpacklo_ps(r2, r3);
-      const __m256 t3 = _mm256_unpackhi_ps(r2, r3);
-      const __m256 t4 = _mm256_unpacklo_ps(r4, r5);
-      const __m256 t5 = _mm256_unpackhi_ps(r4, r5);
-      const __m256 t6 = _mm256_unpacklo_ps(r6, r7);
-      const __m256 t7 = _mm256_unpackhi_ps(r6, r7);
-      const __m256 u0 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
-      const __m256 u1 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
-      const __m256 u2 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
-      const __m256 u3 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
-      const __m256 v0 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(1, 0, 1, 0));
-      const __m256 v1 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(3, 2, 3, 2));
-      const __m256 v2 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(1, 0, 1, 0));
-      const __m256 v3 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(3, 2, 3, 2));
-      const __m256 col0 = _mm256_permute2f128_ps(u0, v0, 0x20);
-      const __m256 col1 = _mm256_permute2f128_ps(u1, v1, 0x20);
-      const __m256 col2 = _mm256_permute2f128_ps(u2, v2, 0x20);
-      const __m256 col3 = _mm256_permute2f128_ps(u3, v3, 0x20);
-      const __m256 col4 = _mm256_permute2f128_ps(u0, v0, 0x31);
-      const __m256 col5 = _mm256_permute2f128_ps(u1, v1, 0x31);
-      const __m256 col6 = _mm256_permute2f128_ps(u2, v2, 0x31);
-      const __m256 col7 = _mm256_permute2f128_ps(u3, v3, 0x31);
-      __m256 d = _mm256_sub_ps(_mm256_broadcast_ss(query + i + h), col0);
-      acc = _mm256_add_ps(acc, _mm256_mul_ps(d, d));
-      d = _mm256_sub_ps(_mm256_broadcast_ss(query + i + h + 1), col1);
-      acc = _mm256_add_ps(acc, _mm256_mul_ps(d, d));
-      d = _mm256_sub_ps(_mm256_broadcast_ss(query + i + h + 2), col2);
-      acc = _mm256_add_ps(acc, _mm256_mul_ps(d, d));
-      d = _mm256_sub_ps(_mm256_broadcast_ss(query + i + h + 3), col3);
-      acc = _mm256_add_ps(acc, _mm256_mul_ps(d, d));
-      d = _mm256_sub_ps(_mm256_broadcast_ss(query + i + h + 4), col4);
-      acc = _mm256_add_ps(acc, _mm256_mul_ps(d, d));
-      d = _mm256_sub_ps(_mm256_broadcast_ss(query + i + h + 5), col5);
-      acc = _mm256_add_ps(acc, _mm256_mul_ps(d, d));
-      d = _mm256_sub_ps(_mm256_broadcast_ss(query + i + h + 6), col6);
-      acc = _mm256_add_ps(acc, _mm256_mul_ps(d, d));
-      d = _mm256_sub_ps(_mm256_broadcast_ss(query + i + h + 7), col7);
-      acc = _mm256_add_ps(acc, _mm256_mul_ps(d, d));
-    }
-    i += 16;
-    const unsigned crossed =
-        static_cast<unsigned>(_mm256_movemask_ps(
-            _mm256_cmp_ps(acc, thresh, _CMP_GE_OQ))) &
-        ~frozen;
-    if (crossed != 0) {
-      if ((crossed & 0x01u) != 0) s0 = query;
-      if ((crossed & 0x02u) != 0) s1 = query;
-      if ((crossed & 0x04u) != 0) s2 = query;
-      if ((crossed & 0x08u) != 0) s3 = query;
-      if ((crossed & 0x10u) != 0) s4 = query;
-      if ((crossed & 0x20u) != 0) s5 = query;
-      if ((crossed & 0x40u) != 0) s6 = query;
-      if ((crossed & 0x80u) != 0) s7 = query;
-      frozen |= crossed;
-      if (frozen == 0xFFu) break;
-    }
-  }
-  if (frozen != 0xFFu && i < n) {
-    __m128 acc_a = _mm256_castps256_ps128(acc);
-    __m128 acc_b = _mm256_extractf128_ps(acc, 1);
-    for (; i < n; ++i) {
-      acc_a = MultiTailSse(query, i, s0, s1, s2, s3, acc_a);
-      acc_b = MultiTailSse(query, i, s4, s5, s6, s7, acc_b);
-    }
-    _mm_storeu_ps(sums, acc_a);
-    _mm_storeu_ps(sums + 4, acc_b);
-    return;
-  }
-  _mm256_storeu_ps(sums, acc);
-}
-
-#else  // !defined(ODYSSEY_X86)
-
-// Portable backend: L interleaved scalar chains with the same
-// freeze-by-pointer-swap boundaries. Fixed L so the compiler fully unrolls
-// the lane loops.
-template <size_t L>
-void MultiLanesGeneric(const float* query, const float* const* lanes,
-                       size_t n, float threshold, float* sums) {
-  const float* s[L];
-  float a[L];
-  for (size_t l = 0; l < L; ++l) {
-    s[l] = lanes[l];
-    a[l] = 0.0f;
-  }
-  size_t frozen = 0;
-  size_t i = 0;
-  while (i + 16 <= n) {
-    for (size_t j = 0; j < 16; ++j) {
-      const float q = query[i + j];
-      for (size_t l = 0; l < L; ++l) {
-        const float d = q - s[l][i + j];
-        a[l] += d * d;
-      }
-    }
-    i += 16;
-    for (size_t l = 0; l < L; ++l) {
-      if (s[l] != query && a[l] >= threshold) {
-        s[l] = query;
-        ++frozen;
-      }
-    }
-    if (frozen == L) break;
-  }
-  if (frozen < L) {
-    for (; i < n; ++i) {
-      const float q = query[i];
-      for (size_t l = 0; l < L; ++l) {
-        const float d = q - s[l][i];
-        a[l] += d * d;
-      }
-    }
-  }
-  for (size_t l = 0; l < L; ++l) sums[l] = a[l];
-}
-
-#endif  // defined(ODYSSEY_X86)
-
-}  // namespace
-
-ODYSSEY_HOT void MultiSquaredEuclideanEarlyAbandon(const float* query,
-                                                   const float* const* series,
-                                                   size_t count, size_t n,
-                                                   float threshold,
-                                                   float* out) {
-  if (count == 0) return;
-  // Partial flushes pad the missing lanes with the last real candidate: a
-  // padded lane mirrors its source exactly (same sums, same freeze point),
-  // so it never delays the all-frozen break, and its result is simply not
-  // written out. Counts that fit one chain run the half-width pass; either
-  // way a given candidate's lane math is identical, so which pass a flush
-  // lands in can never change a reported distance.
-  const float* lanes[kMultiCandidateLanes];
-  for (size_t c = 0; c < kMultiCandidateLanes; ++c) {
-    lanes[c] = series[c < count ? c : count - 1];
-  }
-  float sums[kMultiCandidateLanes];
-  static_assert(kMultiCandidateLanes == 8,
-                "multi-candidate backends are written for 8 lanes");
-#if defined(ODYSSEY_X86)
-  // The AVX2 path honors the resolved tier (ODYSSEY_SIMD can force it off);
-  // every backend returns bit-identical sums, so the pick is speed-only.
-  if (count <= 4) {
-    MultiLanes4Sse(query, lanes, n, threshold, sums);
-  } else if (static_cast<int>(ActiveIsa()) >=
-             static_cast<int>(Isa::kAvx2)) {
-    MultiLanes8Avx2(query, lanes, n, threshold, sums);
-  } else {
-    MultiLanes8Sse(query, lanes, n, threshold, sums);
-  }
-#else
-  if (count <= 4) {
-    MultiLanesGeneric<4>(query, lanes, n, threshold, sums);
-  } else {
-    MultiLanesGeneric<8>(query, lanes, n, threshold, sums);
-  }
-#endif
-  for (size_t c = 0; c < count; ++c) out[c] = sums[c];
-}
 
 const char* IsaName(Isa isa) {
   switch (isa) {

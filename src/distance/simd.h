@@ -33,12 +33,15 @@ enum class Isa {
 /// Human-readable ISA name ("scalar", "sse", "avx2").
 const char* IsaName(Isa isa);
 
-/// Lane stride of the interleaved multi-query blocks consumed by the
-/// batched kernels: q_count rounded up to 16 floats, so every ISA level
+/// Lane stride of the interleaved multi-query block consumed by the batched
+/// Euclidean kernel: q_count rounded up to 16 floats, so every ISA level
 /// (widest vector: 8 lanes) may load full lane groups without reading past
 /// the block. Padding lanes are never compared or stored; callers only need
 /// them readable (a zero-filled std::vector<float> of n * stride suffices —
-/// no alignment requirement, the batched kernels use unaligned loads).
+/// no alignment requirement, the batched kernel uses unaligned loads).
+/// Nothing in the library uses it; it stays only because the benchmark's
+/// traced kernel timing (bench/e2e/odyssey_bench.cc, per-layer metric
+/// distance.batched_ed_gbps) builds its query block with it.
 constexpr size_t BatchStride(size_t q_count) {
   return (q_count + 15) / 16 * 16;
 }
@@ -79,19 +82,12 @@ struct KernelTable {
   /// for (query q, candidate, thresholds[q]) — bit-identical at every ISA
   /// level, because each lane accumulates in point order with mul+add
   /// (never FMA) and freezes at the same 16-point abandon cadence.
+  /// No query path calls it; it stays only because the benchmark's traced
+  /// kernel timing (bench/e2e/odyssey_bench.cc, per-layer metric
+  /// distance.batched_ed_gbps) calls it on every tier.
   void (*batched_squared_euclidean_early_abandon)(
       const float* candidate, const float* queries, size_t n, size_t stride,
       size_t q_count, const float* thresholds, float* out);
-
-  /// Batched early-abandoning squared LB_Keogh: one candidate against
-  /// q_count precomputed warping envelopes, interleaved like the queries
-  /// above (upper[i * stride + q] / lower[i * stride + q] bound point i of
-  /// query q's band). Same layout, cadence and bit-identity contract as the
-  /// batched Euclidean kernel.
-  void (*batched_lb_keogh_early_abandon)(
-      const float* candidate, const float* upper, const float* lower,
-      size_t n, size_t stride, size_t q_count, const float* thresholds,
-      float* out);
 
   /// PAA summarization: the mean of each of `segments` contiguous ranges of
   /// the length-n float series, written to out[0..segments). Boundaries are
@@ -119,29 +115,6 @@ const KernelTable& ActiveTable();
 
 /// ISA of ActiveTable(), for logging / benchmark counters.
 Isa ActiveIsa();
-
-/// Candidate lanes per MultiSquaredEuclideanEarlyAbandon call (the grouped
-/// scan's deferral-queue capacity).
-constexpr size_t kMultiCandidateLanes = 8;
-
-/// Scores up to kMultiCandidateLanes candidate series against ONE query in a
-/// single pass: out[c] accumulates (query[i] - series[c][i])^2 in strict
-/// point order with separate mul+add, so every lane is bit-identical to the
-/// per-query scalar early-abandon kernel — the same family the batched lanes
-/// reproduce. The lanes are independent add chains; on x86 they ride in
-/// vector ELEMENTS (candidate data transposed on the fly, every arithmetic
-/// op element-wise), which parallelizes across lanes without reassociating
-/// any single lane's sum — the reassociating per-query vector kernels stay
-/// banned from grouped scoring, this is the bit-exact way to vectorize it.
-/// A lane whose partial crosses `threshold` at a 16-point boundary is frozen
-/// there (its further contributions are exact +0.0f no-ops), so an abandoned
-/// lane reports the same partial the scalar kernel would have returned; the
-/// pass stops early only once every lane froze. The x86 paths need only
-/// baseline SSE2 and results are ISA-independent by construction — the
-/// grouped scan's lone-survivor path calls it directly, no table dispatch.
-ODYSSEY_HOT void MultiSquaredEuclideanEarlyAbandon(
-    const float* query, const float* const* series, size_t count, size_t n,
-    float threshold, float* out);
 
 }  // namespace simd
 }  // namespace odyssey

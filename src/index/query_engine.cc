@@ -4,13 +4,11 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <unordered_map>
 #include <utility>
 
 #include "src/common/check.h"
 #include "src/common/math_utils.h"
 #include "src/common/stopwatch.h"
-#include "src/common/summary_stats.h"
 #include "src/common/thread_pool.h"
 #include "src/distance/dtw.h"
 #include "src/distance/euclidean.h"
@@ -19,15 +17,6 @@ namespace odyssey {
 
 namespace {
 constexpr float kInf = std::numeric_limits<float>::infinity();
-
-/// Grouped-scan routing cut for Euclidean candidates: series with at least
-/// this many surviving members take the interleaved batched kernel (its
-/// candidate-load amortization wins once enough lanes are live); series
-/// below it defer into the per-member multi-candidate queues. A routing
-/// policy, not a kernel property — the deferral queue capacity is the wider
-/// simd::kMultiCandidateLanes. Either route produces bit-identical sums, so
-/// the cut is a pure performance knob.
-constexpr size_t kBatchedRouteOccupancy = 4;
 
 // ScanLeaf's two constants and its row prefetch were chosen on a 4-vCPU
 // Xeon KVM guest (AVX2 tier, GCC 12.2, Release) by timing
@@ -567,390 +556,6 @@ ODYSSEY_HOT std::vector<int> QueryExecution::StealBatches(int nsend) {
     given.push_back(best_batch);
   }
   return given;
-}
-
-GroupedQueryExecution::GroupedQueryExecution(
-    std::vector<QueryExecution*> members)
-    : members_(std::move(members)) {
-  ODYSSEY_CHECK_MSG(!members_.empty(),
-                    "grouped execution needs at least one member");
-  const QueryExecution* first = members_[0];
-  n_ = first->index_->config().series_length();
-  stride_ = simd::BatchStride(members_.size());
-  for (const QueryExecution* m : members_) {
-    ODYSSEY_CHECK_MSG(m->index_ == first->index_,
-                      "grouped members must target the same index");
-    ODYSSEY_CHECK_MSG(m->options_.use_dtw == first->options_.use_dtw &&
-                          m->options_.dtw_window == first->options_.dtw_window,
-                      "grouped members must share the distance mode");
-    ODYSSEY_CHECK_MSG(!m->options_.approximate,
-                      "grouped execution is exact-search only");
-    if (m->options_.use_dtw) {
-      ODYSSEY_CHECK(m->envelope_->length() == n_);
-    }
-  }
-  scalar_ = &simd::ScalarTable();
-}
-
-void GroupedQueryExecution::BuildQueryBlock() {
-  // Point-major interleave: lane q of point i lives at [i * stride_ + q].
-  // Padding lanes (q_count..stride_) stay zero — the batched kernels never
-  // freeze or store them, they only need the loads to be in-bounds.
-  if (members_[0]->options_.use_dtw) {
-    upper_.assign(n_ * stride_, 0.0f);
-    lower_.assign(n_ * stride_, 0.0f);
-    for (size_t q = 0; q < members_.size(); ++q) {
-      const Envelope* env = members_[q]->envelope_;
-      for (size_t i = 0; i < n_; ++i) {
-        upper_[i * stride_ + q] = env->upper[i];
-        lower_[i * stride_ + q] = env->lower[i];
-      }
-    }
-  } else {
-    values_.assign(n_ * stride_, 0.0f);
-    for (size_t q = 0; q < members_.size(); ++q) {
-      const float* query = members_[q]->query_;
-      for (size_t i = 0; i < n_; ++i) {
-        values_[i * stride_ + q] = query[i];
-      }
-    }
-  }
-}
-
-void GroupedQueryExecution::AppendLeafEntry(
-    std::unordered_map<const TreeNode*, size_t>* slot, const PqItem& item,
-    int member) {
-  auto [it, inserted] = slot->try_emplace(item.leaf, work_.size());
-  if (inserted) {
-    work_.push_back({item.leaf, item.lower_bound, {}});
-  }
-  LeafWork& unit = work_[it->second];
-  unit.min_lb = std::min(unit.min_lb, item.lower_bound);
-  unit.members.push_back({member, item.lower_bound});
-}
-
-void GroupedQueryExecution::PublishWork() {
-  // Same global order as the per-query path's phase 2: most promising leaf
-  // (smallest lower bound over its members) first, so BSFs tighten early.
-  std::sort(work_.begin(), work_.end(),
-            [](const LeafWork& a, const LeafWork& b) {
-              return a.min_lb < b.min_lb;
-            });
-  work_cursor_.store(0, std::memory_order_relaxed);
-}
-
-void GroupedQueryExecution::BuildSeedWork() {
-  // Merge each member's ~kSeedLeavesPerMember best leaves into the first
-  // scan wave. The member's queues are each sorted, so a linear peek over
-  // the queue heads per pop is an exact k-way merge; the budget is small
-  // enough that the quadratic peek never shows up.
-  std::unordered_map<const TreeNode*, size_t> slot;
-  work_.clear();
-  for (size_t q = 0; q < members_.size(); ++q) {
-    QueryExecution* m = members_[q];
-    MutexLock lock(&m->steal_mu_);
-    for (size_t take = 0; take < kSeedLeavesPerMember; ++take) {
-      BoundedPq* best_queue = nullptr;
-      float best_lb = kInf;
-      for (const auto& ref : m->pq_refs_) {
-        if (ref->queue->empty()) continue;
-        const float lb = ref->queue->MinLowerBound();
-        if (best_queue == nullptr || lb < best_lb) {
-          best_queue = ref->queue;
-          best_lb = lb;
-        }
-      }
-      if (best_queue == nullptr || best_lb >= m->PruneThreshold()) break;
-      AppendLeafEntry(&slot, best_queue->Pop(), static_cast<int>(q));
-    }
-  }
-  PublishWork();
-}
-
-void GroupedQueryExecution::BuildMainWork() {
-  // Drain what the seed wave left of every member's sorted queues into
-  // leaf-level work units — with the per-query path's cutoff, now backed by
-  // post-seed thresholds: a queue head that cannot beat its member's BSF
-  // proves the whole remaining queue cannot (sorted ascending, and the
-  // threshold only ever tightens), so the tail is dropped unpopped. This is
-  // the lazy pruning the eager single-pass merge used to forfeit — it paid
-  // pop + hash + sort for every traversal-surviving leaf, where the
-  // per-query path stops popping at the first unbeatable head. A leaf
-  // appears at most once per member (the traversal inserts each leaf
-  // once), so each (leaf, member) pair lands exactly once across the two
-  // waves.
-  std::unordered_map<const TreeNode*, size_t> slot;
-  work_.clear();
-  for (size_t q = 0; q < members_.size(); ++q) {
-    QueryExecution* m = members_[q];
-    MutexLock lock(&m->steal_mu_);
-    for (const auto& ref : m->pq_refs_) {
-      const float threshold = m->PruneThreshold();
-      while (!ref->queue->empty()) {
-        if (ref->queue->MinLowerBound() >= threshold) break;
-        AppendLeafEntry(&slot, ref->queue->Pop(), static_cast<int>(q));
-      }
-    }
-  }
-  PublishWork();
-}
-
-ODYSSEY_HOT void GroupedQueryExecution::GroupedProcessing() {
-  // Lane buffers come from the worker's reusable scratch — the per-entry
-  // vector constructions this body used to perform (4 per worker per
-  // epoch) were a checker finding.
-  const size_t q_count = members_.size();
-  QueryScratch& scratch = QueryScratch::ForThisThread();
-  scratch.thresholds.assign(q_count, 0.0f);
-  scratch.out.assign(q_count, 0.0f);
-  scratch.pass.assign(q_count, 0);
-  scratch.active.clear();
-  scratch.active.reserve(q_count);
-  scratch.lone_series.assign(q_count * simd::kMultiCandidateLanes, nullptr);
-  scratch.lone_ids.assign(q_count * simd::kMultiCandidateLanes, 0);
-  scratch.lone_count.assign(q_count, 0);
-  hotpath::ScopedHotRegion hot_region;
-  for (;;) {
-    const size_t i = work_cursor_.fetch_add(1, std::memory_order_acq_rel);
-    if (i >= work_.size()) break;
-    ScanLeafGrouped(work_[i], &scratch);
-  }
-  // Work list drained: score whatever deferred candidates are still parked
-  // in this worker's lane queues. Queues deliberately span leaves — a leaf
-  // rarely yields kMultiCandidateLanes low-occupancy survivors for one
-  // member, and partial flushes forfeit the ILP the deferral exists to
-  // harvest. Deferring an offer never changes a reported distance (full
-  // sums are threshold-independent); it can only delay a BSF improvement by
-  // at most kMultiCandidateLanes - 1 candidates per member.
-  for (size_t q = 0; q < q_count; ++q) {
-    FlushLoneCandidates(static_cast<int>(q), &scratch);
-  }
-}
-
-ODYSSEY_HOT void GroupedQueryExecution::ScanLeafGrouped(const LeafWork& work,
-                                                        QueryScratch* scratch) {
-  // Leaf-level pruning per member, mirroring ProcessQueue's head check: a
-  // member whose bound for this leaf no longer beats its threshold skips
-  // the whole leaf.
-  scratch->active.clear();
-  for (const Contribution& c : work.members) {
-    if (c.lb < members_[c.member]->PruneThreshold()) {
-      scratch->active.push_back(c.member);
-    }
-  }
-  if (scratch->active.empty()) return;
-  for (int q : scratch->active) {
-    members_[q]->stat_leaves_processed_.fetch_add(1,
-                                                  std::memory_order_relaxed);
-  }
-  const TreeNode* leaf = work.leaf;
-  const QueryExecution* first = members_[0];
-  const bool use_dtw = first->options_.use_dtw;
-  const simd::KernelTable* kernels = first->kernels_;
-  const size_t q_count = members_.size();
-  const uint32_t begin = leaf->begin();
-  const uint32_t end = static_cast<uint32_t>(leaf->end());
-  const Index& index = *first->index_;
-  if (scratch->active.size() == 1) {
-    // One active member for the whole leaf — the common case in a mixed
-    // batch, where co-resident queries rarely want the same leaves. Run
-    // the lean per-query scan shape (threshold, summary filter, distance)
-    // with none of the lane bookkeeping: no threshold/pass resets per
-    // series, no interleaved block traffic. Euclidean candidates are
-    // deferred in lanes of simd::kMultiCandidateLanes and scored through
-    // the multi-candidate kernel — strict scalar point order per lane, so
-    // answers cannot depend on how many members happened to share the
-    // leaf, but the independent add chains run at near-vector throughput.
-    const int lone = scratch->active[0];
-    QueryExecution* m = members_[lone];
-    for (uint32_t row = begin; row < end; ++row) {
-      const float threshold = m->PruneThreshold();
-      if (m->SeriesLowerBound(index.sax(row)) >= threshold) continue;
-      const float* series = index.data().data(row);
-      m->stat_real_distances_.fetch_add(1, std::memory_order_relaxed);
-      if (use_dtw) {
-        const float lb = scalar_->lb_keogh_early_abandon(
-            m->envelope_->upper.data(), m->envelope_->lower.data(), series,
-            n_, threshold);
-        if (lb >= threshold) continue;
-        const float d = SquaredDtwEarlyAbandon(series, m->query_, n_,
-                                               m->options_.dtw_window,
-                                               threshold);
-        if (d < threshold) m->OfferCandidate(d, row);
-      } else {
-        QueueLoneCandidate(lone, series, row, scratch);
-      }
-    }
-    return;
-  }
-  for (uint32_t row = begin; row < end; ++row) {
-    // Per-series summary filter per member, as in ScanLeaf. Members that
-    // filter out (or were inactive for the leaf) get a 0.0 threshold: their
-    // lane freezes after the first abandon check and its output is ignored
-    // (squared distances are never < 0), so one batched call serves exactly
-    // the surviving subset.
-    std::fill(scratch->thresholds.begin(), scratch->thresholds.end(), 0.0f);
-    std::fill(scratch->pass.begin(), scratch->pass.end(), uint8_t{0});
-    size_t passing = 0;
-    int lone = -1;
-    for (int q : scratch->active) {
-      const float threshold = members_[q]->PruneThreshold();
-      if (members_[q]->SeriesLowerBound(index.sax(row)) >= threshold) {
-        continue;
-      }
-      scratch->thresholds[q] = threshold;
-      scratch->pass[q] = 1;
-      lone = q;
-      ++passing;
-    }
-    if (passing == 0) continue;
-    const float* series = index.data().data(row);
-    if (use_dtw && passing == 1) {
-      // Lone DTW survivor: the batched LB_Keogh block doesn't amortize for
-      // one live lane — bound through the per-query *scalar* kernel, which
-      // the batched lanes are bit-identical to by contract.
-      QueryExecution* m = members_[lone];
-      const float threshold = scratch->thresholds[lone];
-      m->stat_real_distances_.fetch_add(1, std::memory_order_relaxed);
-      const float lb = scalar_->lb_keogh_early_abandon(
-          m->envelope_->upper.data(), m->envelope_->lower.data(), series, n_,
-          threshold);
-      if (lb >= threshold) continue;
-      const float d = SquaredDtwEarlyAbandon(series, m->query_, n_,
-                                             m->options_.dtw_window,
-                                             threshold);
-      if (d < threshold) m->OfferCandidate(d, row);
-      continue;
-    }
-    if (!use_dtw && passing < kBatchedRouteOccupancy) {
-      // Low occupancy: the interleaved block is 16 lanes wide regardless of
-      // how few are live, so at 1-3 survivors the batched kernel drags
-      // mostly-dead lanes through the cache. Defer the candidate into each
-      // survivor's multi-candidate lane queue instead (capacity
-      // simd::kMultiCandidateLanes, deliberately wider than this routing
-      // cut so full flushes feed the kernel's widest pass); the flush
-      // passes accumulate in strict scalar point order, so a candidate's
-      // reported distance still never depends on how many members happened
-      // to pass the filter. Mixed batches share little, so most of their
-      // series land here. The per-query *vector* kernels stay off-limits:
-      // they reduce lane partials and differ from the scalar family by ulps.
-      for (int q : scratch->active) {
-        if (scratch->pass[q] == 0) continue;
-        members_[q]->stat_real_distances_.fetch_add(
-            1, std::memory_order_relaxed);
-        QueueLoneCandidate(q, series, row, scratch);
-      }
-      continue;
-    }
-    // Enough survivors to fill the block's live lanes (Euclidean:
-    // kBatchedRouteOccupancy or more; DTW: two or more): the batched kernel
-    // amortizes the candidate load across them.
-    scan_stats::CountBatchedScore(passing);
-    if (use_dtw) {
-      // Batched LB_Keogh; only survivors pay their member's DTW DP, exactly
-      // like RealDistance.
-      kernels->batched_lb_keogh_early_abandon(
-          series, upper_.data(), lower_.data(), n_, stride_, q_count,
-          scratch->thresholds.data(), scratch->out.data());
-      for (int q : scratch->active) {
-        if (scratch->pass[q] == 0) continue;
-        QueryExecution* m = members_[q];
-        m->stat_real_distances_.fetch_add(1, std::memory_order_relaxed);
-        const float threshold = scratch->thresholds[q];
-        if (scratch->out[q] >= threshold) continue;
-        const float d = SquaredDtwEarlyAbandon(series, m->query_, n_,
-                                               m->options_.dtw_window,
-                                               threshold);
-        if (d < threshold) m->OfferCandidate(d, row);
-      }
-    } else {
-      kernels->batched_squared_euclidean_early_abandon(
-          series, values_.data(), n_, stride_, q_count,
-          scratch->thresholds.data(), scratch->out.data());
-      for (int q : scratch->active) {
-        if (scratch->pass[q] == 0) continue;
-        QueryExecution* m = members_[q];
-        m->stat_real_distances_.fetch_add(1, std::memory_order_relaxed);
-        if (scratch->out[q] < scratch->thresholds[q]) {
-          m->OfferCandidate(scratch->out[q], row);
-        }
-      }
-    }
-  }
-}
-
-ODYSSEY_HOT void GroupedQueryExecution::QueueLoneCandidate(
-    int q, const float* series, uint32_t id, QueryScratch* scratch) {
-  const size_t base = static_cast<size_t>(q) * simd::kMultiCandidateLanes;
-  uint8_t& count = scratch->lone_count[q];
-  scratch->lone_series[base + count] = series;
-  scratch->lone_ids[base + count] = id;
-  if (++count == simd::kMultiCandidateLanes) FlushLoneCandidates(q, scratch);
-}
-
-ODYSSEY_HOT void GroupedQueryExecution::FlushLoneCandidates(
-    int q, QueryScratch* scratch) {
-  uint8_t& count = scratch->lone_count[q];
-  if (count == 0) return;
-  QueryExecution* m = members_[q];
-  const size_t base = static_cast<size_t>(q) * simd::kMultiCandidateLanes;
-  const float threshold = m->PruneThreshold();
-  float out[simd::kMultiCandidateLanes];
-  scan_stats::CountMultiScore(count);
-  simd::MultiSquaredEuclideanEarlyAbandon(
-      m->query_, &scratch->lone_series[base], count, n_, threshold, out);
-  const uint8_t pending = count;
-  count = 0;
-  for (uint8_t c = 0; c < pending; ++c) {
-    if (out[c] < threshold) {
-      m->OfferCandidate(out[c], scratch->lone_ids[base + c]);
-    }
-  }
-}
-
-void GroupedQueryExecution::Run(ThreadPool* pool) {
-  int num_threads = 1;
-  for (QueryExecution* m : members_) {
-    ODYSSEY_CHECK_MSG(m->seeded_, "grouped Run before SeedInitialBsf");
-    num_threads = std::max(num_threads, m->options_.num_threads);
-  }
-  Stopwatch watch;
-  BuildQueryBlock();
-  for (QueryExecution* m : members_) m->ArmBatches(m->AllBatchIds());
-  auto traverse_all = [this](int) {
-    for (QueryExecution* m : members_) m->TraversalPhase();
-  };
-  auto preprocess_and_seed = [this] {
-    for (QueryExecution* m : members_) m->PreprocessQueues();
-    BuildSeedWork();
-  };
-  // The scan runs in two waves: a small seed wave (each member's most
-  // promising leaves) whose scanning tightens every BSF to near-final, then
-  // the main wave, whose build can therefore drop the long queue tails the
-  // per-query path never pops either.
-  if (pool != nullptr) {
-    // Executor path, as in QueryExecution::Run: each parallel phase is one
-    // TaskGroup epoch, the Wait is the phase barrier.
-    TaskGroup group(pool);
-    group.RunTasks(num_threads, traverse_all);
-    preprocess_and_seed();
-    group.RunTasks(num_threads, [this](int) { GroupedProcessing(); });
-    BuildMainWork();
-    group.RunTasks(num_threads, [this](int) { GroupedProcessing(); });
-  } else {
-    traverse_all(0);
-    preprocess_and_seed();
-    GroupedProcessing();
-    BuildMainWork();
-    GroupedProcessing();
-  }
-  for (QueryExecution* m : members_) {
-    MutexLock lock(&m->steal_mu_);
-    m->phase_.store(static_cast<int>(QueryExecution::Phase::kDone),
-                    std::memory_order_release);
-  }
-  const double elapsed = watch.ElapsedSeconds();
-  for (QueryExecution* m : members_) m->stat_elapsed_seconds_ += elapsed;
 }
 
 QueryScratch& QueryScratch::ForThisThread() {

@@ -4,7 +4,7 @@
 #include <atomic>
 #include <functional>
 #include <memory>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/common/hotpath.h"
@@ -280,7 +280,6 @@ class QueryExecution {
   QueryStats stats() const ODYSSEY_EXCLUDES(steal_mu_);
 
  private:
-  friend class GroupedQueryExecution;
   friend class QueryScratch;
   enum class Phase { kInit, kTraversal, kProcessing, kDone };
 
@@ -393,8 +392,8 @@ class QueryExecution {
 
 /// Per-thread reusable buffers for the query phases — the fix for the
 /// hot-path purity contract (src/common/hotpath.h): the phase bodies used
-/// to allocate their snapshot and lane vectors on every entry, per worker,
-/// per epoch. Each pool worker (and the orchestrating caller) owns one
+/// to allocate their snapshot vectors on every entry, per worker, per
+/// epoch. Each pool worker (and the orchestrating caller) owns one
 /// QueryScratch via ForThisThread(); the buffers are grow-only and reused
 /// across TaskGroup epochs, queries and batches, so the steady state
 /// performs zero allocations (asserted by the counting-allocator tests).
@@ -422,143 +421,25 @@ class QueryScratch {
   std::vector<QueryExecution::PqRef*> refs;
   /// StealBatches' per-round first-unclaimed-queue-per-batch table.
   std::vector<size_t> first_unclaimed;
-  /// Grouped-scan per-member lane buffers (GroupedProcessing), sized by
-  /// the first group a thread scans and reused by every later one.
-  std::vector<float> thresholds;
-  std::vector<float> out;
-  std::vector<uint8_t> pass;
-  std::vector<int> active;
-  /// Lone-survivor deferral queues (ScanLeafGrouped): when exactly one
-  /// member passes a series' summary filter, the candidate is parked here
-  /// (simd::kMultiCandidateLanes slots per member) and scored through
-  /// simd::MultiSquaredEuclideanEarlyAbandon once the member's queue fills
-  /// or its leaf ends — independent scalar-order lanes recover the ILP a
-  /// one-candidate scalar pass forfeits while staying in the bit-exact
-  /// kernel family.
-  std::vector<const float*> lone_series;
-  std::vector<uint32_t> lone_ids;
-  std::vector<uint8_t> lone_count;
 };
 
-/// Runs several QueryExecutions against the same index as one *grouped*
-/// execution whose leaf-scan phase scores every candidate series against
-/// all member queries with a single batched-kernel call (the series is
-/// loaded from memory once per group instead of once per query —
-/// scan_stats::SeriesLoadsSaved observes the amortization).
-///
-/// Phases 1-2 (tree traversal, queue preprocessing) run per member exactly
-/// as in the per-query path; the grouped phase 3 then merges all members'
-/// priority queues into leaf-level work units — the queries sharing a
-/// leaf — claimed by workers through an atomic cursor. Per leaf, members
-/// whose lower bound no longer beats their threshold are dropped; per
-/// series, each surviving member applies its own summary filter and
-/// early-abandon threshold, so the pruning power matches the per-query
-/// path and the final answers are the same exact k-NN sets. Every distance
-/// a grouped execution reports comes from the batched kernel family —
-/// including when only one member survives a leaf's filters — because
-/// those kernels accumulate in strict point order while the per-query
-/// vector kernels reduce lane partials, and the two families differ by
-/// ulps. Staying in one family keeps grouped answers bit-identical run to
-/// run, whatever the group's size or overlap.
-///
-/// Members are constructed, seeded and read out by the caller as usual;
-/// the group only replaces Run(). A node never runs this engine: it
-/// answers every query with a QueryExecution. The class stays as the
-/// measured subject of the grouped leaf-scan benchmarks and their tests.
+/// Runs several QueryExecutions one after another, each with its own
+/// Run(pool). Nothing in the library uses it; it stays only because the
+/// benchmark's traced replay (bench/e2e/odyssey_bench.cc, per-layer metric
+/// index.grouped_search_ms) constructs and runs one. Delete it with that
+/// replay.
 class GroupedQueryExecution {
  public:
-  /// All members must target the same index, share the distance mode
-  /// (ED/DTW), not be approximate, and be seeded (SeedInitialBsf). The
-  /// pointed-to executions must outlive the group.
-  explicit GroupedQueryExecution(std::vector<QueryExecution*> members);
+  /// Each member must be seeded (SeedInitialBsf) and outlive the group.
+  explicit GroupedQueryExecution(std::vector<QueryExecution*> members)
+      : members_(std::move(members)) {}
 
-  /// Runs all members to completion: per-member phases 1-2, then the
-  /// merged batched-scoring phase 3. Same pool semantics as
-  /// QueryExecution::Run.
-  void Run(ThreadPool* pool = nullptr);
+  void Run(ThreadPool* pool = nullptr) {
+    for (QueryExecution* member : members_) member->Run(pool);
+  }
 
  private:
-  /// One member's stake in a leaf work unit: the member index and its
-  /// lower bound for the leaf.
-  struct Contribution {
-    int member = 0;
-    float lb = 0.0f;
-  };
-  /// One merged work unit: a leaf plus the members whose queues contain it.
-  struct LeafWork {
-    const TreeNode* leaf = nullptr;
-    float min_lb = 0.0f;
-    std::vector<Contribution> members;
-  };
-
-  /// Interleaves the member queries (ED) or envelopes (DTW) into the
-  /// point-major layout the batched kernels consume.
-  void BuildQueryBlock();
-  /// Phase-2.5a: pops only each member's ~kSeedLeavesPerMember most
-  /// promising leaves (a k-way merge over its sorted queues) into leaf work
-  /// units. Scanning this small wave first tightens every member's BSF to
-  /// near-final before the bulk of the queues is drained.
-  void BuildSeedWork();
-  /// Phase-2.5b, after the seed wave has been scanned: drains the rest of
-  /// every member's queues into a fresh work list, applying the per-query
-  /// path's sorted-queue cutoff — a queue whose head bound no longer beats
-  /// its member's (now tight) threshold is dropped whole, unpopped. This is
-  /// what keeps the merged scan from paying pop + hash + sort for the long
-  /// tail of leaves the per-query path never touches.
-  void BuildMainWork();
-  /// Shared slot-map append used by both build passes.
-  void AppendLeafEntry(std::unordered_map<const TreeNode*, size_t>* slot,
-                       const PqItem& item, int member);
-  /// Sorts work_ most-promising-first and resets the claim cursor.
-  void PublishWork();
-
-  /// Seed-wave budget: leaves per member in the first scan wave. Large
-  /// enough that every member's BSF is near-final afterwards (budget ×
-  /// leaf_size candidates), small enough that the wave costs a sliver of
-  /// the scan.
-  static constexpr size_t kSeedLeavesPerMember = 16;
-  /// Phase-3 worker body: atomic-cursor claims over the leaf work units.
-  /// Lane buffers come from the worker's QueryScratch, sized once per
-  /// entry, reused across every claimed leaf.
-  ODYSSEY_HOT void GroupedProcessing();
-  ODYSSEY_HOT void ScanLeafGrouped(const LeafWork& work,
-                                   QueryScratch* scratch);
-  /// Parks a lone-survivor Euclidean candidate in member q's deferral queue
-  /// (QueryScratch::lone_*), flushing through the multi-candidate kernel
-  /// when the queue fills.
-  ODYSSEY_HOT void QueueLoneCandidate(int q, const float* series, uint32_t id,
-                                      QueryScratch* scratch);
-  /// Scores member q's parked candidates (1..kMultiCandidateLanes of them)
-  /// with one multi-candidate pass and offers the survivors. The threshold
-  /// is re-read at flush time: it can only have tightened since the
-  /// candidates passed their summary filters, and a full (non-abandoned)
-  /// lane's sum is threshold-independent, so deferral never changes a
-  /// reported distance — only how early a doomed lane gets to stop.
-  ODYSSEY_HOT void FlushLoneCandidates(int q, QueryScratch* scratch);
-
   std::vector<QueryExecution*> members_;
-  size_t n_ = 0;       ///< series length
-  size_t stride_ = 0;  ///< simd::BatchStride(members_.size())
-  /// Scalar kernel table for the lone-survivor DTW fast path: when exactly
-  /// one member passes a candidate's summary filter under DTW, the scan
-  /// skips the interleaved batched LB_Keogh kernel and bounds through the
-  /// per-query *scalar* kernel, whose result the batched lanes are
-  /// bit-identical to by contract (property-tested per ISA) — so the
-  /// candidate's reported distance never depends on how many members
-  /// happened to pass. (Euclidean lone survivors defer into the
-  /// multi-candidate kernel instead — same bit-exact family, better ILP.)
-  const simd::KernelTable* scalar_ = nullptr;
-  /// Interleaved query points (ED mode): values_[i * stride_ + q].
-  std::vector<float> values_;
-  /// Interleaved envelopes (DTW mode), same layout.
-  std::vector<float> upper_;
-  std::vector<float> lower_;
-
-  /// Built single-threaded by the build passes (seed wave, then main wave),
-  /// read-only for the scan workers in between — the Run phase barriers
-  /// are what make those unlocked reads safe.
-  std::vector<LeafWork> work_;
-  std::atomic<size_t> work_cursor_{0};
 };
 
 /// Convenience builders tying PreparedQuery/PreparedBatch to QueryOptions:

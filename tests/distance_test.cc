@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
+#include <random>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -375,81 +378,6 @@ TEST(SimdKernelTest, EuclideanEarlyAbandonConsistentOnEveryLengthTo256) {
   }
 }
 
-TEST(SimdKernelTest, MultiCandidateBitIdenticalToScalarPerLane) {
-  // The multi-candidate kernel's contract is strict: for EVERY count and
-  // EVERY lane — completed or abandoned — out[c] is bit-equal to the scalar
-  // per-query early-abandon kernel on (query, series[c]). The freeze
-  // semantics make that exact even for abandoned lanes (the lane's sum is
-  // pinned at the 16-point boundary where the scalar kernel would have
-  // returned), so this asserts == on floats, not near-equality. Thresholds
-  // sweep from always-abandon to never-abandon so lanes cross at different
-  // boundaries within one call — the regime where cooperative designs leak
-  // extra accumulation.
-  const simd::KernelTable& scalar = simd::ScalarTable();
-  Rng rng(67);
-  for (const size_t n : {7u, 16u, 40u, 96u, 200u, 256u}) {
-    const std::vector<float> query = RandomSeries(&rng, n);
-    std::vector<std::vector<float>> cands;
-    std::vector<const float*> ptrs;
-    for (size_t c = 0; c < simd::kMultiCandidateLanes; ++c) {
-      cands.push_back(RandomSeries(&rng, n));
-      ptrs.push_back(cands.back().data());
-    }
-    const float full = scalar.squared_euclidean(query.data(), ptrs[0], n);
-    for (const float frac : {0.0f, 0.05f, 0.3f, 0.7f, 1.0f, 4.0f}) {
-      const float threshold = frac * full + 0.25f;
-      for (size_t count = 1; count <= simd::kMultiCandidateLanes; ++count) {
-        float out[simd::kMultiCandidateLanes];
-        simd::MultiSquaredEuclideanEarlyAbandon(query.data(), ptrs.data(),
-                                                count, n, threshold, out);
-        for (size_t c = 0; c < count; ++c) {
-          const float want = scalar.squared_euclidean_early_abandon(
-              query.data(), ptrs[c], n, threshold);
-          ASSERT_EQ(out[c], want) << "n=" << n << " count=" << count
-                                  << " lane=" << c << " thr=" << threshold;
-        }
-      }
-    }
-  }
-}
-
-TEST(SimdKernelTest, MultiCandidateForcedTierBitIdentity) {
-  // The kernel may pick different x86 backends by resolved tier and count
-  // (4-lane SSE chain, 8-lane SSE twin chains, 8-lane AVX2), and the
-  // grouped scan's run-to-run bit-identity leans on all of them agreeing
-  // bit-for-bit — a candidate's distance must not depend on which backend
-  // or deferral queue slot scored it. Lanes here are duplicates of one base
-  // set, so a lane's sum must come out identical no matter which backend or
-  // lane position scored it.
-  const simd::KernelTable& scalar = simd::ScalarTable();
-  Rng rng(71);
-  const size_t n = 192;
-  const std::vector<float> query = RandomSeries(&rng, n);
-  const std::vector<float> a = RandomSeries(&rng, n);
-  const std::vector<float> b = RandomSeries(&rng, n);
-  const float exact_a = scalar.squared_euclidean(query.data(), a.data(), n);
-  const float threshold = 0.4f * exact_a;
-  // count=2 routes through the narrow backend, count=8 through the wide
-  // one; lane 0 scores the same candidate in both calls.
-  const float* narrow[2] = {a.data(), b.data()};
-  const float* wide[8] = {a.data(), b.data(), a.data(), b.data(),
-                          a.data(), b.data(), a.data(), b.data()};
-  float out_narrow[simd::kMultiCandidateLanes];
-  float out_wide[simd::kMultiCandidateLanes];
-  simd::MultiSquaredEuclideanEarlyAbandon(query.data(), narrow, 2, n,
-                                          threshold, out_narrow);
-  simd::MultiSquaredEuclideanEarlyAbandon(query.data(), wide, 8, n, threshold,
-                                          out_wide);
-  for (size_t c = 0; c < 8; c += 2) {
-    EXPECT_EQ(out_wide[c], out_narrow[0]) << "lane " << c;
-    EXPECT_EQ(out_wide[c + 1], out_narrow[1]) << "lane " << c + 1;
-  }
-  EXPECT_EQ(out_narrow[0], scalar.squared_euclidean_early_abandon(
-                               query.data(), a.data(), n, threshold));
-  EXPECT_EQ(out_narrow[1], scalar.squared_euclidean_early_abandon(
-                               query.data(), b.data(), n, threshold));
-}
-
 TEST(SimdKernelTest, LbKeoghMatchesScalarOnEveryLengthTo256) {
   const simd::KernelTable& scalar = simd::ScalarTable();
   for (const simd::KernelTable* table : VectorTables()) {
@@ -633,6 +561,119 @@ TEST(SimdKernelTest, PublicEntryPointsUseActiveTable) {
   EXPECT_EQ(SquaredLbKeogh(env, b.data()),
             active.lb_keogh(env.upper.data(), env.lower.data(), b.data(), 96));
   EXPECT_EQ(HasAvx2Kernels(), active.isa == simd::Isa::kAvx2);
+}
+
+// ------------------------------------------------ batched Euclidean kernel
+// The batched kernel's contract: out[q] equals the per-query *scalar*
+// early-abandon kernel bit for bit on every available tier (scalar
+// included), across lengths, group sizes, subnormals and misaligned inputs.
+
+std::vector<const simd::KernelTable*> AllTables() {
+  std::vector<const simd::KernelTable*> tables{&simd::ScalarTable()};
+  for (const simd::KernelTable* table : VectorTables()) tables.push_back(table);
+  return tables;
+}
+
+uint32_t BitsOf(float f) {
+  uint32_t bits;
+  std::memcpy(&bits, &f, sizeof(bits));
+  return bits;
+}
+
+// Random points salted with the values FP kernels get wrong first: zeros of
+// both signs and subnormals.
+std::vector<float> SaltedSeries(size_t n, std::mt19937* rng) {
+  std::uniform_real_distribution<float> dist(-2.0f, 2.0f);
+  std::uniform_int_distribution<int> pick(0, 19);
+  std::vector<float> out(n);
+  for (size_t i = 0; i < n; ++i) {
+    switch (pick(*rng)) {
+      case 0: out[i] = 0.0f; break;
+      case 1: out[i] = -0.0f; break;
+      case 2: out[i] = 1e-42f; break;   // subnormal
+      case 3: out[i] = -1e-42f; break;  // subnormal
+      default: out[i] = dist(*rng);
+    }
+  }
+  return out;
+}
+
+// Shifts `v` into a buffer whose payload starts one float past an
+// allocation boundary, so any kernel silently assuming 16/32/64-byte
+// alignment faults or misreads.
+std::vector<float> MisalignedShadow(const std::vector<float>& v) {
+  std::vector<float> shadow(v.size() + 1, 0.0f);
+  std::memcpy(shadow.data() + 1, v.data(), v.size() * sizeof(float));
+  return shadow;
+}
+
+// Threshold mix per lane: never abandon, abandon partway (half the exact
+// distance), and 0.0, which freezes the lane after its first block.
+float MixedThreshold(size_t q, float exact) {
+  switch (q % 3) {
+    case 0: return 1e30f;
+    case 1: return 0.5f * exact;
+    default: return 0.0f;
+  }
+}
+
+TEST(BatchedKernelTest, EuclideanBitIdenticalToScalarPerQueryOnEveryTier) {
+  constexpr size_t kLengths[] = {1,  2,  3,  5,   8,   15,  16,  17,  31, 32,
+                                 33, 48, 63, 64,  65,  100, 127, 128, 129,
+                                 192, 255, 256};
+  constexpr size_t kGroupSizes[] = {1, 2, 3, 7, 16};
+  std::mt19937 rng(20230701);
+  const simd::KernelTable& scalar = simd::ScalarTable();
+  for (size_t n : kLengths) {
+    for (size_t q_count : kGroupSizes) {
+      const size_t stride = simd::BatchStride(q_count);
+      const std::vector<float> candidate = SaltedSeries(n, &rng);
+      std::vector<std::vector<float>> queries;
+      std::vector<float> block(n * stride, 0.0f);
+      std::vector<float> thresholds(q_count);
+      std::vector<float> want(q_count);
+      for (size_t q = 0; q < q_count; ++q) {
+        queries.push_back(SaltedSeries(n, &rng));
+        for (size_t i = 0; i < n; ++i) block[i * stride + q] = queries[q][i];
+        const float exact =
+            scalar.squared_euclidean(queries[q].data(), candidate.data(), n);
+        thresholds[q] = MixedThreshold(q, exact);
+        want[q] = scalar.squared_euclidean_early_abandon(
+            queries[q].data(), candidate.data(), n, thresholds[q]);
+      }
+      const std::vector<float> cand_shadow = MisalignedShadow(candidate);
+      const std::vector<float> block_shadow = MisalignedShadow(block);
+      for (const simd::KernelTable* table : AllTables()) {
+        std::vector<float> out(q_count, -1.0f);
+        table->batched_squared_euclidean_early_abandon(
+            candidate.data(), block.data(), n, stride, q_count,
+            thresholds.data(), out.data());
+        for (size_t q = 0; q < q_count; ++q) {
+          ASSERT_EQ(BitsOf(out[q]), BitsOf(want[q]))
+              << simd::IsaName(table->isa) << " n=" << n << " Q=" << q_count
+              << " q=" << q;
+        }
+        std::vector<float> out_shifted(q_count, -1.0f);
+        table->batched_squared_euclidean_early_abandon(
+            cand_shadow.data() + 1, block_shadow.data() + 1, n, stride,
+            q_count, thresholds.data(), out_shifted.data());
+        for (size_t q = 0; q < q_count; ++q) {
+          ASSERT_EQ(BitsOf(out_shifted[q]), BitsOf(want[q]))
+              << simd::IsaName(table->isa) << " misaligned n=" << n
+              << " Q=" << q_count << " q=" << q;
+        }
+      }
+    }
+  }
+}
+
+TEST(BatchedKernelTest, EveryTableCarriesBatchedKernels) {
+  for (const simd::KernelTable* table : AllTables()) {
+    EXPECT_NE(table->batched_squared_euclidean_early_abandon, nullptr)
+        << simd::IsaName(table->isa);
+  }
+  EXPECT_NE(simd::ActiveTable().batched_squared_euclidean_early_abandon,
+            nullptr);
 }
 
 }  // namespace

@@ -397,8 +397,7 @@ TEST(ExecutorEpochTest, RepeatedBatchesAndStreamsReuseTheExecutor) {
 // first AnswerBatch runs with every worker's QueryScratch / DtwScratch
 // already at its high-water mark and the second batch's scoring phases must
 // allocate nothing. Work stealing stays off so each node's hot work is
-// exactly its static share. (The grouped scan's purity is asserted inline
-// in query_test.)
+// exactly its static share.
 TEST(HotPathPurityTest, SteadyStateExecutorBatchIsAllocationFree) {
   const SeriesCollection data = GenerateSeismicLike(1500, 64, 411);
   const SeriesCollection warm_queries = GenerateUniformQueries(data, 8, 1.0, 413);

@@ -320,6 +320,75 @@ TEST(DistributedEquivalenceTest, ClusterAnswersMatchSingleIndexPipeline) {
   }
 }
 
+// ------------------------------------------------ grouped execution
+
+struct GroupedCase {
+  const char* name;
+  bool use_dtw;
+  int k;
+  int num_threads;
+};
+
+class GroupedExecutionTest : public ::testing::TestWithParam<GroupedCase> {};
+
+// A GroupedQueryExecution answers each member exactly as that member's own
+// run would.
+TEST_P(GroupedExecutionTest, MatchesIndependentPerQueryRuns) {
+  const GroupedCase mode = GetParam();
+  const SeriesCollection data = GenerateSeismicLike(1200, 64, 71);
+  const SeriesCollection queries = GenerateUniformQueries(data, 5, 1.5, 72);
+  const IndexOptions iopts = TestIndexOptions();
+  ThreadPool pool(2);
+  const Index index = Index::Build(data, iopts, &pool);
+
+  QueryOptions qopts;
+  qopts.num_threads = mode.num_threads;
+  qopts.k = mode.k;
+  qopts.use_dtw = mode.use_dtw;
+  qopts.dtw_window = mode.use_dtw ? WarpingWindowFromFraction(64, 0.05) : 0;
+  const PreparedBatch prepared = PrepareBatch(queries, iopts.config, qopts);
+
+  std::vector<std::vector<Neighbor>> want;
+  for (size_t q = 0; q < queries.size(); ++q) {
+    QueryExecution exec(&index, prepared.query(q), qopts);
+    exec.SeedInitialBsf();
+    exec.Run(&pool);
+    want.push_back(exec.results().SortedResults());
+  }
+
+  std::vector<std::unique_ptr<QueryExecution>> execs;
+  std::vector<QueryExecution*> members;
+  for (size_t q = 0; q < queries.size(); ++q) {
+    execs.push_back(std::make_unique<QueryExecution>(
+        &index, prepared.query(q), qopts));
+    execs.back()->SeedInitialBsf();
+    members.push_back(execs.back().get());
+  }
+  GroupedQueryExecution group(std::move(members));
+  group.Run(mode.num_threads > 1 ? &pool : nullptr);
+
+  for (size_t q = 0; q < queries.size(); ++q) {
+    const std::vector<Neighbor> got = execs[q]->results().SortedResults();
+    ASSERT_EQ(got.size(), want[q].size()) << mode.name << " query " << q;
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].id, want[q][i].id)
+          << mode.name << " query " << q << " rank " << i;
+      EXPECT_TRUE(testing_utils::NearlyEqual(got[i].squared_distance,
+                                             want[q][i].squared_distance))
+          << mode.name << " query " << q << " rank " << i << ": "
+          << got[i].squared_distance << " vs " << want[q][i].squared_distance;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, GroupedExecutionTest,
+    ::testing::Values(GroupedCase{"ed_1nn", false, 1, 2},
+                      GroupedCase{"ed_5nn", false, 5, 2},
+                      GroupedCase{"ed_single_thread", false, 1, 1},
+                      GroupedCase{"dtw_1nn", true, 1, 2},
+                      GroupedCase{"dtw_3nn", true, 3, 2}));
+
 // ------------------------------------------------- hot-path purity
 
 // FixedIdSet (the open-addressing set that replaced KnnSet's allocating
@@ -388,17 +457,11 @@ TEST(HotPathPurityTest, CountingAllocatorObservesHotRegionAllocations) {
 // must perform zero heap allocations. Without a pool, Run executes all
 // three phases inline on the calling thread, so the warm-up
 // deterministically heats exactly the thread-locals the steady-state
-// queries use. The grouped arm holds GroupedQueryExecution's merged leaf
-// scan to the same contract, one warm-up group ahead of the measured ones.
+// queries use.
 TEST(HotPathPurityTest, SteadyStateSingleThreadedRunIsAllocationFree) {
   const SeriesCollection data = GenerateSeismicLike(2000, 64, 401);
   const Index index = Index::Build(SeriesCollection(data), TestIndexOptions());
   const SeriesCollection queries = GenerateUniformQueries(data, 6, 1.0, 403);
-  // Grouped arm: a warm-up group of 4, then steady-state groups of 3 and 4.
-  const SeriesCollection group_queries =
-      GenerateUniformQueries(data, 11, 1.0, 407);
-  const std::vector<std::pair<size_t, size_t>> groups = {
-      {0, 4}, {4, 7}, {7, 11}};
 
   struct Mode {
     const char* name;
@@ -434,29 +497,6 @@ TEST(HotPathPurityTest, SteadyStateSingleThreadedRunIsAllocationFree) {
           << mode.name << " query " << q;
     }
     EXPECT_EQ(testing_utils::HotAllocations(), 0u) << mode.name;
-
-    const PreparedBatch group_batch =
-        PrepareBatch(group_queries, index.config(), qo);
-    for (size_t g = 0; g < groups.size(); ++g) {
-      std::vector<std::unique_ptr<QueryExecution>> execs;
-      std::vector<QueryExecution*> members;
-      for (size_t q = groups[g].first; q < groups[g].second; ++q) {
-        execs.push_back(
-            std::make_unique<QueryExecution>(&index, group_batch.query(q), qo));
-        execs.back()->SeedInitialBsf();
-        members.push_back(execs.back().get());
-      }
-      GroupedQueryExecution group(std::move(members));
-      // Group 0 is the warm-up: it grows this thread's lane buffers.
-      if (g == 1) testing_utils::ResetHotAllocations();
-      group.Run();
-      for (const auto& exec : execs) {
-        ASSERT_EQ(exec->results().SortedResults().size(),
-                  static_cast<size_t>(mode.k))
-            << mode.name << " group " << g;
-      }
-    }
-    EXPECT_EQ(testing_utils::HotAllocations(), 0u) << mode.name << " grouped";
   }
 }
 
