@@ -21,6 +21,7 @@ import argparse
 import json
 import pathlib
 import re
+import statistics
 import sys
 
 
@@ -41,16 +42,23 @@ def merge(directory: pathlib.Path) -> dict:
 
 
 def flatten(merged: dict) -> dict:
-    """target/benchmark-name -> real_time (ns-normalized)."""
-    out = {}
+    """target/benchmark-name -> real_time (ns-normalized).
+
+    A benchmark run with --benchmark_repetitions has one row per repetition
+    under the same name; its value is the median of their real times, so one
+    slow repetition cannot decide a gate. The library's own aggregate rows
+    (mean, median, stddev, cv) are skipped.
+    """
+    unit_ns = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+    samples = {}
     for target, data in merged.items():
-        unit_ns = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
         for bm in data.get("benchmarks", []):
             if bm.get("run_type") == "aggregate":
                 continue
             scale = unit_ns.get(bm.get("time_unit", "ns"), 1.0)
-            out[f"{target}/{bm['name']}"] = bm.get("real_time", 0.0) * scale
-    return out
+            samples.setdefault(f"{target}/{bm['name']}", []).append(
+                bm.get("real_time", 0.0) * scale)
+    return {name: statistics.median(times) for name, times in samples.items()}
 
 
 def align(entries: dict, marker: str) -> dict:

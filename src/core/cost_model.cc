@@ -1,6 +1,7 @@
 #include "src/core/cost_model.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "src/common/check.h"
 #include "src/common/thread_pool.h"
@@ -21,7 +22,9 @@ std::vector<CalibrationSample> CollectCalibrationSamples(
     const Index& index, const SeriesCollection& queries,
     const QueryOptions& options) {
   QueryOptions calibration_options = options;
-  calibration_options.queue_threshold = 0;  // unbounded: observe natural sizes
+  // No queue is sealed early, so each one's size is the natural one the
+  // ThresholdModel is calibrated on.
+  calibration_options.queue_threshold = SIZE_MAX;
   // One pool for the whole sample set, as a node's executor would run the
   // queries: no thread is created per query.
   ThreadPool pool(static_cast<size_t>(std::max(1, options.num_threads)));

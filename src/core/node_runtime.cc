@@ -18,7 +18,11 @@ constexpr float kInf = std::numeric_limits<float>::infinity();
 
 NodeRuntime::NodeRuntime(int node_id, const ReplicationLayout& layout,
                          std::shared_ptr<const Index> index)
-    : id_(node_id), layout_(layout), index_(std::move(index)) {
+    : id_(node_id),
+      layout_(layout),
+      index_(std::move(index)),
+      leaf_count_(index_ != nullptr ? index_->tree().ComputeStats().leaves
+                                    : 0) {
   ODYSSEY_CHECK(node_id >= 0 && node_id < layout.num_nodes());
   ODYSSEY_CHECK(index_ != nullptr);
   ODYSSEY_CHECK(index_->chunk()->global_ids().size() == index_->data().size());
@@ -83,10 +87,17 @@ void NodeRuntime::WarmExecutorScratch() {
   // from this thread, which would let the driver thread swallow a warm-up
   // task and leave one worker cold. WaitIdle only blocks.
   const size_t width = workers_->num_threads();
-  const size_t batches = options_.query_options.EffectiveBatches();
-  // Queue count is data-dependent (leaves inserted per batch); reserve a
-  // generous floor and let the grow-only scratch absorb outliers.
-  const size_t queues = std::max<size_t>(size_t{64}, batches * 4);
+  const QueryOptions& query_options = options_.query_options;
+  const size_t batches = query_options.EffectiveBatches();
+  // What bounds one execution's queue count: its full queues hold TH
+  // leaves each, and every TraverseBatch call (the claimer and at most
+  // help_threshold helpers per batch) seals at most one partial queue.
+  ODYSSEY_CHECK_MSG(query_options.queue_threshold >= 1,
+                    "queue_threshold (TH) must be at least 1 leaf");
+  const size_t traversals_per_batch =
+      1 + static_cast<size_t>(std::max(0, query_options.help_threshold));
+  const size_t queues = leaf_count_ / query_options.queue_threshold +
+                        batches * traversals_per_batch;
   const size_t length = index_->data().length();
   if (width <= warmed_scratch_.width && batches <= warmed_scratch_.batches &&
       queues <= warmed_scratch_.queues && length <= warmed_scratch_.length) {

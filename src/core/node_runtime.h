@@ -196,6 +196,7 @@ class NodeRuntime {
   const int id_;
   const ReplicationLayout layout_;
   const std::shared_ptr<const Index> index_;  // the group's, immutable
+  const size_t leaf_count_;  ///< index_'s leaves (bounds the queue count)
 
   // Persistent executor: comms/main threads park between epochs; workers_
   // serves the query phases (and in-flight orchestration) of every batch.

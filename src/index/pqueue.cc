@@ -18,7 +18,7 @@ struct MinHeapCompare {
 bool BoundedPq::Push(PqItem item) {
   heap_.push_back(item);
   std::push_heap(heap_.begin(), heap_.end(), MinHeapCompare());
-  return capacity_ != 0 && heap_.size() >= capacity_;
+  return heap_.size() >= capacity_;
 }
 
 PqItem BoundedPq::Pop() {

@@ -22,7 +22,7 @@ struct PqItem {
 /// of work the work-stealing protocol hands out.
 class BoundedPq {
  public:
-  /// capacity == 0 means unbounded.
+  /// `capacity` is TH, at least 1 (QueryExecution checks its options).
   explicit BoundedPq(size_t capacity) : capacity_(capacity) {}
 
   /// Pushes an item. Returns true if the queue is now full (caller should

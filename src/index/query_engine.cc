@@ -163,6 +163,8 @@ QueryExecution::QueryExecution(const Index* index, const PreparedQuery& query,
       knn_(options.k) {
   ODYSSEY_CHECK(index_ != nullptr && query_ != nullptr);
   ODYSSEY_CHECK(options_.num_threads >= 1);
+  ODYSSEY_CHECK_MSG(options_.queue_threshold >= 1,
+                    "queue_threshold (TH) must be at least 1 leaf");
   ODYSSEY_CHECK_MSG(
       query.segments() == index_->config().segments() &&
           query.length() == index_->config().series_length(),
@@ -205,6 +207,12 @@ float QueryExecution::SeedInitialBsf() {
   seeded_ = true;
   stat_initial_bsf_ = std::sqrt(static_cast<double>(approx_sq));
   return static_cast<float>(stat_initial_bsf_);
+}
+
+void QueryExecution::set_queue_threshold(size_t threshold) {
+  ODYSSEY_CHECK_MSG(threshold >= 1,
+                    "queue_threshold (TH) must be at least 1 leaf");
+  options_.queue_threshold = threshold;
 }
 
 std::vector<int> QueryExecution::AllBatchIds() const {

@@ -153,6 +153,15 @@ class KnnSet {
   std::atomic<float> threshold_;
 };
 
+/// The default priority-queue threshold TH, in leaves (Section 3.2.1). A
+/// query's traversal seals a queue at TH leaves, so phase 3 spreads its
+/// leaves over many sorted queues that every worker claims from, and
+/// work stealing finds unclaimed queues to give away. On 600k random walks
+/// of 256 points (FULL, 2 nodes x 2 workers, a 4-vCPU Xeon KVM guest),
+/// calls of 20 queries at TH 64 beat unbounded queues in 30 of 30 calls
+/// (104.5 -> 126.9 qps); TH 256 and 1,024 won 29 of 30.
+inline constexpr size_t kDefaultQueueThreshold = 64;
+
 /// Per-query execution knobs. For work-stealing to be meaningful,
 /// `num_batches` must be identical on every node of a replication group
 /// (batch ids are exchanged between nodes).
@@ -161,8 +170,10 @@ struct QueryOptions {
   /// Number of RS-batches (Nsb). 0 means num_threads, the paper's best
   /// setting.
   size_t num_batches = 0;
-  /// Priority-queue size threshold TH in leaves; 0 means unbounded.
-  size_t queue_threshold = 0;
+  /// Priority-queue size threshold TH in leaves, at least 1. SIZE_MAX
+  /// never seals a queue early, which only the threshold model's
+  /// calibration wants (it observes natural queue sizes).
+  size_t queue_threshold = kDefaultQueueThreshold;
   /// Max helper threads per RS-batch (HelpTH).
   int help_threshold = 2;
   /// Number of nearest neighbors (k-NN extension; 1 = classic search).
@@ -240,12 +251,10 @@ class QueryExecution {
   /// regressor of the paper's cost model. Must be called before Run*.
   float SeedInitialBsf();
 
-  /// Overrides the queue threshold TH after SeedInitialBsf (the per-query
-  /// value predicted by the ThresholdModel from the initial BSF). Must be
-  /// called before Run*.
-  void set_queue_threshold(size_t threshold) {
-    options_.queue_threshold = threshold;
-  }
+  /// Overrides the queue threshold TH (at least 1) after SeedInitialBsf
+  /// (the per-query value predicted by the ThresholdModel from the initial
+  /// BSF). Must be called before Run*.
+  void set_queue_threshold(size_t threshold);
 
   /// Runs the full three-phase search over all RS-batches. With a `pool`,
   /// the phases run as tasks on it — zero thread creation, the persistent
@@ -398,8 +407,10 @@ class QueryExecution {
 /// across TaskGroup epochs, queries and batches, so the steady state
 /// performs zero allocations (asserted by the counting-allocator tests).
 /// The persistent executor pre-sizes every worker's scratch at batch start
-/// (NodeRuntime::EnsureExecutor), so even a worker's first query of a
-/// batch starts warm.
+/// (NodeRuntime::EnsureExecutor) to the largest queue count the batch's
+/// options allow, so even a worker's first query of a batch starts warm
+/// (a calibrated ThresholdModel that lowers TH below the options' value
+/// can still grow it).
 ///
 /// The checker treats growth of containers reached through a receiver
 /// whose path names `scratch` as sanctioned (see tools/check_hot_paths.py);
@@ -411,8 +422,7 @@ class QueryScratch {
   static QueryScratch& ForThisThread();
 
   /// Grow-only pre-sizing, called by the executor warm-up with bounds
-  /// derived from the batch options (`queues` is a floor — the real queue
-  /// count is data-dependent and growth beyond it stays amortized).
+  /// derived from the index and the batch options.
   void Reserve(size_t batches, size_t queues);
 
   /// Phase-1 armed-batch snapshot (TraversalPhase).

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -302,7 +303,7 @@ TEST_P(FuzzExactnessTest, RandomConfigurationIsExact) {
   options.worksteal.enabled = rng.NextBounded(2) == 1;
   options.query_options.num_threads = 1 + static_cast<int>(rng.NextBounded(3));
   options.query_options.k = 1 + static_cast<int>(rng.NextBounded(4));
-  options.query_options.queue_threshold = rng.NextBounded(2) ? 16 : 0;
+  options.query_options.queue_threshold = rng.NextBounded(2) ? 16 : SIZE_MAX;
   options.seed = seed;
   OdysseyCluster cluster(data, options);
   const BatchReport report = cluster.AnswerBatch(queries);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <string>
@@ -11,6 +12,7 @@
 
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
+#include "src/core/cost_model.h"
 #include "src/dataset/generators.h"
 #include "src/dataset/workload.h"
 #include "src/distance/dtw.h"
@@ -288,7 +290,7 @@ TEST(ApproxSearchTest, FindsExactMatchForDatasetMember) {
 // --------------------------------------------------------------- PQueue
 
 TEST(PqueueTest, PopsInAscendingOrder) {
-  BoundedPq pq(0);
+  BoundedPq pq(SIZE_MAX);
   for (float lb : {5.0f, 1.0f, 3.0f, 2.0f, 4.0f}) pq.Push({lb, nullptr});
   EXPECT_EQ(pq.MinLowerBound(), 1.0f);
   float prev = -1.0f;
@@ -307,8 +309,10 @@ TEST(PqueueTest, ReportsFullAtCapacity) {
   EXPECT_EQ(pq.size(), 3u);
 }
 
+// SIZE_MAX is how the threshold model's calibration asks for queues that
+// are never sealed early.
 TEST(PqueueTest, UnboundedNeverReportsFull) {
-  BoundedPq pq(0);
+  BoundedPq pq(SIZE_MAX);
   for (int i = 0; i < 1000; ++i) {
     EXPECT_FALSE(pq.Push({static_cast<float>(i), nullptr}));
   }
@@ -468,6 +472,11 @@ TEST_P(ExactSearchTest, MatchesBruteForce) {
     const float initial = exec.SeedInitialBsf();
     EXPECT_GE(initial, 0.0f);
     exec.Run(&pool);
+    if (param.queue_threshold == 1) {
+      // TH 1: every leaf the traversal keeps is a queue of its own.
+      const QueryStats stats = exec.stats();
+      EXPECT_EQ(stats.queue_count, stats.leaves_inserted) << "query " << q;
+    }
     const auto got = exec.results().SortedResults();
     const auto expected = BruteForceKnn(data, queries.data(q), param.k);
     ASSERT_EQ(got.size(), expected.size()) << "query " << q;
@@ -481,16 +490,22 @@ TEST_P(ExactSearchTest, MatchesBruteForce) {
   }
 }
 
+// Arms without _th run at the default TH (kDefaultQueueThreshold). The
+// SIZE_MAX arm never seals a queue early, as the threshold model's
+// calibration runs; the TH 1 arm makes every leaf its own queue.
+constexpr size_t kTh = kDefaultQueueThreshold;
 INSTANTIATE_TEST_SUITE_P(
     Grid, ExactSearchTest,
-    ::testing::Values(ExactCase{"t1_k1", 1, 1, 0, 0},
-                      ExactCase{"t2_k1", 2, 1, 0, 0},
-                      ExactCase{"t4_k1", 4, 1, 0, 0},
-                      ExactCase{"t4_k5", 4, 5, 0, 0},
+    ::testing::Values(ExactCase{"t1_k1", 1, 1, kTh, 0},
+                      ExactCase{"t2_k1", 2, 1, kTh, 0},
+                      ExactCase{"t4_k1", 4, 1, kTh, 0},
+                      ExactCase{"t4_k5", 4, 5, kTh, 0},
                       ExactCase{"t4_k1_th8", 4, 1, 8, 0},
                       ExactCase{"t2_k5_th4", 2, 5, 4, 0},
-                      ExactCase{"t4_k1_b16", 4, 1, 0, 16},
-                      ExactCase{"t1_k5_b2", 1, 5, 0, 2}),
+                      ExactCase{"t4_k1_th1", 4, 1, 1, 0},
+                      ExactCase{"t4_k1_thmax", 4, 1, SIZE_MAX, 0},
+                      ExactCase{"t4_k1_b16", 4, 1, kTh, 16},
+                      ExactCase{"t1_k5_b2", 1, 5, kTh, 2}),
     [](const auto& info) { return std::string(info.param.name); });
 
 TEST(ExactSearchTest, DtwMatchesBruteForce) {
@@ -820,6 +835,79 @@ TEST(QueryStatsTest, CountsAreExactUnderAFixedThreshold) {
       }
     }
   }
+}
+
+// An index big enough that a default query keeps far more than TH leaves:
+// 8,000 random walks in leaves of at most 8 series (about 1,900 leaves),
+// queried with noise 1.5. Each query keeps 1,300 to 1,800 of them.
+struct ManyLeavesIndex {
+  ManyLeavesIndex()
+      : data(GenerateRandomWalk(8000, 64, 85)),
+        queries(GenerateUniformQueries(data, 4, 1.5, 87)),
+        index(Index::Build(SeriesCollection(data), SmallOptions(64, 8, 8))) {}
+  SeriesCollection data;
+  SeriesCollection queries;
+  Index index;
+};
+
+// The default TH bounds every queue, so a query's leaves spread over many
+// more queues than workers (phase 3's Fetch&Add claims share them), with or
+// without a pool.
+TEST(QueryStatsTest, DefaultThresholdSpreadsLeavesOverManyQueues) {
+  const ManyLeavesIndex many;
+  const Index& index = many.index;
+  const SeriesCollection& queries = many.queries;
+  ThreadPool pool(4);
+  for (size_t q = 0; q < queries.size(); ++q) {
+    for (ThreadPool* run_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      const QueryOptions options;  // the library defaults
+      const PreparedQuery prepared =
+          PrepareQuery(queries.data(q), index.config(), options);
+      QueryExecution exec(&index, prepared, options);
+      exec.SeedInitialBsf();
+      exec.Run(run_pool);
+      const QueryStats stats = exec.stats();
+      const std::string where = "query " + std::to_string(q) +
+                                (run_pool != nullptr ? " pool" : " no pool");
+      ASSERT_GT(stats.leaves_inserted, 4 * kDefaultQueueThreshold) << where;
+      const size_t full_queues =
+          (stats.leaves_inserted + kDefaultQueueThreshold - 1) /
+          kDefaultQueueThreshold;
+      EXPECT_GE(stats.queue_count, full_queues) << where;
+      EXPECT_GT(stats.queue_count, static_cast<size_t>(options.num_threads))
+          << where;
+      EXPECT_LE(stats.median_queue_size,
+                static_cast<double>(kDefaultQueueThreshold))
+          << where;
+    }
+  }
+}
+
+// The threshold model is calibrated on natural queue sizes, so
+// CollectCalibrationSamples must not inherit the default TH from the
+// options it is given.
+TEST(QueryStatsTest, CalibrationSeesNaturalQueueSizes) {
+  const ManyLeavesIndex many;
+  const auto samples =
+      CollectCalibrationSamples(many.index, many.queries, QueryOptions());
+  ASSERT_EQ(samples.size(), many.queries.size());
+  for (size_t q = 0; q < samples.size(); ++q) {
+    EXPECT_GT(samples[q].median_pq_size,
+              static_cast<double>(kDefaultQueueThreshold))
+        << "query " << q;
+  }
+}
+
+TEST(QueryExecutionDeathTest, ZeroQueueThresholdAborts) {
+  const SeriesCollection data = GenerateRandomWalk(200, 64, 89);
+  const Index index = Index::Build(SeriesCollection(data), SmallOptions(64));
+  QueryOptions options;
+  options.queue_threshold = 0;
+  const PreparedQuery prepared =
+      PrepareQuery(data.data(0), index.config(), options);
+  EXPECT_DEATH(
+      { QueryExecution exec(&index, prepared, options); },
+      "queue_threshold \\(TH\\) must be at least 1");
 }
 
 TEST(ExactSearchTest, StealBatchesOutsideProcessingIsEmpty) {
